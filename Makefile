@@ -7,6 +7,7 @@ install:
 
 test: telemetry-smoke campaign-smoke serve-smoke timeline-smoke
 	PYTHONPATH=src python -m pytest tests/
+	PYTHONPATH=src python -m pytest perfbench -q
 
 # Prove the self-telemetry loop end to end: profile a small workload with a
 # manifest, then render it back through `repro stats` (reading from stdin,
@@ -90,10 +91,9 @@ property:
 # Publish observer throughput (scalar vs batched trace transport) into
 # BENCH_throughput.json at the repo root, and fail if any tool's batched
 # speedup drops below its floor (>= 1x everywhere; >= 5x for the rewritten
-# sigil-reuse and callgrind batch kernels).
+# callgrind batch kernel).
 bench-throughput:
 	PYTHONPATH=src python benchmarks/bench_tool_throughput.py \
-		--check sigil-baseline --check sigil-reuse --check sigil-events \
 		--check callgrind --check line-reuse
 
 # Publish event-log I/O throughput (text v1 vs binary v2 on a 1M-segment

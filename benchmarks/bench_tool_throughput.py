@@ -16,9 +16,13 @@ writes ``BENCH_throughput.json`` at the repo root with per-configuration
 events/sec for the scalar and batched transports.  ``--check CONFIG`` exits
 non-zero if the batched transport's speedup falls below that
 configuration's floor (the CI perf smoke): at least 1.0x everywhere --
-batching must never be a regression -- and 5.0x for the two tools whose
-batch kernels were rewritten to hit the ROADMAP target (``sigil-reuse``
-and ``callgrind``), so the PR 4 regression cannot silently return.
+batching must never be a regression -- and 5.0x for ``callgrind``, whose
+batch kernel was rewritten to hit the ROADMAP target, so the PR 4
+regression cannot silently return.
+
+Only tools with a batch kernel have a row.  The Sigil profiler has one
+memory kernel, the scalar one, and replays batches through it, so a Sigil
+row would compare that kernel with itself behind a buffer.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.callgrind import CallgrindCollector
-from repro.core import LineReuseProfiler, SigilConfig, SigilProfiler
+from repro.core import LineReuseProfiler
 from repro.trace.batch import DEFAULT_BATCH_SIZE, BatchingTransport
 from repro.trace.events import OpKind
 
@@ -72,18 +76,13 @@ def drive(observer) -> int:
 
 
 CONFIGS = {
-    "sigil-baseline": lambda: SigilProfiler(SigilConfig()),
-    "sigil-reuse": lambda: SigilProfiler(SigilConfig(reuse_mode=True)),
-    "sigil-events": lambda: SigilProfiler(SigilConfig(event_mode=True)),
     "callgrind": lambda: CallgrindCollector(),
     "line-reuse": lambda: LineReuseProfiler(64),
 }
 
-#: ``--check`` speedup floors.  Every config must at least break even;
-#: the two tools with dedicated grouped batch kernels (re-use shadow and
-#: the cache-simulating Callgrind run) carry the ROADMAP's >= 5x target.
+#: ``--check`` speedup floors.  Every config must at least break even; the
+#: cache-simulating Callgrind run carries the ROADMAP's >= 5x target.
 CHECK_FLOORS = {
-    "sigil-reuse": 5.0,
     "callgrind": 5.0,
 }
 DEFAULT_CHECK_FLOOR = 1.0
@@ -168,7 +167,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", metavar="CONFIG", action="append", default=[],
         help="exit non-zero unless CONFIG's batched speedup meets its "
-             "floor (1.0x by default, 5.0x for sigil-reuse/callgrind; "
+             "floor (1.0x by default, 5.0x for callgrind; "
              "repeatable; the CI perf smoke)",
     )
     args = parser.parse_args(argv)

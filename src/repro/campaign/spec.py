@@ -162,7 +162,10 @@ class CampaignSpec:
                 f"available: {', '.join(TOOL_STACKS)}"
             )
         for cfg in self.configs:
-            canonical_config(cfg)  # raises on unknown fields / bad values
+            try:
+                canonical_config(cfg)  # raises on unknown fields / bad values
+            except TypeError as exc:  # an unknown SigilConfig field
+                raise ValueError(f"invalid config {cfg!r}: {exc}") from exc
 
     def jobs(self) -> List[Job]:
         """Expand the matrix into content-addressed jobs."""

@@ -36,14 +36,13 @@ class SigilConfig:
         Capacity of the batched trace transport's ring buffer.  When
         positive (the default), substrates accumulate memory accesses into
         preallocated NumPy buffers and deliver them to the tools in batches
-        (:meth:`repro.trace.observer.TraceObserver.on_mem_batch`), which the
-        profilers process with grouped array kernels.  ``0`` selects the
-        legacy scalar path (one observer call per access).  Profiles are
-        byte-identical either way; only throughput changes.
-    track_unread_writes:
-        Whether bytes written but never read still contribute to the
-        producer's write totals (they always do) -- kept for documentation
-        symmetry; reserved for future use.
+        (:meth:`repro.trace.observer.TraceObserver.on_mem_batch`).
+        ``0`` selects the scalar path (one observer call per access).
+        Profiles are byte-identical either way; only throughput changes.
+        Sigil itself has one memory kernel, the scalar one, and replays
+        each batch through it; the transport pays off only for the tools
+        with a batch kernel (Callgrind, the line re-use profiler), so the
+        harness builds it only when one of them is attached.
     """
 
     reuse_mode: bool = False
@@ -51,7 +50,6 @@ class SigilConfig:
     max_shadow_pages: Optional[int] = None
     line_size: int = 1
     batch_size: int = 4096
-    track_unread_writes: bool = True
 
     def __post_init__(self) -> None:
         if self.line_size <= 0 or self.line_size & (self.line_size - 1):

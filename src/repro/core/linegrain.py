@@ -109,8 +109,9 @@ class LineReuseProfiler(BaseObserver):
         addrs = np.asarray(addrs, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         if int(sizes.sum()) >> self._shift > 32 * n:
-            # Bulk transfers: the scalar per-access path is cheaper once
-            # each access spans many lines (see SigilProfiler.on_mem_batch).
+            # Bulk transfers: the scalar path works on contiguous line
+            # ranges, so its cost is per access while this kernel's is per
+            # expanded line; past ~32 lines per access the scalar path wins.
             _expand_batch(self, addrs, sizes, kinds)
             return
         times = self.time + 1 + np.arange(n, dtype=np.int64)

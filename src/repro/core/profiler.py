@@ -42,15 +42,7 @@ from repro.core.reuse import ReuseStats
 from repro.core.segments import EventLog, Segment
 from repro.core.shadow import SHADOW_PAGE_SIZE, ShadowMemory, ShadowPage
 from repro.trace.events import OpKind
-from repro.trace.observer import MEM_READ, BaseObserver, _expand_batch
-
-#: log2 of the shadow-page size, for shift-based page/offset splitting in
-#: the batch kernel (SHADOW_PAGE_SIZE is a power of two by construction).
-SHADOW_PAGE_SHIFT = SHADOW_PAGE_SIZE.bit_length() - 1
-
-#: Shared empty array standing in for "no counts" in the batch kernel's
-#: uniform fast paths (a pure read or pure write streak).
-_ZERO = np.zeros(0, dtype=np.int64)
+from repro.trace.observer import BaseObserver
 
 __all__ = ["SigilProfiler", "SigilProfile", "ShadowStats"]
 
@@ -442,514 +434,18 @@ class SigilProfiler(BaseObserver):
             page.reader[lo:hi] = ctx
             page.reader_call[lo:hi] = call_id
 
-    # -- batched memory kernel ----------------------------------------------------
+    # -- batch-transport protocol ------------------------------------------------
 
     @property
     def batch_time_strict(self) -> bool:  # noqa: D401 - protocol flag
         """Re-use lifetimes are per-access timestamps; demand exact clocks."""
         return self.reuse is not None
 
-    @property
-    def batch_beneficial(self) -> bool:  # noqa: D401 - protocol flag
-        """Configs whose batch kernel is scalar expansion gain nothing."""
-        return self.config.max_shadow_pages is None
-
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
-        """Classify a whole batch of accesses with grouped NumPy kernels.
-
-        The batched transport guarantees the attributing context, call id,
-        and segment are constant across a batch (function entries/exits,
-        syscalls, and thread switches all flush), so the per-access work
-        collapses into a few array passes: expand accesses to shadow units,
-        sort-and-group by unit, and resolve each unit's intra-batch
-        read/write sequence against its prior shadow state in closed form.
-        Intra-batch ordering semantics are preserved exactly: a write then
-        read of the same unit inside one batch classifies identically to
-        the scalar path (the read is a *unique local* byte; a re-read after
-        it is non-unique), and the final shadow state matches what the
-        scalar calls would have left behind.
-
-        Re-use mode runs its own grouped kernel
-        (:meth:`_mem_batch_reuse`): lifetime windows are per-access
-        instruction-clock timestamps, but the transport flushes before ops
-        when ``batch_time_strict`` is set, so within a batch the clock
-        advances exactly one tick per access and every timestamp is
-        reconstructible as ``time_at_batch_start + 1 + position``.
-
-        One configuration keeps the scalar kernel under the hood: the FIFO
-        shadow-memory limit (eviction depends on per-access page touch
-        order).  So do bulk-transfer batches whose accesses each span many
-        shadow units, where the contiguous-range scalar kernel is the
-        faster one.  All remain byte-identical to the scalar path.
-        """
-        n = len(addrs)
-        if n == 0:
-            return
-        if self.config.max_shadow_pages is not None:
-            _expand_batch(self, addrs, sizes, kinds)
-            return
-
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if int(sizes.sum()) >> self._unit_shift > 32 * n:
-            # Bulk transfers (accesses spanning many shadow units each):
-            # the per-access scalar kernel works on contiguous unit ranges,
-            # so its cost is per *access*, while this kernel's
-            # sort-and-group is per expanded *unit*.  Past ~32 units per
-            # access the scalar loop is faster; output is identical.
-            _expand_batch(self, addrs, sizes, kinds)
-            return
-
-        addrs = np.asarray(addrs, dtype=np.int64)
-        is_read = np.asarray(kinds, dtype=np.uint8) == MEM_READ
-
-        if self.reuse is not None:
-            self._mem_batch_reuse(addrs, sizes, is_read)
-            return
-
-        fn = self._fn
-        n_reads = int(is_read.sum())
-        read_bytes = int(sizes[is_read].sum()) if n_reads else 0
-        fn.reads += n_reads
-        fn.read_bytes += read_bytes
-        fn.writes += n - n_reads
-        fn.write_bytes += int(sizes.sum()) - read_bytes
-        self.time += n  # every access retires one instruction
-
-        valid = sizes > 0
-        if not valid.all():
-            addrs = addrs[valid]
-            sizes = sizes[valid]
-            is_read = is_read[valid]
-            if addrs.size == 0:
-                return
-
-        # -- expand ranges to shadow units (ragged arange) ----------------
-        shift = self._unit_shift
-        lo = addrs >> shift
-        n_units = ((addrs + sizes - 1) >> shift) - lo + 1
-        total = int(n_units.sum())
-        access_start = np.cumsum(n_units) - n_units
-        idx = np.arange(total, dtype=np.int64)
-        unit = np.repeat(lo, n_units) + (idx - np.repeat(access_start, n_units))
-        ev_write = np.repeat(~is_read, n_units)
-
-        # -- group by unit, order preserved within each group -------------
-        order = np.argsort(unit, kind="stable")
-        su = unit[order]
-        new_grp = np.empty(total, dtype=bool)
-        new_grp[0] = True
-        np.not_equal(su[1:], su[:-1], out=new_grp[1:])
-        g_start = np.flatnonzero(new_grp)
-        n_groups = len(g_start)
-        g_len = np.empty(n_groups, dtype=np.int64)
-        np.subtract(g_start[1:], g_start[:-1], out=g_len[: n_groups - 1])
-        g_len[n_groups - 1] = total - g_start[n_groups - 1]
-        g_unit = su[g_start]
-
-        # Per-group sequence facts.  Within one batch the context never
-        # changes, so a unit's event run resolves in closed form:
-        #   * the m reads before its first write keep the old shadow state
-        #     (first is unique unless the old reader is already this
-        #     context; writer credit goes to the old writer),
-        #   * after a write, the immediately following read is a unique
-        #     local byte and any further reads until the next write are
-        #     non-unique re-reads,
-        #   * the final shadow state depends only on whether the group
-        #     wrote and whether a read follows its last write.
-        # Uniform batches (a pure write streak or a pure read streak, the
-        # common streaming shapes) resolve without the per-group scans.
-        n_writes = n - n_reads
-        if n_writes == 0:
-            has_write = np.zeros(n_groups, dtype=bool)
-            m = g_len
-            q = u = _ZERO
-            set_reader = None  # everything read: every group sets the reader
-        elif n_reads == 0:
-            has_write = None  # everything written
-            m = q = u = _ZERO
-            set_reader = np.zeros(n_groups, dtype=bool)
-        else:
-            sw = ev_write[order]
-            pos = idx - np.repeat(g_start, g_len)
-            first_w = np.minimum.reduceat(np.where(sw, pos, total), g_start)
-            last_w = np.maximum.reduceat(np.where(sw, pos, -1), g_start)
-            has_write = first_w < g_len
-            reads_per_grp = np.add.reduceat((~sw).astype(np.int64), g_start)
-            m = np.where(has_write, first_w, g_len)  # reads before 1st write
-            q = reads_per_grp - m  # reads after first write
-            # Write-intervals that got read: their first read is unique.
-            wr_pair = np.zeros(total, dtype=np.int64)
-            np.logical_and(sw[:-1] & ~sw[1:], su[1:] == su[:-1],
-                           out=wr_pair[: total - 1], casting="unsafe")
-            u = np.add.reduceat(wr_pair, g_start)
-            # A read after the group's last write => the reader survives.
-            set_reader = (~has_write) | (last_w < g_len - 1)
-
-        # -- gather old state / scatter final state, one page at a time ---
-        ctx = self._cur.node.id
-        call_id = self._cur.call_id
-        seg = self._cur.segment
-        seg_id = seg.seg_id if seg is not None else -1
-        events = self.events
-
-        page_no = g_unit >> SHADOW_PAGE_SHIFT
-        first_page = int(page_no[0])
-        if page_no[n_groups - 1] == first_page:
-            spans = ((first_page, slice(0, n_groups)),)
-        else:
-            pb = np.empty(n_groups, dtype=bool)
-            pb[0] = True
-            np.not_equal(page_no[1:], page_no[:-1], out=pb[1:])
-            page_breaks = np.flatnonzero(pb).tolist()
-            page_breaks.append(n_groups)
-            spans = tuple(
-                (int(page_no[s]), slice(s, e))
-                for s, e in zip(page_breaks[:-1], page_breaks[1:])
-            )
-
-        w0 = np.empty(n_groups, dtype=np.int64)
-        r0 = np.empty(n_groups, dtype=np.int64)
-        w0seg = np.empty(n_groups, dtype=np.int64) if events is not None else None
-
-        for pno, span in spans:
-            page = self.shadow.page(pno)
-            o = g_unit[span] - (pno << SHADOW_PAGE_SHIFT)
-            w0[span] = page.writer[o]
-            r0[span] = page.reader[o]
-            if w0seg is not None:
-                w0seg[span] = page.writer_seg[o]
-            hw = has_write[span] if has_write is not None else None
-            wrote = o if hw is None else o[hw]
-            if hw is None or hw.any():
-                page.writer[wrote] = ctx
-                if page.writer_seg is not None:
-                    page.writer_seg[wrote] = seg_id
-            if set_reader is None:
-                page.reader[o] = ctx
-                page.reader_call[o] = call_id
-                continue
-            sr = set_reader[span]
-            if sr.any():
-                page.reader[o[sr]] = ctx
-                page.reader_call[o[sr]] = call_id
-            # Wrote last, never re-read: the value dies unread.
-            dead = ~sr if hw is None else hw & ~sr
-            if dead.any():
-                page.reader[o[dead]] = INVALID_CTX
-                page.reader_call[o[dead]] = -1
-
-        # -- classification ------------------------------------------------
-        scale = self._unit_size
-        has_prefix = m > 0
-        if has_prefix.any():
-            first_unique = has_prefix & (r0 != ctx)
-            uniq_cnt = first_unique[has_prefix].astype(np.int64)
-            nonu_cnt = m[has_prefix] - uniq_cnt
-            writers = w0[has_prefix]
-            ids, inverse = np.unique(writers, return_inverse=True)
-            uq = np.zeros(len(ids), dtype=np.int64)
-            nq = np.zeros(len(ids), dtype=np.int64)
-            np.add.at(uq, inverse, uniq_cnt)
-            np.add.at(nq, inverse, nonu_cnt)
-            for wid, a, b in zip(ids.tolist(), uq.tolist(), nq.tolist()):
-                if a:
-                    self.comm.add(wid, ctx, unique=a * scale)
-                if b:
-                    self.comm.add(wid, ctx, nonunique=b * scale)
-            if events is not None and first_unique.any():
-                sids, scnt = np.unique(
-                    w0seg[first_unique], return_counts=True
-                )
-                for sid, cnt in zip(sids.tolist(), scnt.tolist()):
-                    if sid >= 0:
-                        events.add_data_bytes(int(sid), seg_id, cnt * scale)
-        post_unique = int(u.sum())
-        post_nonunique = int(q.sum()) - post_unique
-        if post_unique:
-            self.comm.add(ctx, ctx, unique=post_unique * scale)
-        if post_nonunique:
-            self.comm.add(ctx, ctx, nonunique=post_nonunique * scale)
-        # (Post-write unique reads would be data edges from this segment to
-        # itself; the event log drops self edges, exactly like the scalar
-        # path does.)
-
-    def _mem_batch_reuse(self, addrs, sizes, is_read) -> None:
-        """Grouped batch kernel for re-use mode, byte-identical to scalar.
-
-        The transport flushes before every op for time-strict observers, so
-        within a batch the instruction clock ticks exactly once per access:
-        access ``p`` of the batch ran at ``time_at_entry + 1 + p``, and
-        every per-unit lifetime timestamp is reconstructible in closed form.
-
-        After sorting the expanded unit touches (stable, so program order
-        survives within a unit), each unit's event run splits into
-        *segments*: an optional read-led prefix, then one segment per
-        write (the write plus the reads that follow it until the next
-        write).  Against the unit's prior shadow state that resolves every
-        scalar side effect in closed form:
-
-        * the prefix continues (same call) or opens (fresh call) a lifetime
-          window ending at its last read; the old reader's window closes if
-          the call changed, and its first read is unique iff the old reader
-          is a different context;
-        * every write closes the window live at that point -- the prefix's,
-          or the previous write-segment's span of reads -- and retires the
-          dying value's re-read count;
-        * the final shadow state depends only on the last segment: its
-          window bounds, its reads-after-write count, and whether the last
-          write was ever re-read.
-
-        Window closes and retires are handed to :class:`ReuseStats` as
-        concatenated arrays; all of its aggregates are sums, so the call
-        partitioning does not matter.
-        """
-        n = len(addrs)
-        fn = self._fn
-        n_reads = int(is_read.sum())
-        read_bytes = int(sizes[is_read].sum()) if n_reads else 0
-        fn.reads += n_reads
-        fn.read_bytes += read_bytes
-        fn.writes += n - n_reads
-        fn.write_bytes += int(sizes.sum()) - read_bytes
-        t0 = self.time
-        self.time += n
-        # Scalar handlers tick the clock *before* touching shadow state, so
-        # access p (zero-size ones included) observed time t0 + 1 + p.
-        ts = t0 + 1 + np.arange(n, dtype=np.int64)
-
-        valid = sizes > 0
-        if not valid.all():
-            addrs = addrs[valid]
-            sizes = sizes[valid]
-            is_read = is_read[valid]
-            ts = ts[valid]
-            if addrs.size == 0:
-                return
-
-        # -- expand ranges to shadow units (ragged arange) ----------------
-        shift = self._unit_shift
-        lo = addrs >> shift
-        n_units = ((addrs + sizes - 1) >> shift) - lo + 1
-        total = int(n_units.sum())
-        access_start = np.cumsum(n_units) - n_units
-        idx = np.arange(total, dtype=np.int64)
-        unit = np.repeat(lo, n_units) + (idx - np.repeat(access_start, n_units))
-        ev_write = np.repeat(~is_read, n_units)
-        ev_ts = np.repeat(ts, n_units)
-
-        # -- group by unit, order preserved within each group -------------
-        order = np.argsort(unit, kind="stable")
-        su = unit[order]
-        sw = ev_write[order]
-        sts = ev_ts[order]
-        new_grp = np.empty(total, dtype=bool)
-        new_grp[0] = True
-        np.not_equal(su[1:], su[:-1], out=new_grp[1:])
-        g_unit = su[new_grp]
-        n_groups = len(g_unit)
-
-        # -- segment decomposition ----------------------------------------
-        # A segment starts at each group boundary and at each write, so a
-        # group reads as: [read-led prefix?] [write + trailing reads]*.
-        s_first = np.flatnonzero(new_grp | sw)
-        n_segs = len(s_first)
-        s_len = np.empty(n_segs, dtype=np.int64)
-        s_len[: n_segs - 1] = np.diff(s_first)
-        s_len[n_segs - 1] = total - s_first[n_segs - 1]
-        s_is_write = sw[s_first]
-        s_reads = s_len - s_is_write
-        s_new_grp = new_grp[s_first]
-        s_last = np.empty(n_segs, dtype=bool)  # last segment of its group
-        s_last[: n_segs - 1] = s_new_grp[1:]
-        s_last[n_segs - 1] = True
-        # Read-timestamp bounds per segment (meaningful where s_reads > 0;
-        # the first-read index is clamped for a trailing lone write).
-        first_read_ts = sts[np.minimum(s_first + s_is_write, total - 1)]
-        last_read_ts = sts[s_first + s_len - 1]
-
-        # -- group-level facts --------------------------------------------
-        g_seg_first = np.flatnonzero(s_new_grp)
-        g_seg_last = np.empty(n_groups, dtype=np.int64)
-        g_seg_last[: n_groups - 1] = g_seg_first[1:] - 1
-        g_seg_last[n_groups - 1] = n_segs - 1
-        has_write = (
-            np.add.reduceat(s_is_write.astype(np.int64), g_seg_first) > 0
-        )
-        # Read-led prefix: reads before the group's first write.
-        m = np.where(s_is_write[g_seg_first], 0, s_reads[g_seg_first])
-        has_prefix = m > 0
-        prefix_first_ts = first_read_ts[g_seg_first]
-        prefix_last_ts = last_read_ts[g_seg_first]
-        # When the group wrote, its last segment is write-led: the final
-        # shadow state comes from that segment's trailing reads.
-        k_last = s_reads[g_seg_last]
-        last_first_ts = first_read_ts[g_seg_last]
-        last_last_ts = last_read_ts[g_seg_last]
-
-        # -- gather prior shadow state, one page at a time ----------------
-        ctx = self._cur.node.id
-        call_id = self._cur.call_id
-        seg = self._cur.segment
-        seg_id = seg.seg_id if seg is not None else -1
-        events = self.events
-        reuse = self.reuse
-
-        page_no = g_unit >> SHADOW_PAGE_SHIFT
-        first_page = int(page_no[0])
-        if page_no[n_groups - 1] == first_page:
-            spans = ((first_page, slice(0, n_groups)),)
-        else:
-            pb = np.empty(n_groups, dtype=bool)
-            pb[0] = True
-            np.not_equal(page_no[1:], page_no[:-1], out=pb[1:])
-            page_breaks = np.flatnonzero(pb).tolist()
-            page_breaks.append(n_groups)
-            spans = tuple(
-                (int(page_no[s]), slice(s, e))
-                for s, e in zip(page_breaks[:-1], page_breaks[1:])
-            )
-
-        w0 = np.empty(n_groups, dtype=np.int64)
-        r0 = np.empty(n_groups, dtype=np.int64)
-        rc0 = np.empty(n_groups, dtype=np.int64)
-        wf0 = np.empty(n_groups, dtype=np.int64)
-        wl0 = np.empty(n_groups, dtype=np.int64)
-        cnt0 = np.empty(n_groups, dtype=np.int64)
-        w0seg = np.empty(n_groups, dtype=np.int64) if events is not None else None
-        pages = []
-        for pno, span in spans:
-            page = self.shadow.page(pno)
-            pages.append(page)
-            o = g_unit[span] - (pno << SHADOW_PAGE_SHIFT)
-            w0[span] = page.writer[o]
-            r0[span] = page.reader[o]
-            rc0[span] = page.reader_call[o]
-            wf0[span] = page.win_first[o]
-            wl0[span] = page.win_last[o]
-            cnt0[span] = page.reuse_count[o]
-            if w0seg is not None:
-                w0seg[span] = page.writer_seg[o]
-
-        # reader_call == call_id implies reader == ctx (call ids are
-        # globally unique), so the prefix continues the live window.
-        same_call = rc0 == call_id
-        # Prefix classification: first read unique iff the old reader is a
-        # different context; the other m-1 reads (and a same-context first
-        # read) are non-unique re-reads, incrementing the re-use count.
-        first_unique = has_prefix & (r0 != ctx)
-        pn = m - first_unique
-        # The prefix window's start: continued (same call) or fresh.
-        pwf = np.where(same_call, wf0, prefix_first_ts)
-
-        # -- communication edges ------------------------------------------
-        scale = self._unit_size
-        if has_prefix.any():
-            uniq_cnt = first_unique[has_prefix].astype(np.int64)
-            nonu_cnt = m[has_prefix] - uniq_cnt
-            writers = w0[has_prefix]
-            ids, inverse = np.unique(writers, return_inverse=True)
-            uq = np.zeros(len(ids), dtype=np.int64)
-            nq = np.zeros(len(ids), dtype=np.int64)
-            np.add.at(uq, inverse, uniq_cnt)
-            np.add.at(nq, inverse, nonu_cnt)
-            for wid, a, b in zip(ids.tolist(), uq.tolist(), nq.tolist()):
-                if a:
-                    self.comm.add(wid, ctx, unique=a * scale)
-                if b:
-                    self.comm.add(wid, ctx, nonunique=b * scale)
-            if events is not None and first_unique.any():
-                sids, scnt = np.unique(w0seg[first_unique], return_counts=True)
-                for sid, cnt in zip(sids.tolist(), scnt.tolist()):
-                    if sid >= 0:
-                        events.add_data_bytes(int(sid), seg_id, cnt * scale)
-        post_seg = s_is_write & (s_reads > 0)  # write segments that got read
-        post_unique = int(post_seg.sum())
-        post_nonunique = int(s_reads[s_is_write].sum()) - post_unique
-        if post_unique:
-            self.comm.add(ctx, ctx, unique=post_unique * scale)
-        if post_nonunique:
-            self.comm.add(ctx, ctx, nonunique=post_nonunique * scale)
-        total_nonunique = int(pn[has_prefix].sum()) + post_nonunique
-        if total_nonunique:
-            reuse.fn(ctx).reuse_accesses += total_nonunique * scale
-
-        # -- lifetime window closes ---------------------------------------
-        close_parts = []
-        # (a) the previous call's live window dies at the group's first
-        #     event: a fresh-call first read, or a leading write.
-        old_close = (r0 >= 0) & (
-            (has_prefix & ~same_call) | (~has_prefix & has_write)
-        )
-        if old_close.any():
-            close_parts.append(
-                (r0[old_close], wf0[old_close], wl0[old_close])
-            )
-        # (b) the prefix window dies at the group's first write.
-        pc = has_prefix & has_write
-        if pc.any():
-            close_parts.append(
-                (
-                    np.full(int(pc.sum()), ctx, dtype=np.int64),
-                    pwf[pc],
-                    prefix_last_ts[pc],
-                )
-            )
-        # (c) a write-segment's span of reads dies at the next write.
-        mid = post_seg & ~s_last
-        if mid.any():
-            close_parts.append(
-                (
-                    np.full(int(mid.sum()), ctx, dtype=np.int64),
-                    first_read_ts[mid],
-                    last_read_ts[mid],
-                )
-            )
-        if close_parts:
-            reuse.close_windows(
-                np.concatenate([p[0] for p in close_parts]),
-                np.concatenate([p[1] for p in close_parts]),
-                np.concatenate([p[2] for p in close_parts]),
-            )
-
-        # -- retired re-read counts ---------------------------------------
-        retire_parts = []
-        # The group's first write retires the pre-batch value if anything
-        # ever touched it (written before, read before, or prefix-read).
-        fw = has_write & ((w0 >= 0) | has_prefix | (r0 >= 0))
-        if fw.any():
-            retire_parts.append((cnt0 + pn)[fw])
-        # Later writes retire the previous write-segment's value, re-read
-        # (reads - 1) times (never negative: the first read is unique).
-        mid_w = s_is_write & ~s_last
-        if mid_w.any():
-            retire_parts.append(np.maximum(s_reads[mid_w] - 1, 0))
-        if retire_parts:
-            reuse.retire_bytes(np.concatenate(retire_parts))
-
-        # -- final shadow state, scattered back per page ------------------
-        alive = ~has_write | (k_last > 0)
-        new_writer = np.where(has_write, ctx, w0)
-        new_reader = np.where(alive, ctx, INVALID_CTX)
-        new_rc = np.where(alive, call_id, -1)
-        new_wf = np.where(
-            has_write, np.where(k_last > 0, last_first_ts, -1), pwf
-        )
-        new_wl = np.where(
-            has_write, np.where(k_last > 0, last_last_ts, -1), prefix_last_ts
-        )
-        new_cnt = np.where(has_write, np.maximum(k_last - 1, 0), cnt0 + pn)
-        if w0seg is not None:
-            new_wseg = np.where(has_write, seg_id, w0seg)
-        for page, (pno, span) in zip(pages, spans):
-            o = g_unit[span] - (pno << SHADOW_PAGE_SHIFT)
-            page.writer[o] = new_writer[span]
-            page.reader[o] = new_reader[span]
-            page.reader_call[o] = new_rc[span]
-            page.win_first[o] = new_wf[span]
-            page.win_last[o] = new_wl[span]
-            page.reuse_count[o] = new_cnt[span]
-            if w0seg is not None:
-                page.writer_seg[o] = new_wseg[span]
+    #: Sigil has one memory kernel, the scalar one above: batches replay
+    #: through it via the inherited ``on_mem_batch``, so buffering alone buys
+    #: nothing and the harness skips the transport unless another attached
+    #: tool has a batch kernel.
+    batch_beneficial = False
 
     # -- system calls ---------------------------------------------------------------
 

@@ -191,10 +191,10 @@ def profile_workload(
     )
     # Batched transport (default on): accumulate memory accesses (and, for
     # lenient tools, branches) and hand the tools whole batches.
-    # batch_size=0 keeps the legacy one-call-per-access path; profiles are
-    # identical either way.  Skipped when no attached tool has a vectorised
-    # batch kernel (e.g. a Sigil run under the FIFO shadow-page cap, whose
-    # batches replay scalar) -- buffering would be pure overhead there.
+    # batch_size=0 keeps the one-call-per-access path; profiles are
+    # identical either way.  Built only when an attached tool has a batch
+    # kernel (Callgrind): Sigil replays every batch through its scalar
+    # kernel, so a Sigil-only run would pay for buffering and gain nothing.
     transport = None
     if (
         tools

@@ -80,18 +80,12 @@ def spec_from_body(body: Mapping[str, Any]) -> CampaignSpec:
                 f"unknown job keys: {', '.join(sorted(unknown))}; "
                 f"single-cell jobs accept {', '.join(sorted(_CELL_KEYS))}"
             )
-        cell = Job(
-            workload=str(body["workload"]),
-            size=str(body.get("size", "simsmall")),
-            tool=str(body.get("tool", "sigil+callgrind")),
-            config=dict(body.get("config") or {}),
-        )
         return CampaignSpec.from_lists(
             name="adhoc",
-            workloads=[cell.workload],
-            sizes=[cell.size],
-            tools=[cell.tool],
-            configs=[cell.config],
+            workloads=[str(body["workload"])],
+            sizes=[str(body.get("size", "simsmall"))],
+            tools=[str(body.get("tool", "sigil+callgrind"))],
+            configs=[dict(body.get("config") or {})],
         )
     if "workloads" in keys:
         unknown = keys - _SPEC_KEYS

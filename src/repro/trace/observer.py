@@ -113,11 +113,11 @@ class BaseObserver:
     batch_time_strict: bool = False
 
     #: Whether batch delivery actually speeds this observer up.  Observers
-    #: that can only process batches by scalar expansion (e.g. a shadow
-    #: profiler running under a page-eviction cap, where in-batch eviction
-    #: order matters) gain nothing from buffering, so the harness skips the
-    #: transport when nothing downstream benefits.  Output is byte-identical
-    #: either way -- this is purely a performance hint.
+    #: that process batches only by scalar expansion (the Sigil profiler,
+    #: whose one memory kernel is the scalar one) gain nothing from
+    #: buffering, so the harness skips the transport when nothing
+    #: downstream benefits.  Output is byte-identical either way -- this is
+    #: purely a performance hint.
     batch_beneficial: bool = True
 
     #: Opt-in for the transport's run-length side channel.  When true the

@@ -49,8 +49,10 @@ class TestJobKeys:
         assert clone == job and clone.key == job.key
 
     def test_bad_config_field_rejected(self):
-        with pytest.raises(TypeError):
-            canonical_config({"not_a_field": 1})
+        # track_unread_writes was a SigilConfig field until it was deleted.
+        for name in ("not_a_field", "track_unread_writes"):
+            with pytest.raises(TypeError):
+                canonical_config({name: 1})
 
 
 class TestCampaignSpec:

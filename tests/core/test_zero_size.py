@@ -20,8 +20,9 @@ from repro.trace.batch import BatchingTransport
 
 def _run(config, steps, batch_size=0):
     profiler = SigilProfiler(config)
-    # scalar_cutoff=0: the batch kernels themselves must get the zero-size
-    # accesses, however short the stream is.
+    # scalar_cutoff=0: the zero-size accesses must go through the
+    # transport's batch delivery and strict flushes, however short the
+    # stream is.
     obs = (
         BatchingTransport(profiler, batch_size, scalar_cutoff=0)
         if batch_size

@@ -79,8 +79,9 @@ SPECS: Dict[str, GoldenSpec] = {
             workload="blackscholes",
             size="simsmall",
             make_workload=lambda: get_workload("blackscholes", "simsmall"),
-            # Pins the grouped re-use batch kernel on a second workload
-            # (dedup above covers re-use on the memory-limit case study);
+            # Pins re-use mode, scalar and behind strict flushes, on a
+            # second workload (dedup above covers re-use on the
+            # memory-limit case study);
             # event mode additionally pins the producer-segment tracking.
             config=SigilConfig(reuse_mode=True, event_mode=True),
         ),

@@ -43,6 +43,32 @@ class TestHarness:
         assert run.sigil is None
         assert run.callgrind is not None
 
+    @pytest.mark.parametrize("with_callgrind,expect_transport", [
+        (False, False), (True, True),
+    ], ids=["sigil-only", "sigil+callgrind"])
+    def test_transport_built_only_for_batch_kernels(
+        self, monkeypatch, with_callgrind, expect_transport
+    ):
+        """Sigil replays batches through its scalar kernel, so a Sigil-only
+        run skips the transport; Callgrind's batch kernel brings it back."""
+        import repro.harness as harness
+
+        built = []
+        real = harness.BatchingTransport
+
+        def recording(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "BatchingTransport", recording)
+        run = profile_workload(
+            "blackscholes", "simsmall",
+            config=SigilConfig(reuse_mode=True, event_mode=True),
+            with_callgrind=with_callgrind,
+        )
+        assert run.sigil is not None
+        assert bool(built) == expect_transport
+
     def test_native_seconds(self):
         assert native_seconds("streamcluster", "simsmall") > 0
 

@@ -407,8 +407,9 @@ def _events_snapshot(profile):
 
 def _run_config(steps, config: SigilConfig, batch_size: int):
     profiler = SigilProfiler(config)
-    # scalar_cutoff=0 forces even tiny flushes through the batch kernels --
-    # the whole point here is differential coverage of that code path.
+    # scalar_cutoff=0 forces even tiny flushes through on_mem_batch -- the
+    # point here is differential coverage of the transport's ordering and
+    # strict flushes on the way into the profiler's scalar kernel.
     observer = (
         BatchingTransport(profiler, batch_size, scalar_cutoff=0)
         if batch_size
@@ -438,9 +439,8 @@ def test_batched_profile_identical_to_scalar(config_name, steps):
 def test_batched_page_straddling_identical_to_scalar(config_name, steps):
     """Batches whose accesses cross shadow-page boundaries stay identical.
 
-    The grouped kernels gather/scatter shadow state one page span at a
-    time; page-straddling accesses (and, for ``paged``, FIFO eviction)
-    are the paths a single-page address range never exercises.
+    Page-straddling accesses (and, for ``paged``, FIFO eviction) are the
+    paths a single-page address range never exercises.
     """
     config = _BATCH_CONFIGS[config_name]
     scalar = _run_config(steps, config, 0)

@@ -100,6 +100,7 @@ class TestRouting:
         (["not", "an", "object"], 400),
         ({"workloads": []}, 400),
         ({"workloads": ["blackscholes"], "local_workers": 2}, 400),
+        ({"workload": "vips", "config": {"track_unread_writes": True}}, 400),
     ])
     def test_bad_submissions_are_400(self, server, payload, code):
         with pytest.raises(urllib.error.HTTPError) as err:

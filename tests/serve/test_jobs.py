@@ -52,6 +52,8 @@ class TestSpecFromBody:
          "unknown job keys: local_workers;"),
         ({"workload": "no-such-workload"}, "no-such-workload"),
         ({"workload": "vips", "size": "huge"}, "huge"),
+        ({"workload": "vips", "config": {"track_unread_writes": True}},
+         "track_unread_writes"),
     ])
     def test_rejects_malformed_bodies(self, body, fragment):
         with pytest.raises(ValueError, match=fragment):

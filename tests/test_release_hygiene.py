@@ -150,6 +150,17 @@ class TestRepoHygiene:
         assert not set(ignored) & set(package_paths), ignored
         assert set(root_paths) <= set(ignored), ignored
 
+    def test_machine_local_logs_are_ignored(self):
+        """Benchmark runs (tier-1 included, via ``repro figures``) append to
+        the manifest log; a tracked copy would leave every clone dirty."""
+        tracked_files()  # skips outside a git checkout
+        log = "benchmarks/results/manifests.jsonl"
+        ignored = subprocess.run(
+            ["git", "check-ignore", "--no-index", log],
+            cwd=REPO, capture_output=True, text=True,
+        ).stdout.split()
+        assert ignored == [log]
+
     def test_repro_imports_resolve_to_tracked_files(self):
         """Every ``repro.*`` import names a module git tracks.
 
@@ -160,7 +171,8 @@ class TestRepoHygiene:
         unresolved = []
         for path in sorted(tracked):
             if not (path.endswith(".py")
-                    and path.split("/")[0] in ("src", "tests", "benchmarks")):
+                    and path.split("/")[0] in ("src", "tests", "benchmarks",
+                                               "perfbench")):
                 continue
             tree = ast.parse((REPO / path).read_text(), filename=path)
             for node in ast.walk(tree):

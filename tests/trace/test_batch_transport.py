@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.callgrind.collector import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
 from repro.core.shadow import SHADOW_PAGE_SIZE
 from repro.io.profilefile import dumps_profile
@@ -32,8 +33,9 @@ from repro.trace.observer import (
 
 def _profile_text(drive, batch_size):
     profiler = SigilProfiler(SigilConfig())
-    # scalar_cutoff=0: these tests pin the *batch kernel's* semantics, so
-    # even tiny flushes must go through on_mem_batch.
+    # scalar_cutoff=0: these tests pin the transport's ordering and strict
+    # flushes, so even tiny flushes must go through on_mem_batch (which
+    # replays the batch into the profiler's scalar kernel, in order).
     observer = (
         BatchingTransport(profiler, batch_size, scalar_cutoff=0)
         if batch_size
@@ -384,18 +386,21 @@ class TestObserverPipeMixing:
         assert scalar.calls == expected
 
     def test_batch_beneficial_advertisement(self):
-        """Configs that expand batches to scalar calls anyway say so, and a
-        pipe benefits if any member does."""
-        assert SigilProfiler(SigilConfig()).batch_beneficial
-        # Re-use mode has its own grouped kernel; only the FIFO page cap
-        # (in-batch eviction order) still forces scalar expansion.
-        assert SigilProfiler(SigilConfig(reuse_mode=True)).batch_beneficial
-        capped = SigilProfiler(SigilConfig(max_shadow_pages=1))
-        assert not capped.batch_beneficial
-        assert not ObserverPipe([capped]).batch_beneficial
-        assert ObserverPipe(
-            [capped, SigilProfiler(SigilConfig())]
-        ).batch_beneficial
+        """Sigil replays every batch through its scalar kernel, so no config
+        gains from batching; a pipe benefits if any member has a batch
+        kernel (Callgrind)."""
+        for config in (
+            SigilConfig(),
+            SigilConfig(reuse_mode=True),
+            SigilConfig(event_mode=True),
+            SigilConfig(max_shadow_pages=1),
+        ):
+            sigil = SigilProfiler(config)
+            assert not sigil.batch_beneficial, config
+            assert not ObserverPipe([sigil]).batch_beneficial, config
+            assert ObserverPipe(
+                [sigil, CallgrindCollector()]
+            ).batch_beneficial, config
 
     def test_pipe_is_strict_if_any_member_is(self):
         lenient = SigilProfiler(SigilConfig())  # baseline: not strict
