@@ -86,7 +86,7 @@ timeline-smoke:
 	echo "timeline-smoke: 1M-segment log renders valid counter tracks"
 
 property:
-	pytest tests/property/ -q
+	PYTHONPATH=src python -m pytest tests/property/ -q
 
 # Publish observer throughput (scalar vs batched trace transport) into
 # BENCH_throughput.json at the repo root, and fail if any tool's batched
@@ -109,7 +109,8 @@ bench-event-io:
 bench-windowed:
 	PYTHONPATH=src python benchmarks/bench_windowed.py --check
 
-# Rewrite the golden-profile fixtures in tests/golden/.  Run this ONLY when
+# Rewrite the golden-profile fixtures in tests/golden/ (and events.json, the
+# digest of the sigil-reuse event log).  Run this ONLY when
 # a change to the profiler's observable output is intentional, and commit
 # the fixture diff with the change that caused it.  The golden tests print
 # a unified diff and point here when pinned output diverges.
@@ -117,17 +118,17 @@ regen-golden:
 	PYTHONPATH=src python -m tests.golden.regen
 
 benches figures:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 examples:
-	python examples/quickstart.py
-	python examples/partitioning_study.py
-	python examples/reuse_study.py
-	python examples/critical_path_study.py
-	python examples/custom_workload.py
-	python examples/parallel_pipeline.py
-	python -m repro run examples/toy_program.s
-	python -m repro run examples/matmul.s
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/partitioning_study.py
+	PYTHONPATH=src python examples/reuse_study.py
+	PYTHONPATH=src python examples/critical_path_study.py
+	PYTHONPATH=src python examples/custom_workload.py
+	PYTHONPATH=src python examples/parallel_pipeline.py
+	PYTHONPATH=src python -m repro run examples/toy_program.s
+	PYTHONPATH=src python -m repro run examples/matmul.s
 
 clean:
 	rm -rf benchmarks/results .pytest_cache .benchmarks

@@ -18,6 +18,7 @@ feeds the global re-use distribution (Figure 8).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -130,19 +131,15 @@ class ReuseStats:
         for i, count, lt_sum in zip(
             starts.tolist(), counts.tolist(), lifetime_sums.tolist()
         ):
-            stats = self.fn(int(sc[i]))
-            bin_no = int(sb[i])
-            stats.reused_windows += count
-            stats.lifetime_sum += lt_sum
-            stats.histogram[bin_no] = stats.histogram.get(bin_no, 0) + count
+            self.add_windows(int(sc[i]), int(sb[i]), count, lt_sum)
 
-    def account_reuse_accesses(self, readers: np.ndarray) -> None:
-        """Attribute one re-read per entry to the reading context."""
-        if not len(readers):
-            return
-        uniq, counts = np.unique(readers, return_counts=True)
-        for ctx, count in zip(uniq.tolist(), counts.tolist()):
-            self.fn(int(ctx)).reuse_accesses += int(count)
+    def add_windows(self, ctx: int, bin_no: int, count: int, lifetime_sum: int) -> None:
+        """Count ``count`` closed re-used windows of ``ctx`` in one lifetime
+        bin, whose lifetimes sum to ``lifetime_sum``."""
+        stats = self.fn(ctx)
+        stats.reused_windows += count
+        stats.lifetime_sum += lifetime_sum
+        stats.histogram[bin_no] = stats.histogram.get(bin_no, 0) + count
 
     def retire_bytes(self, reuse_counts: np.ndarray) -> None:
         """Fold dead data bytes' re-use counts into the global distribution.
@@ -151,6 +148,10 @@ class ReuseStats:
         at end of run.
         """
         self.byte_buckets += bucketise_counts(reuse_counts)
+
+    def retire_run(self, reuse_count: int, n: int) -> None:
+        """Retire ``n`` dead data bytes that share one re-use count."""
+        self.byte_buckets[bisect_right(REUSE_BUCKET_BOUNDS, reuse_count)] += n
 
     # -- reporting -----------------------------------------------------------
 

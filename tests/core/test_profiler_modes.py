@@ -74,6 +74,24 @@ class TestCombinedModes:
         data = [e for e in prof.events.edges() if e.kind == "data"]
         assert data and data[0].bytes == 8
 
+    def test_one_access_adds_data_edges_in_producer_order(self):
+        """A read spanning several producers adds its data edges in
+        ascending producer-segment order, not address order: event-log
+        bytes and critical-path tie-breaks depend on that order."""
+        p = SigilProfiler(SigilConfig(reuse_mode=True, event_mode=True))
+        p.on_run_begin()
+        for addr in (0x18, 0x10, 0x08, 0x10):  # segments 1, 3, 5, 7
+            p.on_fn_enter("w")
+            p.on_mem_write(addr, 8)
+            p.on_fn_exit("w")
+        p.on_fn_enter("r")
+        p.on_mem_read(0x08, 24)
+        p.on_fn_exit("r")
+        p.on_run_end()
+        prof = p.profile()
+        data = [(e.src, e.bytes) for e in prof.events.edges() if e.kind == "data"]
+        assert data == [(1, 8), (5, 8), (7, 8)]
+
 
 class TestTimeProxy:
     def test_time_counts_all_instruction_classes(self):

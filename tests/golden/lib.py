@@ -13,6 +13,7 @@ wall-clock anywhere in the profile).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from typing import Callable, Dict
 from repro.callgrind import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
 from repro.io.callgrindfile import dumps_callgrind
+from repro.io.eventbin import dumps_events_bin
 from repro.io.profilefile import dumps_profile, profile_digest
 from repro.trace.batch import BatchingTransport
 from repro.workloads.fluidanimate_parallel import ParallelFluidanimate
@@ -102,17 +104,52 @@ def fixture_path(key: str) -> Path:
     return GOLDEN_DIR / f"{key}.json"
 
 
-def compute_text(spec: GoldenSpec, batch_size: int = 0) -> str:
-    """Run the spec's workload and return its canonical profile text."""
+def run_spec(spec: GoldenSpec, batch_size: int = 0):
+    """Run the spec's workload; return the tool that observed it."""
     if spec.tool == "callgrind":
         tool = CallgrindCollector()
     else:
         tool = SigilProfiler(spec.config)
     observer = BatchingTransport(tool, batch_size) if batch_size else tool
     spec.make_workload().run(observer)
+    return tool
+
+
+def compute_text(spec: GoldenSpec, batch_size: int = 0) -> str:
+    """Run the spec's workload and return its canonical profile text."""
+    tool = run_spec(spec, batch_size)
     if spec.tool == "callgrind":
         return dumps_callgrind(tool.profile)
     return dumps_profile(tool.profile())
+
+
+#: The spec whose event log is pinned in ``events.json``.
+EVENTS_KEY = "sigil-reuse"
+EVENTS_PATH = GOLDEN_DIR / "events.json"
+
+
+def compute_event_digest(spec: GoldenSpec) -> str:
+    """sha256 of the spec's event log in the raw (uncompressed) v2 encoding.
+
+    The profile text does not carry the event log, and the differential
+    tests compare event logs with their edges sorted; the digest pins the
+    encoded bytes, including the insertion order of the data edges.
+    """
+    events = run_spec(spec).profile().events
+    return "sha256:" + hashlib.sha256(
+        dumps_events_bin(events, compression=None)
+    ).hexdigest()
+
+
+def render_events_fixture(digest: str) -> str:
+    """The on-disk JSON of the event-log digest fixture."""
+    fixture = {
+        "format": FIXTURE_FORMAT,
+        "spec": EVENTS_KEY,
+        "encoding": "sigil-events 2, compression=None",
+        "digest": digest,
+    }
+    return json.dumps(fixture, indent=2, sort_keys=True) + "\n"
 
 
 def render_fixture(spec: GoldenSpec, text: str) -> str:
@@ -132,8 +169,6 @@ def render_fixture(spec: GoldenSpec, text: str) -> str:
 
 
 def _digest_of(text: str) -> str:
-    import hashlib
-
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -152,3 +187,8 @@ def regenerate(keys=None) -> None:
         text = compute_text(spec)
         fixture_path(key).write_text(render_fixture(spec, text))
         print(f"regenerated {fixture_path(key).relative_to(GOLDEN_DIR.parent.parent)}")
+    if EVENTS_KEY in (keys or SPECS):
+        EVENTS_PATH.write_text(
+            render_events_fixture(compute_event_digest(SPECS[EVENTS_KEY]))
+        )
+        print(f"regenerated {EVENTS_PATH.relative_to(GOLDEN_DIR.parent.parent)}")

@@ -11,11 +11,15 @@ Hypothesis differential tests.
 from __future__ import annotations
 
 import difflib
+import json
 
 import pytest
 
 from tests.golden.lib import (
+    EVENTS_KEY,
+    EVENTS_PATH,
     SPECS,
+    compute_event_digest,
     compute_text,
     fixture_path,
     fixture_text,
@@ -90,4 +94,19 @@ def test_batched_transport_reproduces_golden(key, batch_size, computed):
         f"batched transport (batch_size={batch_size}) diverged from the "
         f"scalar profile for {key!r} -- transport must be invisible in the "
         "output"
+    )
+
+
+def test_event_log_matches_golden():
+    """The event log's encoded bytes, data-edge order included, are pinned.
+
+    The profile text carries no event log, so this digest is the only pin
+    on the order in which the profiler inserts data edges.
+    """
+    want = json.loads(EVENTS_PATH.read_text())["digest"]
+    got = compute_event_digest(SPECS[EVENTS_KEY])
+    assert got == want, (
+        f"the {EVENTS_KEY!r} event log no longer encodes to the pinned "
+        f"bytes ({got} != {want}).  If the change is INTENTIONAL, refresh "
+        "tests/golden/events.json with `make regen-golden`."
     )

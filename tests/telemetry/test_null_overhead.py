@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from repro.core.config import SigilConfig
@@ -77,11 +78,17 @@ class TestObserverAssembly:
                 if event == "call":
                     calls += 1
 
+            # A garbage collection inside the window would run finalizers
+            # of unrelated objects (left by earlier tests) as Python calls
+            # on this thread, so the count would depend on allocation
+            # timing rather than on the dispatch path.
+            gc.disable()
             sys.setprofile(tracer)
             try:
                 drive(observer)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             return calls
 
         raw = SigilProfiler(SigilConfig())
