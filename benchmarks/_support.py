@@ -33,6 +33,7 @@ from typing import Tuple
 
 from repro.campaign import Job, ResultStore
 from repro.core import LineReuseProfiler, SigilConfig
+from repro.core.reference import ReferenceSigil
 from repro.harness import ProfiledRun, native_run, profile_workload
 from repro.telemetry import Telemetry, append_jsonl, git_rev
 from repro.workloads import get_workload
@@ -187,6 +188,30 @@ def timed_sigil(
         _timing_record("sigil-reuse" if reuse else "sigil", name, size, run)
     )
     return run.execute_seconds, run
+
+
+@functools.lru_cache(maxsize=None)
+def timed_byte_sigil(name: str, size: str = "simsmall") -> float:
+    """Execute-phase seconds under the byte-granular Sigil model.
+
+    The paper's Sigil visits the shadow object of every byte an access
+    touches; :class:`~repro.core.reference.ReferenceSigil` does the same
+    work, one Python object per byte, so it stands in for the DBI tool's
+    cost structure where the run-wise profiler does not (Figures 4/5).
+    """
+
+    def run() -> ProfiledRun:
+        workload = get_workload(name, size)
+        t0 = time.perf_counter()
+        workload.run(ReferenceSigil())
+        return ProfiledRun(
+            workload=workload, sigil=None, callgrind=None,
+            execute_seconds=time.perf_counter() - t0,
+        )
+
+    best = _best_run(run)
+    append_manifest_line(_timing_record("sigil-bytewise", name, size, best))
+    return best.execute_seconds
 
 
 @functools.lru_cache(maxsize=None)
