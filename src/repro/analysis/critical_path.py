@@ -14,31 +14,24 @@ between fragments of the same call.
 "The maximum theoretical function-level parallelism is the ratio of overall
 serial length of the program to the critical path length." (Figure 13)
 
-Every event-log form is accepted: the object :class:`EventLog`, the
-columnar :class:`EventArrays`, and -- out of core -- a path or raw bytes of
-a v2 binary file (or any :class:`~repro.analysis.streaming.ChunkSource`).
-Materialised forms run the longest-path DP over edge arrays grouped by
-destination (one stable sort, no per-edge Python objects); streamed forms
-run the same DP one segment chunk at a time, merging the two edge tables by
-destination through :class:`~repro.analysis.streaming.EdgeCursor`, keeping
-only 16 bytes of persistent state per segment.  Results are identical on
-all forms, including tie-breaking on the reported path.
+There is one longest-path DP, and it runs on a
+:class:`~repro.analysis.streaming.ChunkSource`: every event-log form (an
+in-memory log, a v2 file path, raw bytes) is wrapped as one, so in-memory
+logs and files larger than RAM take the same code path.  The DP advances
+one segment chunk at a time, takes the edges into that chunk from one
+:class:`~repro.analysis.streaming.EdgeCursor` per edge table, and keeps 16
+bytes of persistent state per segment.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.common.cct import ContextTree
-from repro.core.segments import (
-    EventArrays,
-    EventLog,
-    Segment,
-    as_event_arrays,
-)
+from repro.core.segments import EventArrays, EventLog, Segment
 from repro.analysis.streaming import (
     ChunkSource,
     EdgeCursor,
@@ -57,16 +50,14 @@ class CriticalPathResult:
     ``serial_length`` is the sum of all segment self-costs (the program's
     serial length), ``critical_length`` the longest dependent chain in
     operations, ``inclusive`` the per-segment inclusive cost (longest chain
-    from the start to it -- a list for materialised inputs, an int64 array
-    for streamed ones), and ``path`` the segments on the critical path in
-    execution order.  ``path`` is materialised lazily: on a
-    million-segment log whose critical path covers most of the program,
-    building one ``Segment`` object per path node costs more than the
-    longest-path DP itself, and callers that only want the lengths (the
-    parallelism limit, benchmark comparisons) never pay it.  Streamed
-    results defer even the backtrack, holding only the best-predecessor
-    array until ``path`` is first touched (which replays the segment chunks
-    to gather the path's rows).
+    from the start to it, an int64 array), and ``path`` the segments on
+    the critical path in execution order.  ``path`` is built lazily: the
+    result holds only the best-predecessor array until ``path`` is first
+    touched, which backtracks and then replays the segment chunks to gather
+    the path's rows.  On a million-segment log whose critical path covers
+    most of the program, building one ``Segment`` object per path node
+    costs more than the DP itself, and callers that only want the lengths
+    (the parallelism limit, benchmark comparisons) never pay it.
     """
 
     def __init__(
@@ -74,14 +65,13 @@ class CriticalPathResult:
         serial_length: int,
         critical_length: int,
         path: Optional[List[Segment]],
-        inclusive: Sequence[int],
+        inclusive: np.ndarray,
     ):
         self.serial_length = serial_length
         self.critical_length = critical_length
         self.inclusive = inclusive
         self._path = path
-        self._source: Union[EventLog, EventArrays, ChunkSource, None] = None
-        self._path_ids: Optional[List[int]] = None
+        self._source: Optional[ChunkSource] = None
         self._best_pred: Optional[np.ndarray] = None
         self._end = -1
 
@@ -90,15 +80,13 @@ class CriticalPathResult:
         cls,
         serial_length: int,
         critical_length: int,
-        inclusive: Sequence[int],
-        source: Union[EventLog, EventArrays, ChunkSource],
-        path_ids: Optional[List[int]] = None,
-        best_pred: Optional[np.ndarray] = None,
-        end: int = -1,
+        inclusive: np.ndarray,
+        source: ChunkSource,
+        best_pred: np.ndarray,
+        end: int,
     ) -> "CriticalPathResult":
         result = cls(serial_length, critical_length, None, inclusive)
         result._source = source
-        result._path_ids = path_ids
         result._best_pred = best_pred
         result._end = end
         return result
@@ -107,12 +95,10 @@ class CriticalPathResult:
     def path(self) -> List[Segment]:
         """Segments on the critical path, in execution order."""
         if self._path is None:
-            if self._path_ids is None:
-                assert self._best_pred is not None
-                self._path_ids = _backtrack(self._best_pred, self._end)
-                self._best_pred = None
-            assert self._source is not None
-            self._path = _materialise_path(self._source, self._path_ids)
+            assert self._best_pred is not None and self._source is not None
+            path_ids = _backtrack(self._best_pred, self._end)
+            self._best_pred = None
+            self._path = _materialise_path(self._source, path_ids)
         return self._path
 
     @property
@@ -209,111 +195,19 @@ def analyze_critical_path(
 
     All edges point from an earlier segment to a later one (producers write
     before consumers read; calls and order edges follow time), so segments
-    in id order are already topologically sorted.  Materialised inputs
-    (:class:`EventLog`/:class:`EventArrays`) consume the columnar edge
-    tables directly: edges are stable-sorted by destination once, then a
-    single forward pass finalises each segment's inclusive cost from the
-    already-final costs of its predecessors.
+    in id order are already topologically sorted, and one forward pass
+    finalises each segment's inclusive cost from the final costs of its
+    predecessors.
 
-    Any other input (a v2 file path, raw bytes, a
-    :class:`~repro.analysis.streaming.ChunkSource`) streams: three filtered
-    cursors walk the segment, order/call and data chunks in lock-step, the
-    DP advancing one segment chunk at a time, so the log never materialises
-    and peak memory is bounded by the chunk size plus 16 bytes per segment
-    of DP state.  The streamed DP needs each edge table in non-decreasing
-    destination order -- true of every writer here, since an edge's
-    destination is the newest segment -- and transparently falls back to
-    the materialised analysis when a table violates it.
+    ``events`` is any form :func:`~repro.analysis.streaming.as_chunk_source`
+    accepts.  The pass needs each edge table in non-decreasing destination
+    order, which every writer here produces (an edge's destination is the
+    newest segment).  If a table is out of order, both edge tables are
+    loaded, stable-sorted by destination once, and the same DP reruns;
+    stable order keeps the tie-break.  Peak memory is the chunk size plus
+    16 bytes per segment (plus the edge tables in that re-sort case).
     """
-    if not isinstance(events, (EventLog, EventArrays)):
-        source = as_chunk_source(events)
-        try:
-            return _analyze_stream(source, telemetry=telemetry)
-        except UnsortedEdges:
-            return analyze_critical_path(
-                source.to_event_arrays(), telemetry=telemetry
-            )
-    source = events
-    arrays = as_event_arrays(events)
-    n = arrays.n_segments
-    if n == 0:
-        return CriticalPathResult(0, 0, [], [])
-
-    # Concatenation order (order/call edges, then data edges) matches
-    # EventLog.edges(), so tie-breaking below reproduces the object path.
-    src = np.concatenate((arrays.ordercall["src"], arrays.data["src"]))
-    dst = np.concatenate((arrays.ordercall["dst"], arrays.data["dst"]))
-    forward = src < dst
-    if not bool(forward.all()):
-        bad = int(np.argmax(~forward))
-        raise ValueError(
-            f"event log is not topologically ordered: "
-            f"{int(src[bad])} -> {int(dst[bad])}"
-        )
-    by_dst = np.argsort(dst, kind="stable")
-    src_sorted = src[by_dst].tolist()
-    # Group size per destination; the sorted edge list is consumed as one
-    # contiguous slice per node, so the pass never re-tests destinations.
-    pred_counts = np.bincount(dst, minlength=n).tolist()
-    ops = arrays.segs["ops"].tolist()
-
-    inclusive = [0] * n
-    best_pred = [-1] * n
-    ei = 0
-    for i, op in enumerate(ops):
-        c = pred_counts[i]
-        if c == 1:  # the overwhelmingly common case: one order/call pred
-            chosen = src_sorted[ei]
-            best = inclusive[chosen]
-            ei += 1
-        elif c:
-            best = 0
-            chosen = -1
-            for p in src_sorted[ei:ei + c]:
-                v = inclusive[p]
-                # ">=" so zero-cost prefix fragments (e.g. main before
-                # its first op) stay on the reported path.
-                if v >= best:
-                    best = v
-                    chosen = p
-            ei += c
-        else:
-            best = 0
-            chosen = -1
-        inclusive[i] = best + op
-        best_pred[i] = chosen
-
-    end = max(range(n), key=inclusive.__getitem__)
-    path_ids: List[int] = []
-    cursor = end
-    while cursor != -1:
-        path_ids.append(cursor)
-        cursor = best_pred[cursor]
-    path_ids.reverse()
-
-    return CriticalPathResult._deferred(
-        serial_length=arrays.total_ops(),
-        critical_length=inclusive[end],
-        inclusive=inclusive,
-        source=source,
-        path_ids=path_ids,
-    )
-
-
-def _analyze_stream(
-    source: ChunkSource, *, telemetry=None
-) -> CriticalPathResult:
-    """Chunk-at-a-time longest-path DP (see :func:`analyze_critical_path`).
-
-    Three concurrent passes over the source -- segments, order/call edges,
-    data edges -- merge by destination.  For each segment chunk
-    ``[done, done + m)``, both cursors surrender every remaining edge with
-    ``dst`` in that window; within the window the DP is the same grouped
-    loop as the materialised analysis, with the same ``>=`` tie-break and
-    the same per-destination edge order (all order/call predecessors in
-    table order, then all data predecessors), so results -- including the
-    reported path -- are byte-identical.
-    """
+    source = as_chunk_source(events)
     phase = (
         telemetry.phase("critical_path")
         if telemetry is not None
@@ -324,78 +218,104 @@ def _analyze_stream(
         if telemetry is not None
         else None
     )
+    with phase:
+        try:
+            return _longest_paths(
+                source, lambda table: source.chunks(tables=(table,)), gauge
+            )
+        except UnsortedEdges:
+            return _longest_paths(
+                source, lambda table: _dst_sorted(source, table), gauge
+            )
+
+
+def _dst_sorted(
+    source: ChunkSource, table: str
+) -> Iterator[Tuple[str, np.ndarray]]:
+    """One edge table, loaded whole and stable-sorted by destination."""
+    parts = [rows for _table, rows in source.chunks(tables=(table,))]
+    if parts:
+        rows = np.concatenate(parts)
+        yield table, rows[np.argsort(rows["dst"], kind="stable")]
+
+
+def _longest_paths(
+    source: ChunkSource,
+    edge_chunks: Callable[[str], Iterator[Tuple[str, np.ndarray]]],
+    gauge,
+) -> CriticalPathResult:
+    """The DP of :func:`analyze_critical_path`, one segment chunk at a time.
+
+    For the chunk ``[done, hi)`` both cursors hand over every remaining
+    edge with ``dst < hi``.  One stable sort by ``dst`` makes each
+    segment's predecessors a contiguous run, order/call rows first and then
+    data rows, each in table order.  Costs are looked up in one list: a
+    slot per segment of the chunk, then a slot per edge from an earlier
+    chunk, whose final cost is gathered once up front.  A predecessor wins
+    on ``>=``, so among equal costs the last one in that order is chosen
+    and zero-cost prefix fragments (e.g. main before its first op) stay on
+    the reported path.
+    """
     inclusive = GrowingColumn()
     best_pred = GrowingColumn()
-    oced = EdgeCursor(source.chunks(tables=("oced",)), "oced")
-    data = EdgeCursor(source.chunks(tables=("data",)), "data")
+    oced = EdgeCursor(edge_chunks("oced"), "oced")
+    data = EdgeCursor(edge_chunks("data"), "data")
     serial = 0
     done = 0
-    with phase:
-        for _table, segs in source.chunks(tables=("segs",)):
-            m = len(segs)
-            if not m:
-                continue
-            if gauge is not None:
-                gauge.set_max(int(segs.nbytes))
-            ops_col = segs["ops"]
-            if int(ops_col.min()) < 0:
-                raise ValueError("segment ops must be non-negative")
-            serial += int(ops_col.sum())
-            hi = done + m
-            o_src, o_dst = oced.take_below(hi)
-            d_src, d_dst = data.take_below(hi)
-            # Group sizes per in-window destination; each destination's
-            # predecessors are one contiguous slice of the cursor output.
-            o_counts = np.bincount(o_dst - done, minlength=m).tolist()
-            d_counts = np.bincount(d_dst - done, minlength=m).tolist()
-            o_list = o_src.tolist()
-            d_list = d_src.tolist()
-            ops = ops_col.tolist()
-            inc_prev = inclusive.view()  # finalised costs of prior windows
-            win_inc = [0] * m
-            win_bp = [-1] * m
-            oi = di = 0
-            for j in range(m):
+    for _table, segs in source.chunks(tables=("segs",)):
+        m = len(segs)
+        if not m:
+            continue
+        if gauge is not None:
+            gauge.set_max(int(segs.nbytes))
+        ops_col = segs["ops"]
+        if int(ops_col.min()) < 0:
+            raise ValueError("segment ops must be non-negative")
+        serial += int(ops_col.sum())
+        hi = done + m
+        o_src, o_dst = oced.take_below(hi)
+        d_src, d_dst = data.take_below(hi)
+        dst = np.concatenate((o_dst, d_dst))
+        src = np.concatenate((o_src, d_src))[np.argsort(dst, kind="stable")]
+        counts = np.bincount(dst - done, minlength=m)
+        earlier = src < done
+        prev_ids = src[earlier]
+        keys = src - done
+        keys[earlier] = np.arange(m, m + len(prev_ids))
+        # A lone predecessor is chosen outright; the loop settles the rest.
+        win_bp = np.full(m, -1, dtype=np.int64)
+        lone = counts == 1
+        win_bp[lone] = keys[(np.cumsum(counts) - 1)[lone]]
+        costs = ops_col.tolist()
+        costs += inclusive.view()[prev_ids].tolist()
+        keys = keys.tolist()
+        ei = 0
+        for j, c in enumerate(counts.tolist()):
+            if c == 1:  # best predecessor already set above
+                costs[j] += costs[keys[ei]]
+                ei += 1
+            elif c:
                 best = 0
                 chosen = -1
-                c = o_counts[j]
-                if c:
-                    for p in o_list[oi : oi + c]:
-                        v = (
-                            win_inc[p - done]
-                            if p >= done
-                            else int(inc_prev[p])
-                        )
-                        # ">=" so zero-cost prefix fragments stay on the
-                        # reported path (matches the materialised DP).
-                        if v >= best:
-                            best = v
-                            chosen = p
-                    oi += c
-                c = d_counts[j]
-                if c:
-                    for p in d_list[di : di + c]:
-                        v = (
-                            win_inc[p - done]
-                            if p >= done
-                            else int(inc_prev[p])
-                        )
-                        if v >= best:
-                            best = v
-                            chosen = p
-                    di += c
-                win_inc[j] = best + ops[j]
+                for k in keys[ei : ei + c]:
+                    v = costs[k]
+                    if v >= best:
+                        best = v
+                        chosen = k
+                costs[j] += best
                 win_bp[j] = chosen
-            inclusive.append(np.asarray(win_inc, dtype=np.int64))
-            best_pred.append(np.asarray(win_bp, dtype=np.int64))
-            done = hi
-        oced.require_empty(done)
-        data.require_empty(done)
+                ei += c
+        slot_ids = np.concatenate((np.arange(done, hi), prev_ids))
+        inclusive.append(np.fromiter(costs, np.int64, count=m))
+        best_pred.append(np.where(win_bp >= 0, slot_ids[win_bp], -1))
+        done = hi
+    oced.require_empty(done)
+    data.require_empty(done)
 
     inc = inclusive.view()
     if not done:
         return CriticalPathResult(0, 0, [], np.empty(0, dtype=np.int64))
-    end = int(np.argmax(inc))  # first maximum, like max() on a list
+    end = int(np.argmax(inc))  # the first maximum
     return CriticalPathResult._deferred(
         serial_length=serial,
         critical_length=int(inc[end]),
@@ -418,32 +338,6 @@ def _backtrack(best_pred: np.ndarray, end: int) -> List[int]:
 
 
 def _materialise_path(
-    source: Union[EventLog, EventArrays, ChunkSource], path_ids: List[int]
-) -> List[Segment]:
-    if isinstance(source, ChunkSource):
-        return _gather_path_stream(source, path_ids)
-    if isinstance(source, EventLog):
-        # Share the caller's Segment objects rather than copying them.
-        return [source.segments[i] for i in path_ids]
-    # Only path nodes are ever built as objects, gathered column-wise in
-    # bulk (per-column tolist is much cheaper than converting structured
-    # rows one tuple at a time).
-    sel = np.asarray(path_ids, dtype=np.int64)
-    segs = source.segs
-    return list(
-        map(
-            Segment,
-            path_ids,
-            segs["ctx"][sel].tolist(),
-            segs["call"][sel].tolist(),
-            segs["start"][sel].tolist(),
-            segs["ops"][sel].tolist(),
-            segs["thread"][sel].tolist(),
-        )
-    )
-
-
-def _gather_path_stream(
     source: ChunkSource, path_ids: List[int]
 ) -> List[Segment]:
     """Gather the path's segment rows in one more pass over the chunks.
@@ -451,7 +345,7 @@ def _gather_path_stream(
     ``path_ids`` ascends (every best-predecessor link points backwards), so
     each segment chunk contributes one contiguous slice of the path,
     located with two binary searches -- the pass stays O(chunks) plus
-    O(path) gathered rows.
+    O(path) gathered rows, and only path nodes are ever built as objects.
     """
     if not path_ids:
         return []

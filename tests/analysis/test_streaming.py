@@ -25,6 +25,8 @@ from repro.core.segments import (
 )
 from repro.io import dump_events, dumps_events, dumps_events_bin
 
+from tests.property.oracles import assert_matches_oracle, naive_critical_path
+
 
 def make_log(n: int = 12) -> EventLog:
     """A serial chain with a few data edges at varied distances."""
@@ -86,7 +88,14 @@ class TestChunkSource:
             source = ChunkSource(path)
         else:
             source = ChunkSource(io.BytesIO(dumps_events_bin(log)))
-        assert source.to_event_arrays() == expected
+        blocks = {"segs": [], "oced": [], "data": []}
+        for table, rows in source.chunks():
+            blocks[table].append(rows)
+        assert EventArrays(
+            segs=np.concatenate(blocks["segs"]),
+            ordercall=np.concatenate(blocks["oced"]),
+            data=np.concatenate(blocks["data"]),
+        ) == expected
 
     def test_chunks_is_reiterable(self):
         source = ChunkSource(make_log(), chunk_rows=4)
@@ -243,29 +252,24 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 64])
     def test_critical_path_chunk_size_invariant(self, chunk_rows):
         log = make_log(40)
-        base = analyze_critical_path(log)
-        streamed = analyze_critical_path(
-            ChunkSource(dumps_events_bin(log, chunk_rows=chunk_rows))
+        expected = naive_critical_path(log)
+        assert_matches_oracle(analyze_critical_path(log), expected)
+        assert_matches_oracle(
+            analyze_critical_path(
+                ChunkSource(dumps_events_bin(log, chunk_rows=chunk_rows))
+            ),
+            expected,
         )
-        assert streamed.serial_length == base.serial_length
-        assert streamed.critical_length == base.critical_length
-        assert list(streamed.inclusive) == list(base.inclusive)
-        assert [s.seg_id for s in streamed.path] == [
-            s.seg_id for s in base.path
-        ]
 
     def test_unsorted_data_edges_fall_back_to_materialised(self):
-        """dst-unsorted (but forward) edge tables still analyse correctly
-        via the materialised fallback."""
+        """dst-unsorted (but forward) edge tables are loaded and sorted by
+        destination once, then analyse exactly like the naive model."""
         log = make_log(8)
         log.add_data_bytes(4, 6, 8)
         log.add_data_bytes(0, 5, 8)  # dst 5 after dst 6: unsorted
-        base = analyze_critical_path(EventArrays.from_eventlog(log))
-        streamed = analyze_critical_path(ChunkSource(dumps_events_bin(log)))
-        assert streamed.critical_length == base.critical_length
-        assert [s.seg_id for s in streamed.path] == [
-            s.seg_id for s in base.path
-        ]
+        expected = naive_critical_path(log)
+        for form in (log, ChunkSource(dumps_events_bin(log))):
+            assert_matches_oracle(analyze_critical_path(form), expected)
 
     def test_thread_comm_matrix_accepts_file_and_log(self, tmp_path):
         from repro.analysis import thread_comm_matrix

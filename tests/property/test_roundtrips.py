@@ -129,17 +129,21 @@ def test_binary_roundtrip_preserves_eventlog_equality(
 @given(trace_steps())
 @settings(max_examples=60, deadline=None)
 def test_critical_path_identical_on_both_representations(steps):
-    """The array kernel must reproduce the object path exactly, including
-    tie-breaking on the reported chain."""
+    """The object and columnar forms both reproduce the naive model
+    exactly, including tie-breaking on the reported chain."""
     from repro.core.segments import EventArrays
 
+    from tests.property.oracles import (
+        assert_matches_oracle,
+        naive_critical_path,
+    )
+
     events = run_profiler(steps, event_mode=True).profile().events
-    obj = analyze_critical_path(events)
-    arr = analyze_critical_path(EventArrays.from_eventlog(events))
-    assert arr.serial_length == obj.serial_length
-    assert arr.critical_length == obj.critical_length
-    assert arr.inclusive == obj.inclusive
-    assert [s.seg_id for s in arr.path] == [s.seg_id for s in obj.path]
+    expected = naive_critical_path(events)
+    assert_matches_oracle(analyze_critical_path(events), expected)
+    assert_matches_oracle(
+        analyze_critical_path(EventArrays.from_eventlog(events)), expected
+    )
 
 
 @given(trace_steps(), st.integers(min_value=1, max_value=16))

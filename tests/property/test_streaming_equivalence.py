@@ -1,9 +1,8 @@
-"""Property tests: streamed analyses equal the materialised ones.
+"""Property tests: streamed analyses are invisible to callers.
 
-The out-of-core code paths (:mod:`repro.analysis.streaming`) must be
-invisible to callers: for any event log and any chunking of it, the
-streamed critical path and the windowed curves are *identical* to what the
-in-memory analysis computes.
+For any event log and any chunking of it, the streamed critical path is
+*identical* to the naive longest-path model (:mod:`tests.property.oracles`)
+and the windowed curves to what one in-memory pass computes.
 """
 
 from __future__ import annotations
@@ -18,25 +17,21 @@ from repro.analysis.streaming import ChunkSource
 from repro.analysis.windowed import windowed_curves
 from repro.io import dumps_events_bin
 
+from tests.property.oracles import assert_matches_oracle, naive_critical_path
 from tests.property.test_roundtrips import run_profiler, trace_steps
 
 
 @given(trace_steps(), st.sampled_from([1, 7, 64, 1 << 18]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_critical_path_identical(steps, chunk_rows):
-    """Any chunking of the binary log reproduces the materialised DP
-    exactly: lengths, per-segment inclusive costs, and the tie-broken
-    reported chain."""
+    """Any chunking of the binary log, read from a stream, reproduces the
+    naive model exactly: lengths, per-segment inclusive costs, and the
+    tie-broken reported chain."""
     events = run_profiler(steps, event_mode=True).profile().events
-    base = analyze_critical_path(events)
+    expected = naive_critical_path(events)
     blob = dumps_events_bin(events, chunk_rows=chunk_rows)
-    streamed = analyze_critical_path(io.BytesIO(blob))
-    assert streamed.serial_length == base.serial_length
-    assert streamed.critical_length == base.critical_length
-    assert list(streamed.inclusive) == list(base.inclusive)
-    assert [s.seg_id for s in streamed.path] == [
-        s.seg_id for s in base.path
-    ]
+    assert_matches_oracle(analyze_critical_path(io.BytesIO(blob)), expected)
+    assert_matches_oracle(analyze_critical_path(events), expected)
 
 
 @given(trace_steps(), st.sampled_from([1, 7, 64]), st.sampled_from([1, 16, 4096]))
