@@ -161,15 +161,16 @@ def _telemetry_from(args) -> Optional[Telemetry]:
 def _manifest_path(args, *, default_stem: str) -> Optional[Path]:
     """Where this run's manifest belongs, or None to skip writing.
 
-    Priority: an explicit ``--manifest-out``; else next to ``-o`` output;
-    else (only with an explicit ``--telemetry``) ``<stem>.manifest.json`` in
-    the working directory.
+    Priority: an explicit ``--manifest-out``; else next to ``-o`` output,
+    when that names a regular file (not ``/dev/null`` or a pipe); else
+    (only with an explicit ``--telemetry``) ``<stem>.manifest.json`` in the
+    working directory.
     """
     manifest_out = getattr(args, "manifest_out", None)
     if manifest_out:
         return Path(manifest_out)
     output = getattr(args, "output", None)
-    if output:
+    if output and Path(output).is_file():
         return Path(f"{output}.manifest.json")
     if getattr(args, "telemetry", False):
         return Path(f"{default_stem}.manifest.json")

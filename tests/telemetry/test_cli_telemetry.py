@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 from repro.cli import main
 from repro.telemetry import MANIFEST_SCHEMA, Manifest
@@ -53,6 +54,29 @@ class TestProfileManifest:
         assert code == 0
         assert prof.exists()
         assert (tmp_path / "w.profile.manifest.json").exists()
+
+    def test_no_sibling_manifest_for_non_file_output(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``-o /dev/null`` must not lead to ``/dev/null.manifest.json``;
+        with ``--telemetry`` the manifest falls back to the working
+        directory."""
+        written = []
+        monkeypatch.setattr(
+            Manifest, "write", lambda self, path: written.append(str(path))
+        )
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "profile", "blackscholes", "-o", os.devnull
+        )
+        assert code == 0
+        assert written == []
+        assert "manifest written" not in out
+        code, _, _ = run_cli(
+            capsys, "profile", "blackscholes", "-o", os.devnull, "--telemetry"
+        )
+        assert code == 0
+        assert written == ["blackscholes-simsmall.manifest.json"]
 
     def test_no_telemetry_writes_nothing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
