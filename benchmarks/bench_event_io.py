@@ -81,11 +81,10 @@ def _timed(fn):
 def measure(n_segments: int = N_SEGMENTS, workdir: Path = Path(".")) -> dict:
     """Dump/load/analyze timings for both formats on one synthetic log."""
     arrays = synth_log(n_segments)
-    events = arrays.to_eventlog()  # object form, needed by the text writer
     text_path = workdir / "bench_events.v1.events"
     bin_path = workdir / "bench_events.v2.events"
 
-    text_dump_s, _ = _timed(lambda: dump_events(events, text_path))
+    text_dump_s, _ = _timed(lambda: dump_events(arrays, text_path))
     bin_dump_s, _ = _timed(lambda: dump_events_bin(arrays, bin_path))
 
     def load_and_analyze(path):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro import SigilConfig, profile_workload
 from repro.analysis import analyze_critical_path, render_barchart
-from repro.io import dump_events, load_events
+from repro.io import dump_events, load_event_arrays
 
 SUITE = ("blackscholes", "dedup", "fluidanimate", "libquantum",
          "raytrace", "streamcluster", "x264")
@@ -38,7 +38,7 @@ def main() -> None:
     # Offline pass: load the event files back and analyze.
     parallelism = {}
     for name in SUITE:
-        events = load_events(workdir / f"{name}.events")
+        events = load_event_arrays(workdir / f"{name}.events")
         result = analyze_critical_path(events)
         parallelism[name] = result.max_parallelism
         chain = " -> ".join(result.path_functions(trees[name]))

@@ -26,12 +26,19 @@ bytes of persistent state per segment.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.cct import ContextTree
-from repro.core.segments import EventArrays, EventLog, Segment
+from repro.core.segments import (
+    EDGE_CALL,
+    EDGE_DATA,
+    EDGE_ORDER,
+    OC_KIND_CALL,
+    EventArrays,
+    Segment,
+)
 from repro.analysis.streaming import (
     ChunkSource,
     EdgeCursor,
@@ -132,7 +139,7 @@ def _dot_escape(text: str) -> str:
 
 
 def events_to_dot(
-    events: Union[EventLog, EventArrays],
+    events: EventArrays,
     tree: Optional[ContextTree] = None,
     result: Optional[CriticalPathResult] = None,
     *,
@@ -146,42 +153,45 @@ def events_to_dot(
     matching the paper's presentation.  Large logs are truncated to the
     ``max_segments`` highest-cost segments plus everything on the path.
     """
-    if isinstance(events, EventArrays):
-        events = events.to_eventlog()
     result = result if result is not None else analyze_critical_path(events)
     on_path = {seg.seg_id for seg in result.path}
     keep = set(on_path)
-    by_cost = sorted(events.segments, key=lambda s: s.ops, reverse=True)
-    for seg in by_cost:
+    ctx = events.segs["ctx"].tolist()
+    ops = events.segs["ops"].tolist()
+    # Highest cost first; equal costs keep id order (sorted is stable).
+    for seg_id in sorted(range(len(ops)), key=ops.__getitem__, reverse=True):
         if len(keep) >= max_segments:
             break
-        keep.add(seg.seg_id)
+        keep.add(seg_id)
 
-    def label(seg: Segment) -> str:
-        name = tree.node(seg.ctx_id).name if tree is not None else f"ctx{seg.ctx_id}"
-        text = f"{_dot_escape(name)}\\nself: {seg.ops}"
+    def label(seg_id: int) -> str:
+        c = ctx[seg_id]
+        name = tree.node(c).name if tree is not None else f"ctx{c}"
+        text = f"{_dot_escape(name)}\\nself: {ops[seg_id]}"
         if len(result.inclusive):
-            text += f"\\ncost = {result.inclusive[seg.seg_id]}"
+            text += f"\\ncost = {result.inclusive[seg_id]}"
         return text
 
     lines = ["digraph chains {", "  rankdir=TB;", "  node [shape=box];"]
-    for seg in events.segments:
-        if seg.seg_id not in keep:
-            continue
-        style = ' style=filled fillcolor="grey80"' if seg.seg_id in on_path else ""
-        lines.append(f'  s{seg.seg_id} [label="{label(seg)}"{style}];')
-    for edge in events.edges():
-        if edge.src not in keep or edge.dst not in keep:
+    for seg_id in sorted(keep):
+        style = ' style=filled fillcolor="grey80"' if seg_id in on_path else ""
+        lines.append(f'  s{seg_id} [label="{label(seg_id)}"{style}];')
+    edges = [
+        (EDGE_CALL if kind == OC_KIND_CALL else EDGE_ORDER, src, dst, 0)
+        for kind, src, dst in events.ordercall.tolist()
+    ] + [(EDGE_DATA, src, dst, n) for src, dst, n in events.data.tolist()]
+    for kind, src, dst, nbytes in edges:
+        if src not in keep or dst not in keep:
             continue
         attrs = []
-        if edge.kind == "data":
-            attrs.append(f'label="{edge.bytes}B"')
-        if edge.kind == "order":
+        if kind == EDGE_DATA:
+            attrs.append(f'label="{nbytes}B"')
+        if kind == EDGE_ORDER:
             attrs.append("style=dashed")
-        if edge.src in on_path and edge.dst in on_path:
+        if src in on_path and dst in on_path:
             attrs.append("penwidth=2.5")
         attr_text = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  s{edge.src} -> s{edge.dst}{attr_text};")
+        lines.append(f"  s{src} -> s{dst}{attr_text};")
     lines.append("}")
     return "\n".join(lines)
 

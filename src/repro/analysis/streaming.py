@@ -7,9 +7,9 @@ ever materialising its full :class:`~repro.core.segments.EventArrays`
 tables, and an in-memory log takes the same code path.  The pieces:
 
 * :class:`ChunkSource` -- one re-iterable handle over an event log in *any*
-  form (path, raw bytes, ``EventArrays``, ``EventLog``).  Only its
-  constructor looks at the input's type; analyses see chunks.  File and
-  byte sources stream through :func:`~repro.io.eventbin.iter_event_chunks`
+  form (path, raw bytes, ``EventArrays``).  Only its constructor looks at
+  the input's type; analyses see chunks.  File and byte sources stream
+  through :func:`~repro.io.eventbin.iter_event_chunks`
   (optionally filtered by table, skipping the decode of unwanted chunks);
   in-memory forms are sliced into synthetic chunks, so the
   chunk-size-invariance property tests cover both.
@@ -20,8 +20,7 @@ tables, and an in-memory log takes the same code path.  The pieces:
 * :func:`stream_resolved` -- yields chunks with edge rows *held back* until
   the segment rows their endpoints reference have arrived (a streaming
   writer may flush an edge chunk before the segment chunk it points into),
-  validating the structural invariants of
-  :meth:`~repro.core.segments.EventArrays.validate`.
+  validating each chunk with :func:`~repro.core.segments.check_rows`.
 * :class:`EdgeCursor` -- one edge table consumed as a run sorted by
   destination, for the critical-path DP, which merges edges by
   destination.  Every writer in this codebase emits edges with
@@ -39,16 +38,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.segments import (
-    EventArrays,
-    EventLog,
-    as_event_arrays,
-)
+from repro.core.segments import EventArrays, check_rows
 from repro.io.eventbin import (
     DEFAULT_CHUNK_ROWS,
     is_binary_events,
     iter_event_chunks,
 )
+from repro.io.eventfile import load_event_arrays, loads_events
 
 __all__ = [
     "ChunkSource",
@@ -61,9 +57,7 @@ __all__ = [
 ]
 
 #: Sources every streaming analysis accepts.
-EventSource = Union[
-    "ChunkSource", EventLog, EventArrays, str, Path, bytes, bytearray
-]
+EventSource = Union["ChunkSource", EventArrays, str, Path, bytes, bytearray]
 
 
 class UnsortedEdges(ValueError):
@@ -101,17 +95,13 @@ class ChunkSource:
             self._arrays = source._arrays
             self._bytes = source._bytes
             self._path = source._path
-        elif isinstance(source, (EventLog, EventArrays)):
-            self._arrays = as_event_arrays(source)
+        elif isinstance(source, EventArrays):
+            self._arrays = source
         elif isinstance(source, (bytes, bytearray)):
             self._bytes = bytes(source)
             if not is_binary_events(self._bytes[:32]):
                 # v1 text bytes: parse once, then serve synthetic chunks.
-                from repro.io.eventfile import loads_events
-
-                self._arrays = as_event_arrays(
-                    loads_events(self._bytes.decode())
-                )
+                self._arrays = loads_events(self._bytes.decode())
                 self._bytes = None
         elif hasattr(source, "read"):
             # A one-shot stream cannot be re-iterated; buffer it.
@@ -122,8 +112,6 @@ class ChunkSource:
                 head = fh.read(32)
             if not is_binary_events(head):
                 # v1 text file: parse once, then serve synthetic chunks.
-                from repro.io.eventfile import load_event_arrays
-
                 self._arrays = load_event_arrays(self._path)
                 self._path = None
 
@@ -230,39 +218,6 @@ class SegmentColumns:
 # ---------------------------------------------------------------------------
 
 
-def _validate_edges(
-    table: str, rows: np.ndarray, *, require_forward: bool = False
-) -> None:
-    """Structural edge checks shared by the streaming consumers.
-
-    ``require_forward`` additionally enforces ``src < dst`` -- the
-    topological-order invariant only the critical-path DP depends on.
-    In-memory logs from threaded runs legitimately carry *backward* data
-    edges (a long-lived segment consumes bytes produced by a younger one),
-    and the communication analyses handle those fine, so the default
-    mirrors what they always accepted.
-    """
-    label = "order/call" if table == "oced" else "data"
-    src, dst = rows["src"], rows["dst"]
-    if int(src.min()) < 0 or int(dst.min()) < 0:
-        raise ValueError(f"{label} edge endpoints out of range")
-    if require_forward and not bool((src < dst).all()):
-        bad = int(np.argmax(~(src < dst)))
-        raise ValueError(
-            "event log is not topologically ordered: "
-            f"{int(src[bad])} -> {int(dst[bad])}"
-        )
-    if table == "data" and int(rows["bytes"].min()) < 0:
-        raise ValueError("data edge byte counts must be non-negative")
-
-
-def _validate_segs(rows: np.ndarray) -> None:
-    if int(rows["ops"].min()) < 0:
-        raise ValueError("segment ops must be non-negative")
-    if int(rows["thread"].min()) < 0:
-        raise ValueError("segment thread ids must be non-negative")
-
-
 def stream_resolved(
     source: ChunkSource,
     cols: SegmentColumns,
@@ -278,10 +233,10 @@ def stream_resolved(
     data edges, which threaded logs produce, resolve once the younger
     endpoint arrives).  A streaming writer can flush an edge chunk up to
     one chunk ahead of the segment chunk it references, so the holding
-    buffer is bounded by the writer's chunk size.  Structural validation
-    mirrors :meth:`~repro.core.segments.EventArrays.validate` minus the
-    topological-order check, which only the critical path needs (see
-    :class:`EdgeCursor`).
+    buffer is bounded by the writer's chunk size.  Every chunk passes
+    :func:`~repro.core.segments.check_rows`; the dangling-endpoint check
+    happens at the end of the pass, and the forward rule for data edges,
+    which only the critical path needs, in :class:`EdgeCursor`.
 
     With ``telemetry``, the ``analysis.stream.peak_chunk_bytes`` gauge
     tracks the largest decoded chunk seen (the working-set bound of the
@@ -309,7 +264,7 @@ def stream_resolved(
         if not len(rows):
             continue
         if table == "segs":
-            _validate_segs(rows)
+            check_rows("segs", rows)
             cols.append(rows)
             yield "segs", rows
             for name in ("oced", "data"):
@@ -321,7 +276,7 @@ def stream_resolved(
                     if hold is not None and len(hold):
                         pending[name].append(hold)
         else:
-            _validate_edges(table, rows)
+            check_rows(table, rows)
             ready, hold = split_ready(table, rows)
             if ready is not None and len(ready):
                 yield table, ready
@@ -363,7 +318,15 @@ class EdgeCursor:
         for _table, rows in self._chunks:
             if not len(rows):
                 continue
-            _validate_edges(self._table, rows, require_forward=True)
+            check_rows(self._table, rows)
+            # The DP needs data edges forward too.
+            forward = rows["src"] < rows["dst"]
+            if not bool(forward.all()):
+                bad = int(np.argmax(~forward))
+                raise ValueError(
+                    "event log is not topologically ordered: "
+                    f"{int(rows['src'][bad])} -> {int(rows['dst'][bad])}"
+                )
             dst = np.ascontiguousarray(rows["dst"])
             if int(dst[0]) < self._last_dst or (
                 len(dst) > 1 and bool((np.diff(dst) < 0).any())

@@ -587,7 +587,7 @@ def cmd_critpath(args) -> int:
     tree = None
     if Path(args.target).exists():
         if args.dot:
-            # Rendering needs the segment objects anyway; load them once.
+            # Rendering needs every segment row anyway; load them once.
             events = load_event_arrays(args.target)
         else:
             # Out-of-core: the analyses stream the file chunk-at-a-time
@@ -752,8 +752,7 @@ def cmd_trace(args) -> int:
         manifest_to_chrome,
         profile_to_collapsed,
     )
-    from repro.io.eventbin import is_binary_events, load_events_bin
-    from repro.io.eventfile import loads_events
+    from repro.io.eventbin import is_binary_events
     from repro.io.profilefile import loads_profile
 
     source = Path(args.input)
@@ -770,14 +769,14 @@ def cmd_trace(args) -> int:
 
     if args.format == "chrome":
         if kind in ("events", "events-bin"):
-            events = (
-                load_events_bin(source)
-                if kind == "events-bin"
-                else loads_events(text)
-            )
+            try:
+                events = load_event_arrays(source)
+            except ValueError as exc:
+                log.error("cannot read %s: %s", args.input, exc)
+                return 2
             trace = events_to_chrome(events)
-            n_data = sum(1 for e in events.edges() if e.kind == "data")
-            summary = (f"{events.n_segments} segments, {n_data} data flows")
+            summary = (f"{events.n_segments} segments, "
+                       f"{len(events.data)} data flows")
         elif kind == "manifest":
             manifest = Manifest.from_json(text)
             trace = manifest_to_chrome(manifest)

@@ -16,9 +16,8 @@ from repro.core.segments import (
     EDGE_CALL,
     EDGE_DATA,
     EDGE_ORDER,
-    EventLog,
+    EventArrays,
     Segment,
-    SegmentEdge,
 )
 from repro.core.shadow import SHADOW_PAGE_SIZE, ShadowMemory, ShadowPage
 
@@ -42,9 +41,8 @@ __all__ = [
     "EDGE_CALL",
     "EDGE_DATA",
     "EDGE_ORDER",
-    "EventLog",
+    "EventArrays",
     "Segment",
-    "SegmentEdge",
     "SHADOW_PAGE_SIZE",
     "ShadowMemory",
     "ShadowPage",

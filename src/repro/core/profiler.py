@@ -43,7 +43,7 @@ from repro.common.cct import ContextNode, ContextTree
 from repro.core.aggregate import CommEdge, CommMatrix, FnComm
 from repro.core.config import SigilConfig
 from repro.core.reuse import ReuseStats
-from repro.core.segments import EventLog, Segment
+from repro.core.segments import EventArrays, EventLog, Segment
 from repro.core.shadow import (
     SHADOW_PAGE_SIZE,
     ShadowMemory,
@@ -72,7 +72,8 @@ class SigilProfile:
 
     The two output representations of section II-B live side by side:
     per-context aggregates (``functions`` + ``comm``) and, when event mode
-    was enabled, the event log (``events``).
+    was enabled, the event log (``events``, an
+    :class:`~repro.core.segments.EventArrays`).
     """
 
     def __init__(
@@ -82,7 +83,7 @@ class SigilProfile:
         functions: Dict[int, FnComm],
         comm: CommMatrix,
         reuse: Optional[ReuseStats],
-        events: Optional[EventLog],
+        events: Optional[EventArrays],
         shadow_stats: ShadowStats,
         total_time: int,
     ):
@@ -596,7 +597,7 @@ class SigilProfiler(BaseObserver):
             self.functions,
             self.comm,
             self.reuse,
-            self.events,
+            self.events.to_arrays() if self.events is not None else None,
             stats,
             self.time,
         )

@@ -11,7 +11,7 @@ function entry or resumption opens a new segment, implementing Figure 3's
 "we add the second occurrence of A as a separate node although it belongs to
 the same call".
 
-Three kinds of edges join segments (all point forward in time):
+Three kinds of edges join segments:
 
 * ``order`` -- from a call's previous segment to its next one,
   "to conservatively enforce order between regions within" a function;
@@ -19,21 +19,31 @@ Three kinds of edges join segments (all point forward in time):
   (a callee cannot begin before the call site is reached);
 * ``data`` -- from the segment that produced bytes to the segment that first
   consumed them, weighted by the number of unique bytes.
+
+Order and call edges point forward in time.  Data edges of a serial run do
+too, but a threaded run can carry backward ones: a long-lived segment on one
+thread consumes bytes that a younger segment on another thread produced.
+
+The log leaves the profiler as :class:`EventArrays`, one NumPy table per
+record kind; :class:`EventLog` is only the append-only builder the profiler
+fills during a run.  :func:`check_rows` is the structural rule every reader
+enforces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "Segment",
-    "SegmentEdge",
     "EventLog",
     "EventArrays",
     "as_event_arrays",
+    "check_rows",
+    "first_violation",
     "EDGE_ORDER",
     "EDGE_CALL",
     "EDGE_DATA",
@@ -83,25 +93,20 @@ class Segment:
     thread: int = 0
 
 
-@dataclass(frozen=True)
-class SegmentEdge:
-    """A dependency between two segments."""
-
-    src: int
-    dst: int
-    kind: str
-    bytes: int = 0
-
-
 class EventLog:
-    """Accumulates segments and their dependency edges during a run."""
+    """Append-only builder of an event log during a run.
+
+    The profiler grows the current segment's ``ops`` in place, so segments
+    are objects here; :meth:`to_arrays` hands the finished log on as
+    :class:`EventArrays`, the only form readers, writers and analyses take.
+    """
 
     def __init__(self) -> None:
         self.segments: List[Segment] = []
-        self._order_call_edges: List[SegmentEdge] = []
+        self._order_call: List[Tuple[int, int, int]] = []
         # (src, dst) -> bytes for data edges; aggregated because one segment
         # usually consumes many bytes from the same producer.
-        self._data_edges: Dict[Tuple[int, int], int] = {}
+        self._data: Dict[Tuple[int, int], int] = {}
 
     def new_segment(
         self, ctx_id: int, call_id: int, time: int, thread: int = 0
@@ -111,40 +116,34 @@ class EventLog:
         return seg
 
     def add_order_edge(self, src: int, dst: int) -> None:
-        self._order_call_edges.append(SegmentEdge(src, dst, EDGE_ORDER))
+        self._order_call.append((OC_KIND_ORDER, src, dst))
 
     def add_call_edge(self, src: int, dst: int) -> None:
-        self._order_call_edges.append(SegmentEdge(src, dst, EDGE_CALL))
+        self._order_call.append((OC_KIND_CALL, src, dst))
 
     def add_data_bytes(self, src: int, dst: int, count: int) -> None:
         if src == dst or count <= 0:
             return
         key = (src, dst)
-        self._data_edges[key] = self._data_edges.get(key, 0) + count
+        self._data[key] = self._data.get(key, 0) + count
 
-    def edges(self) -> List[SegmentEdge]:
-        """All edges, data edges materialised with their byte weights."""
-        data = [
-            SegmentEdge(src, dst, EDGE_DATA, count)
-            for (src, dst), count in self._data_edges.items()
-        ]
-        return self._order_call_edges + data
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
-    def total_ops(self) -> int:
-        """The program's serial length in operations."""
-        return sum(seg.ops for seg in self.segments)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventLog):
-            return NotImplemented
-        return (
-            self.segments == other.segments
-            and self._order_call_edges == other._order_call_edges
-            and self._data_edges == other._data_edges
+    def to_arrays(self) -> "EventArrays":
+        """The log so far as :class:`EventArrays`."""
+        return EventArrays(
+            segs=np.fromiter(
+                (
+                    (s.ctx_id, s.call_id, s.start_time, s.ops, s.thread)
+                    for s in self.segments
+                ),
+                dtype=SEG_DTYPE,
+                count=len(self.segments),
+            ),
+            ordercall=np.array(self._order_call, dtype=OC_EDGE_DTYPE),
+            data=np.fromiter(
+                ((src, dst, n) for (src, dst), n in self._data.items()),
+                dtype=DATA_EDGE_DTYPE,
+                count=len(self._data),
+            ),
         )
 
 
@@ -152,13 +151,12 @@ class EventLog:
 class EventArrays:
     """The event log as NumPy structured arrays (one row per record).
 
-    The columnar twin of :class:`EventLog`: identical information, but laid
-    out so that million-segment logs can be serialised, loaded and analysed
-    without building per-row Python objects.  ``segs`` rows are indexed by
-    segment id (ids are dense by construction); ``ordercall`` keeps order and
-    call edges interleaved in their insertion order so that converting back
-    to an :class:`EventLog` -- and from there to the v1 text format -- is
-    byte-identical; ``data`` rows keep the aggregated data-edge order.
+    Laid out so that million-segment logs can be serialised, loaded and
+    analysed without building per-row Python objects.  ``segs`` rows are
+    indexed by segment id (ids are dense by construction); ``ordercall``
+    keeps order and call edges interleaved in their insertion order, which
+    the v1 text format preserves; ``data`` rows keep the aggregated
+    data-edge order.
     """
 
     segs: np.ndarray
@@ -173,64 +171,12 @@ class EventArrays:
         """The program's serial length in operations."""
         return int(self.segs["ops"].sum()) if len(self.segs) else 0
 
-    @classmethod
-    def empty(cls) -> "EventArrays":
-        return cls(
-            segs=np.empty(0, dtype=SEG_DTYPE),
-            ordercall=np.empty(0, dtype=OC_EDGE_DTYPE),
-            data=np.empty(0, dtype=DATA_EDGE_DTYPE),
-        )
-
-    @classmethod
-    def from_eventlog(cls, events: EventLog) -> "EventArrays":
-        segs = np.empty(events.n_segments, dtype=SEG_DTYPE)
-        for seg in events.segments:
-            segs[seg.seg_id] = (
-                seg.ctx_id, seg.call_id, seg.start_time, seg.ops, seg.thread
-            )
-        oc = np.empty(len(events._order_call_edges), dtype=OC_EDGE_DTYPE)
-        for i, edge in enumerate(events._order_call_edges):
-            kind = OC_KIND_CALL if edge.kind == EDGE_CALL else OC_KIND_ORDER
-            oc[i] = (kind, edge.src, edge.dst)
-        data = np.empty(len(events._data_edges), dtype=DATA_EDGE_DTYPE)
-        for i, ((src, dst), count) in enumerate(events._data_edges.items()):
-            data[i] = (src, dst, count)
-        return cls(segs=segs, ordercall=oc, data=data)
-
-    def to_eventlog(self) -> EventLog:
-        """Materialise the compatibility :class:`EventLog` object form."""
-        events = EventLog()
-        for ctx, call, start, ops, thread in self.segs.tolist():
-            seg = events.new_segment(ctx, call, start, thread=thread)
-            seg.ops = ops
-        for kind, src, dst in self.ordercall.tolist():
-            if kind == OC_KIND_CALL:
-                events.add_call_edge(src, dst)
-            else:
-                events.add_order_edge(src, dst)
-        for src, dst, count in self.data.tolist():
-            events.add_data_bytes(src, dst, count)
-        return events
-
     def validate(self) -> None:
-        """Structural checks mirroring the text loader's validation."""
-        if len(self.segs) and int(self.segs["ops"].min()) < 0:
-            raise ValueError("segment ops must be non-negative")
-        if len(self.segs) and int(self.segs["thread"].min()) < 0:
-            raise ValueError("segment thread ids must be non-negative")
+        """Raise :class:`ValueError` unless :func:`check_rows` passes."""
         n = self.n_segments
-        for table, label in ((self.ordercall, "order/call"), (self.data, "data")):
-            if not len(table):
-                continue
-            src, dst = table["src"], table["dst"]
-            if int(src.min()) < 0 or int(dst.max()) >= n:
-                raise ValueError(f"{label} edge endpoints out of range")
-            if not bool((src < dst).all()):
-                raise ValueError(
-                    f"{label} edges must point forward in time (src < dst)"
-                )
-        if len(self.data) and int(self.data["bytes"].min()) < 0:
-            raise ValueError("data edge byte counts must be non-negative")
+        check_rows("segs", self.segs, n)
+        check_rows("oced", self.ordercall, n)
+        check_rows("data", self.data, n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventArrays):
@@ -242,8 +188,69 @@ class EventArrays:
         )
 
 
+def first_violation(
+    table: str, rows: np.ndarray, n_segments: Optional[int] = None
+) -> Optional[Tuple[int, str]]:
+    """The first row of ``rows`` that breaks the event-log structure.
+
+    ``table`` names the rows' table as the v2 format does (``"segs"``,
+    ``"oced"`` or ``"data"``).  Segment ops and threads and data-edge bytes
+    must be non-negative; edge endpoints must lie in ``[0, n_segments)``
+    (only the lower bound when ``n_segments`` is None, as for a chunk whose
+    log is still arriving); order/call edges must point forward in time,
+    while data edges may point either way.  Returns ``(row, message)`` or
+    None.
+    """
+    found: List[Tuple[int, str]] = []
+
+    def rule(mask: np.ndarray, message) -> None:
+        if bool(mask.any()):
+            row = int(np.argmax(mask))
+            found.append((row, message(row)))
+
+    if not len(rows):
+        return None
+    if table == "segs":
+        for field in ("ops", "thread"):
+            col = rows[field]
+            rule(col < 0, lambda i: (
+                f"segment {field} must be non-negative, got {col[i]}"
+            ))
+    else:
+        label = "order/call" if table == "oced" else "data"
+        src, dst = rows["src"], rows["dst"]
+        out = (src < 0) | (dst < 0)
+        if n_segments is not None:
+            out |= (src >= n_segments) | (dst >= n_segments)
+        rule(out, lambda i: (
+            f"{label} edge endpoints out of range: {src[i]} -> {dst[i]}"
+        ))
+        if table == "oced":
+            rule(src >= dst, lambda i: (
+                "order/call edges must point forward in time (src < dst): "
+                f"{src[i]} -> {dst[i]}"
+            ))
+        else:
+            nbytes = rows["bytes"]
+            rule(nbytes < 0, lambda i: (
+                "negative data edge byte counts: bytes must be "
+                f"non-negative, got {nbytes[i]}"
+            ))
+    # The earliest bad row wins; on one row, the rule listed first.
+    return min(found, key=lambda bad: bad[0], default=None)
+
+
+def check_rows(
+    table: str, rows: np.ndarray, n_segments: Optional[int] = None
+) -> None:
+    """Raise :class:`ValueError` if :func:`first_violation` finds a row."""
+    bad = first_violation(table, rows, n_segments)
+    if bad is not None:
+        raise ValueError(bad[1])
+
+
 def as_event_arrays(events: Union[EventLog, EventArrays]) -> EventArrays:
-    """Coerce either event-log form to the columnar form."""
-    if isinstance(events, EventArrays):
-        return events
-    return EventArrays.from_eventlog(events)
+    """Coerce a builder or an :class:`EventArrays` to the columnar form."""
+    if isinstance(events, EventLog):
+        return events.to_arrays()
+    return events

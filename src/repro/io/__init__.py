@@ -12,13 +12,11 @@ from repro.io.eventbin import (
     dumps_events_bin,
     iter_event_chunks,
     load_event_arrays_bin,
-    load_events_bin,
 )
 from repro.io.eventfile import (
     dump_events,
     dumps_events,
     load_event_arrays,
-    load_events,
     loads_events,
 )
 from repro.io.kcachegrind import export_callgrind, export_sigil
@@ -55,8 +53,6 @@ __all__ = [
     "iter_event_chunks",
     "load_event_arrays",
     "load_event_arrays_bin",
-    "load_events",
-    "load_events_bin",
     "loads_events",
     "dump_profile",
     "dumps_profile",

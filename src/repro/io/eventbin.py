@@ -1,7 +1,7 @@
 """Binary columnar event logs (``# sigil-events 2``).
 
 The v1 text format (:mod:`repro.io.eventfile`) parses every record through
-Python string handling and builds one object per segment -- fine for the
+Python string handling and builds Python objects per record -- fine for the
 paper's toy graphs, hopeless for the million-segment logs the batched trace
 transport now produces.  Version 2 stores the same information as NumPy
 structured arrays in length-prefixed chunks, so logs stream to disk while
@@ -54,8 +54,6 @@ from repro.core.segments import (
     OC_EDGE_DTYPE,
     SEG_DTYPE,
     EventArrays,
-    EventLog,
-    as_event_arrays,
 )
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "BinaryEventWriter",
     "dump_events_bin",
     "dumps_events_bin",
-    "load_events_bin",
     "load_event_arrays_bin",
     "iter_event_chunks",
     "is_binary_events",
@@ -296,24 +293,23 @@ class BinaryEventWriter:
 
 
 def dump_events_bin(
-    events: Union[EventLog, EventArrays],
+    events: EventArrays,
     sink: Union[str, Path, BinaryIO],
     *,
     compression: Optional[str] = "gzip",
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
 ) -> None:
-    """Write an event log (either form) as ``# sigil-events 2``."""
-    arrays = as_event_arrays(events)
+    """Write an event log as ``# sigil-events 2``."""
     with BinaryEventWriter(
         sink, compression=compression, chunk_rows=chunk_rows
     ) as writer:
-        writer.write_segments(arrays.segs)
-        writer.write_order_call_edges(arrays.ordercall)
-        writer.write_data_edges(arrays.data)
+        writer.write_segments(events.segs)
+        writer.write_order_call_edges(events.ordercall)
+        writer.write_data_edges(events.data)
 
 
 def dumps_events_bin(
-    events: Union[EventLog, EventArrays],
+    events: EventArrays,
     *,
     compression: Optional[str] = "gzip",
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -486,8 +482,3 @@ def load_event_arrays_bin(
     )
     arrays.validate()
     return arrays
-
-
-def load_events_bin(source: Union[str, Path, BinaryIO]) -> EventLog:
-    """Load a v2 file into the compatibility :class:`EventLog` form."""
-    return load_event_arrays_bin(source).to_eventlog()

@@ -10,169 +10,167 @@ Text format (``# sigil-events 1``)::
     edge <kind> <src> <dst> [<bytes>]
 
 ``seg`` records carry six fields; five-field records from pre-thread files
-are still accepted (``thread`` defaults to 0).  ``ops``, ``thread`` and
-data-edge ``bytes`` must be non-negative.  Segment lines appear in id
-order; the loader validates monotonicity so that downstream longest-path
-passes can rely on topological order.
+are still accepted (``thread`` defaults to 0).  Segment lines appear in id
+order.  The parser enforces :func:`~repro.core.segments.check_rows` and
+names the offending line when a record breaks it.
 
-:func:`load_events` sniffs the version magic, so callers transparently
-read both this text format and the binary columnar ``# sigil-events 2``
-(:mod:`repro.io.eventbin`); :func:`load_event_arrays` does the same but
-returns the columnar :class:`~repro.core.segments.EventArrays` form, which
-the analysis passes consume without building per-row objects.
+Both directions work on :class:`~repro.core.segments.EventArrays`.
+:func:`load_event_arrays` is the one loader for event files: it sniffs the
+version magic, so callers read this text format and the binary columnar
+``# sigil-events 2`` (:mod:`repro.io.eventbin`) alike.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, List, Union
+
+import numpy as np
 
 from repro.core.segments import (
+    DATA_EDGE_DTYPE,
     EDGE_CALL,
     EDGE_DATA,
     EDGE_ORDER,
+    OC_EDGE_DTYPE,
+    OC_KIND_CALL,
+    OC_KIND_ORDER,
+    SEG_DTYPE,
     EventArrays,
     EventLog,
-    SegmentEdge,
+    first_violation,
 )
+from repro.io.eventbin import MAGIC_V2, load_event_arrays_bin
 
 __all__ = [
     "dump_events",
-    "load_events",
     "load_event_arrays",
     "dumps_events",
     "loads_events",
 ]
 
 _MAGIC = "# sigil-events 1"
-_KINDS = {EDGE_ORDER, EDGE_CALL, EDGE_DATA}
+_OC_KINDS = {EDGE_ORDER: OC_KIND_ORDER, EDGE_CALL: OC_KIND_CALL}
+_OC_NAMES = {kind: name for name, kind in _OC_KINDS.items()}
 
 
-def dumps_events(events: EventLog) -> str:
+def dumps_events(events: EventArrays) -> str:
     """Serialise an event log to the sigil-events text format."""
     lines: List[str] = [_MAGIC]
-    for seg in events.segments:
-        lines.append(
-            f"seg {seg.seg_id} {seg.ctx_id} {seg.call_id} {seg.start_time} "
-            f"{seg.ops} {seg.thread}"
-        )
-    for edge in events.edges():
-        if edge.kind == EDGE_DATA:
-            lines.append(f"edge {edge.kind} {edge.src} {edge.dst} {edge.bytes}")
-        else:
-            lines.append(f"edge {edge.kind} {edge.src} {edge.dst}")
+    lines += [
+        f"seg {seg_id} {ctx} {call} {start} {ops} {thread}"
+        for seg_id, (ctx, call, start, ops, thread)
+        in enumerate(events.segs.tolist())
+    ]
+    lines += [
+        f"edge {_OC_NAMES[kind]} {src} {dst}"
+        for kind, src, dst in events.ordercall.tolist()
+    ]
+    lines += [
+        f"edge {EDGE_DATA} {src} {dst} {count}"
+        for src, dst, count in events.data.tolist()
+    ]
     return "\n".join(lines) + "\n"
 
 
-def dump_events(events: EventLog, path: Union[str, Path]) -> None:
+def dump_events(events: EventArrays, path: Union[str, Path]) -> None:
     """Write an event log to ``path``."""
     Path(path).write_text(dumps_events(events))
 
 
-def loads_events(text: str) -> EventLog:
-    """Parse an event log from sigil-events text (validates ordering).
+def loads_events(text: str) -> EventArrays:
+    """Parse sigil-events text into :class:`EventArrays`.
 
     Validation errors carry the offending line number and text, so a bad
-    record deep inside a multi-megabyte event file is findable.
+    record deep inside a multi-megabyte event file is findable.  Data
+    edges aggregate per ``(src, dst)`` pair in first-seen order, and
+    self-edges and zero counts are dropped, as the profiler records them.
     """
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
         raise ValueError("not a sigil event file (bad magic)")
-    events = EventLog()
-    for lineno, line in enumerate(lines[1:], start=2):
+    # Rows of each table, and the line index each row came from.
+    rows: Dict[str, List[tuple]] = {"segs": [], "oced": [], "data": []}
+    where: Dict[str, List[int]] = {"segs": [], "oced": [], "data": []}
+
+    def fail(index: int, message: str) -> ValueError:
+        return ValueError(f"{message} (line {index + 1}: {lines[index]!r})")
+
+    for index in range(1, len(lines)):
+        line = lines[index]
         if not line or line.startswith("#"):
             continue
-
-        def fail(message: str) -> ValueError:
-            return ValueError(f"{message} (line {lineno}: {line!r})")
-
         kind, _, rest = line.partition(" ")
+        fields = rest.split()
         if kind == "seg":
             try:
-                parts = [int(x) for x in rest.split()]
+                parts = [int(x) for x in fields]
             except ValueError:
-                raise fail("malformed segment record") from None
+                raise fail(index, "malformed segment record") from None
             if len(parts) == 5:  # pre-thread files
                 parts.append(0)
             if len(parts) != 6:
                 raise fail(
-                    f"segment records take 5 or 6 fields, got {len(parts)}"
+                    index,
+                    f"segment records take 5 or 6 fields, got {len(parts)}",
                 )
-            seg_id, ctx_id, call_id, start, ops, thread = parts
-            if seg_id != events.n_segments:
+            expected = len(rows["segs"])
+            if parts[0] != expected:
                 raise fail(
-                    f"segment ids must be dense and ordered; got {seg_id}, "
-                    f"expected {events.n_segments}"
+                    index,
+                    f"segment ids must be dense and ordered; got "
+                    f"{parts[0]}, expected {expected}",
                 )
-            if ops < 0:
-                raise fail(f"segment ops must be non-negative, got {ops}")
-            if thread < 0:
-                raise fail(
-                    f"segment thread must be non-negative, got {thread}"
-                )
-            seg = events.new_segment(ctx_id, call_id, start, thread=thread)
-            seg.ops = ops
+            table, row = "segs", tuple(parts[1:])
         elif kind == "edge":
-            fields = rest.split()
             if not fields:
-                raise fail("empty edge record")
+                raise fail(index, "empty edge record")
             edge_kind = fields[0]
-            if edge_kind not in _KINDS:
-                raise fail(f"unknown edge kind {edge_kind!r}")
+            if edge_kind != EDGE_DATA and edge_kind not in _OC_KINDS:
+                raise fail(index, f"unknown edge kind {edge_kind!r}")
             n_expected = 4 if edge_kind == EDGE_DATA else 3
             if len(fields) != n_expected:
                 raise fail(
+                    index,
                     f"{edge_kind} edges take {n_expected - 1} operands, "
-                    f"got {len(fields) - 1}"
+                    f"got {len(fields) - 1}",
                 )
             try:
-                operands = [int(x) for x in fields[1:]]
+                operands = tuple(int(x) for x in fields[1:])
             except ValueError:
-                raise fail("malformed edge record") from None
-            src, dst = operands[0], operands[1]
+                raise fail(index, "malformed edge record") from None
             if edge_kind == EDGE_DATA:
-                if operands[2] < 0:
-                    raise fail(
-                        f"data edge bytes must be non-negative, "
-                        f"got {operands[2]}"
-                    )
-                events.add_data_bytes(src, dst, operands[2])
-            elif edge_kind == EDGE_CALL:
-                events.add_call_edge(src, dst)
+                table, row = "data", operands
             else:
-                events.add_order_edge(src, dst)
+                table, row = "oced", (_OC_KINDS[edge_kind],) + operands
         else:
-            raise fail(f"unknown event line kind: {kind!r}")
-    return events
+            raise fail(index, f"unknown event line kind: {kind!r}")
+        rows[table].append(row)
+        where[table].append(index)
 
-
-def _is_binary_file(path: Path) -> bool:
-    from repro.io.eventbin import MAGIC_V2
-
-    with open(path, "rb") as fh:
-        return fh.read(len(MAGIC_V2)) == MAGIC_V2
-
-
-def load_events(path: Union[str, Path]) -> EventLog:
-    """Read an event log, sniffing text v1 vs binary v2 by magic."""
-    path = Path(path)
-    if _is_binary_file(path):
-        from repro.io.eventbin import load_events_bin
-
-        return load_events_bin(path)
-    return loads_events(path.read_text())
+    n = len(rows["segs"])
+    tables = {}
+    for table, dtype in (
+        ("segs", SEG_DTYPE), ("oced", OC_EDGE_DTYPE), ("data", DATA_EDGE_DTYPE)
+    ):
+        tables[table] = np.array(rows[table], dtype=dtype)
+        bad = first_violation(table, tables[table], n)
+        if bad is not None:
+            raise fail(where[table][bad[0]], bad[1])
+    merged = EventLog()
+    for src, dst, count in rows["data"]:
+        merged.add_data_bytes(src, dst, count)
+    return EventArrays(
+        segs=tables["segs"],
+        ordercall=tables["oced"],
+        data=merged.to_arrays().data,
+    )
 
 
 def load_event_arrays(path: Union[str, Path]) -> EventArrays:
-    """Read an event log into the columnar form, sniffing v1 vs v2.
-
-    Binary v2 files load straight into arrays; text v1 files are parsed
-    through the object loader and converted, so callers get one fast-path
-    type either way.
-    """
+    """Read an event file into :class:`EventArrays`, sniffing v1 vs v2."""
     path = Path(path)
-    if _is_binary_file(path):
-        from repro.io.eventbin import load_event_arrays_bin
-
-        return load_event_arrays_bin(path)
-    return EventArrays.from_eventlog(loads_events(path.read_text()))
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC_V2)) == MAGIC_V2:
+            return load_event_arrays_bin(path)
+    return loads_events(path.read_text())

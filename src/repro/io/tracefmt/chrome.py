@@ -3,9 +3,10 @@
 One JSON array of ``ph``-keyed event dicts, per the trace-event format
 (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 
-* every compute :class:`~repro.core.segments.Segment` becomes a complete
-  duration event (``ph: "X"``) on a per-context track (``tid`` = context id)
-  inside a per-virtual-thread process (``pid`` = thread + ``pid_base``);
+* every compute segment of an :class:`~repro.core.segments.EventArrays`
+  log becomes a complete duration event (``ph: "X"``) on a per-context
+  track (``tid`` = context id) inside a per-virtual-thread process
+  (``pid`` = thread + ``pid_base``);
 * every ``data`` edge becomes a flow-event pair (``ph: "s"`` at the
   producing segment's end, ``ph: "f"`` at the consuming segment's start)
   whose ``args.bytes`` carries the unique byte count;
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.common.cct import ContextTree
-from repro.core.segments import EDGE_DATA, EventLog
+from repro.core.segments import EventArrays
 
 __all__ = [
     "PIPELINE_PID",
@@ -59,7 +60,7 @@ def _ctx_label(tree: Optional[ContextTree], ctx_id: int) -> str:
 
 
 def events_to_chrome(
-    events: EventLog,
+    events: EventArrays,
     tree: Optional[ContextTree] = None,
     *,
     pid_base: int = 1,
@@ -73,52 +74,52 @@ def events_to_chrome(
     tracks with no process metadata.
     """
     out: List[Dict[str, Any]] = []
-    if not events.segments:
+    if not events.n_segments:
         return out
-    threads = sorted({seg.thread for seg in events.segments})
-    seen_tracks = set()
-    for thread in threads:
+    # One (ctx, call, start, ops, thread) tuple per segment id.
+    segs = events.segs.tolist()
+    for thread in sorted({row[4] for row in segs}):
         out.append({
             "ph": "M", "name": "process_name", "pid": pid_base + thread,
             "tid": 0, "args": {"name": f"workload thread {thread}"},
         })
-    for seg in events.segments:
-        track = (seg.thread, seg.ctx_id)
-        if track not in seen_tracks:
-            seen_tracks.add(track)
+    seen_tracks = set()
+    for ctx, _call, _start, _ops, thread in segs:
+        if (thread, ctx) not in seen_tracks:
+            seen_tracks.add((thread, ctx))
             out.append({
                 "ph": "M", "name": "thread_name",
-                "pid": pid_base + seg.thread, "tid": seg.ctx_id,
-                "args": {"name": _ctx_label(tree, seg.ctx_id)},
+                "pid": pid_base + thread, "tid": ctx,
+                "args": {"name": _ctx_label(tree, ctx)},
             })
-    for seg in events.segments:
+    for seg_id, (ctx, call, start, ops, thread) in enumerate(segs):
         out.append({
-            "ph": "X", "name": _ctx_label(tree, seg.ctx_id), "cat": "segment",
-            "ts": seg.start_time, "dur": seg.ops,
-            "pid": pid_base + seg.thread, "tid": seg.ctx_id,
-            "args": {"seg": seg.seg_id, "call": seg.call_id, "ops": seg.ops},
+            "ph": "X", "name": _ctx_label(tree, ctx), "cat": "segment",
+            "ts": start, "dur": ops,
+            "pid": pid_base + thread, "tid": ctx,
+            "args": {"seg": seg_id, "call": call, "ops": ops},
         })
-    data_edges = [e for e in events.edges() if e.kind == EDGE_DATA]
+    data_edges = events.data.tolist()
     # Flow arrows: producer's end -> consumer's start, one id per edge.
-    for flow_id, edge in enumerate(data_edges, start=1):
-        src = events.segments[edge.src]
-        dst = events.segments[edge.dst]
+    for flow_id, (src, dst, nbytes) in enumerate(data_edges, start=1):
+        s_ctx, _, s_start, s_ops, s_thread = segs[src]
+        d_ctx, _, d_start, _, d_thread = segs[dst]
         common = {"name": "data", "cat": "dataflow", "id": flow_id,
-                  "args": {"bytes": edge.bytes, "src": edge.src, "dst": edge.dst}}
+                  "args": {"bytes": nbytes, "src": src, "dst": dst}}
         out.append({
-            "ph": "s", "ts": src.start_time + src.ops,
-            "pid": pid_base + src.thread, "tid": src.ctx_id, **common,
+            "ph": "s", "ts": s_start + s_ops,
+            "pid": pid_base + s_thread, "tid": s_ctx, **common,
         })
         out.append({
-            "ph": "f", "bp": "e", "ts": dst.start_time,
-            "pid": pid_base + dst.thread, "tid": dst.ctx_id, **common,
+            "ph": "f", "bp": "e", "ts": d_start,
+            "pid": pid_base + d_thread, "tid": d_ctx, **common,
         })
-    out.extend(_counter_events(events, data_edges, pid_base=pid_base))
+    out.extend(_counter_events(segs, data_edges, pid_base=pid_base))
     return out
 
 
 def _counter_events(
-    events: EventLog, data_edges: Sequence, *, pid_base: int
+    segs: List[tuple], data_edges: List[tuple], *, pid_base: int
 ) -> List[Dict[str, Any]]:
     """Cumulative unique-byte and ops counter tracks over segment time."""
     out: List[Dict[str, Any]] = []
@@ -129,17 +130,17 @@ def _counter_events(
 
     total = 0
     out.append(sample("unique bytes (cum)", 0, 0))
-    for edge in sorted(data_edges, key=lambda e: events.segments[e.dst].start_time):
-        total += edge.bytes
-        out.append(sample(
-            "unique bytes (cum)", events.segments[edge.dst].start_time, total
-        ))
-    ops = 0
+    for _src, dst, nbytes in sorted(data_edges, key=lambda e: segs[e[1]][2]):
+        total += nbytes
+        out.append(sample("unique bytes (cum)", segs[dst][2], total))
+    ops_total = 0
     out.append(sample("ops (cum)", 0, 0))
-    for seg in sorted(events.segments, key=lambda s: s.start_time + s.ops):
-        if seg.ops:
-            ops += seg.ops
-            out.append(sample("ops (cum)", seg.start_time + seg.ops, ops))
+    for _ctx, _call, start, ops, _thread in sorted(
+        segs, key=lambda s: s[2] + s[3]
+    ):
+        if ops:
+            ops_total += ops
+            out.append(sample("ops (cum)", start + ops, ops_total))
     return out
 
 

@@ -16,7 +16,7 @@ def profiler():
 
 class TestLongestPath:
     def test_empty_log(self):
-        result = analyze_critical_path(EventLog())
+        result = analyze_critical_path(EventLog().to_arrays())
         assert result.max_parallelism == 1.0
         assert result.path == []
 
@@ -89,8 +89,8 @@ class TestLongestPath:
         result = analyze_critical_path(events)
         # C's chain: main(16) -> A(12) -> C(18) = 46 via the data edge.
         c_ctx = p.tree.find(("main", "C")).id
-        c_seg = next(s for s in events.segments if s.ctx_id == c_ctx)
-        assert result.inclusive[c_seg.seg_id] == 46
+        c_seg = events.segs["ctx"].tolist().index(c_ctx)
+        assert result.inclusive[c_seg] == 46
 
     def test_path_functions_leaf_to_main(self, toy_profiles):
         sigil, _ = toy_profiles
@@ -115,7 +115,7 @@ class TestLongestPath:
         log.new_segment(1, 1, 1)
         log.add_order_edge(1, 1)
         with pytest.raises(ValueError):
-            analyze_critical_path(log)
+            analyze_critical_path(log.to_arrays())
 
 
 class TestPaperChains:
@@ -148,8 +148,11 @@ class TestPaperChains:
         fns = result.path_functions(prof.tree)
         assert "ComputeForces" in fns
         cf_ops = sum(
-            s.ops for s in prof.events.segments
-            if prof.tree.node(s.ctx_id).name == "ComputeForces"
+            ops for ctx, ops in zip(
+                prof.events.segs["ctx"].tolist(),
+                prof.events.segs["ops"].tolist(),
+            )
+            if prof.tree.node(ctx).name == "ComputeForces"
         )
         assert cf_ops / result.serial_length > 0.80
         assert result.max_parallelism < 2.0

@@ -9,7 +9,7 @@ from repro.core.segments import EventLog
 
 
 def chain_log(n: int, ops: int = 10) -> EventLog:
-    """n segments in one serial dependency chain."""
+    """A builder of n segments in one serial dependency chain."""
     log = EventLog()
     for i in range(n):
         seg = log.new_segment(0, i, i)
@@ -20,7 +20,8 @@ def chain_log(n: int, ops: int = 10) -> EventLog:
 
 
 def fan_log(n: int, ops: int = 10) -> EventLog:
-    """A zero-cost root fanning out to n independent segments."""
+    """A builder of a zero-cost root fanning out to n independent
+    segments."""
     log = EventLog()
     log.new_segment(0, 0, 0)
     for i in range(1, n + 1):
@@ -32,32 +33,32 @@ def fan_log(n: int, ops: int = 10) -> EventLog:
 
 class TestScheduleBasics:
     def test_empty_log(self):
-        result = schedule_events(EventLog(), 4)
+        result = schedule_events(EventLog().to_arrays(), 4)
         assert result.makespan == 0
         assert result.speedup == 1.0
 
     def test_serial_chain_gains_nothing(self):
-        result = schedule_events(chain_log(10), 8)
+        result = schedule_events(chain_log(10).to_arrays(), 8)
         assert result.makespan == 100
         assert result.speedup == pytest.approx(1.0)
 
     def test_fan_out_scales_with_cores(self):
-        log = fan_log(8)
+        log = fan_log(8).to_arrays()
         assert schedule_events(log, 1).makespan == 80
         assert schedule_events(log, 2).makespan == 40
         assert schedule_events(log, 8).makespan == 10
 
     def test_one_core_equals_serial_length(self):
-        log = fan_log(5)
+        log = fan_log(5).to_arrays()
         result = schedule_events(log, 1)
         assert result.makespan == result.serial_length
 
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):
-            schedule_events(fan_log(2), 0)
+            schedule_events(fan_log(2).to_arrays(), 0)
 
     def test_placement_respects_dependencies(self):
-        log = chain_log(6)
+        log = chain_log(6).to_arrays()
         result = schedule_events(log, 4)
         for i in range(1, 6):
             prev_core, prev_start = result.placement[i - 1]
@@ -65,7 +66,7 @@ class TestScheduleBasics:
             assert start >= prev_start + 10
 
     def test_no_core_overlap(self):
-        log = fan_log(16, ops=7)
+        log = fan_log(16, ops=7).to_arrays()
         result = schedule_events(log, 3)
         busy = {}
         for seg_id, (core, start) in result.placement.items():
@@ -79,7 +80,7 @@ class TestCrossCoreCommunication:
     def test_single_core_has_no_cross_traffic(self):
         log = chain_log(4)
         log.add_data_bytes(0, 3, 64)
-        assert schedule_events(log, 1).cross_core_bytes == 0
+        assert schedule_events(log.to_arrays(), 1).cross_core_bytes == 0
 
     def test_split_producer_consumer_counts(self):
         log = fan_log(2, ops=50)
@@ -93,7 +94,7 @@ class TestCrossCoreCommunication:
         log.add_call_edge(0, 3)
         log.add_call_edge(0, 4)
         log.add_data_bytes(3, 4, 128)
-        result = schedule_events(log, 4)
+        result = schedule_events(log.to_arrays(), 4)
         src_core = result.placement[3][0]
         dst_core = result.placement[4][0]
         expected = 128 if src_core != dst_core else 0
@@ -126,7 +127,7 @@ class TestAgainstTheoreticalLimit:
         assert speeds[0] == pytest.approx(1.0)
 
     def test_efficiency_decreases(self):
-        log = fan_log(8)
+        log = fan_log(8).to_arrays()
         r2 = schedule_events(log, 2)
         r16 = schedule_events(log, 16)
         assert r2.efficiency > r16.efficiency

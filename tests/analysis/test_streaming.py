@@ -28,7 +28,7 @@ from repro.io import dump_events, dumps_events, dumps_events_bin
 from tests.property.oracles import assert_matches_oracle, naive_critical_path
 
 
-def make_log(n: int = 12) -> EventLog:
+def make_log(n: int = 12) -> EventArrays:
     """A serial chain with a few data edges at varied distances."""
     log = EventLog()
     t = 0
@@ -40,7 +40,7 @@ def make_log(n: int = 12) -> EventLog:
             log.add_order_edge(i - 1, i)
     for src, dst, nbytes in ((1, 2, 8), (0, 3, 16), (2, n - 1, 64)):
         log.add_data_bytes(src, dst, nbytes)
-    return log
+    return log.to_arrays()
 
 
 def seg_rows(*rows) -> np.ndarray:
@@ -65,14 +65,11 @@ class _FakeSource:
 
 class TestChunkSource:
     @pytest.mark.parametrize("form", [
-        "log", "arrays", "v2_bytes", "v2_path", "v1_text", "v1_path", "fh",
+        "arrays", "v2_bytes", "v2_path", "v1_text", "v1_path", "fh",
     ])
     def test_all_forms_materialise_identically(self, form, tmp_path):
-        log = make_log()
-        expected = EventArrays.from_eventlog(log)
-        if form == "log":
-            source = ChunkSource(log)
-        elif form == "arrays":
+        log = expected = make_log()
+        if form == "arrays":
             source = ChunkSource(expected)
         elif form == "v2_bytes":
             source = ChunkSource(dumps_events_bin(log, chunk_rows=3))
@@ -265,8 +262,8 @@ class TestStreamingEquivalence:
         """dst-unsorted (but forward) edge tables are loaded and sorted by
         destination once, then analyse exactly like the naive model."""
         log = make_log(8)
-        log.add_data_bytes(4, 6, 8)
-        log.add_data_bytes(0, 5, 8)  # dst 5 after dst 6: unsorted
+        # dst 5 after dst 6: unsorted.
+        log.data = np.concatenate([log.data, data_rows((4, 6, 8), (0, 5, 8))])
         expected = naive_critical_path(log)
         for form in (log, ChunkSource(dumps_events_bin(log))):
             assert_matches_oracle(analyze_critical_path(form), expected)

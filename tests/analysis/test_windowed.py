@@ -12,11 +12,11 @@ from repro.analysis.windowed import (
     WindowedCurves,
     windowed_curves,
 )
-from repro.core.segments import EventLog
+from repro.core.segments import EventArrays, EventLog
 from repro.io import dumps_events_bin
 
 
-def chain_log() -> EventLog:
+def chain_log() -> EventArrays:
     """Four back-to-back segments of 10 ops, two data edges.
 
     With ``window=10`` each segment owns one window.  Edge A: produced at
@@ -32,7 +32,7 @@ def chain_log() -> EventLog:
             log.add_order_edge(i - 1, i)
     log.add_data_bytes(0, 2, 64)
     log.add_data_bytes(1, 3, 16)
-    return log
+    return log.to_arrays()
 
 
 class TestHandComputed:
@@ -60,7 +60,7 @@ class TestHandComputed:
         b = log.new_segment(1, 1, 5)
         b.ops = 5
         log.add_data_bytes(0, 1, 8)
-        c = windowed_curves(log, window=100)
+        c = windowed_curves(log.to_arrays(), window=100)
         assert c.lifetime_hist.tolist() == [1]
         assert c.mean_lifetime.tolist() == [0.0]
 
@@ -73,7 +73,7 @@ class TestHandComputed:
             seg = log.new_segment(i, i, 10 * i)
             seg.ops = 10
         log.add_data_bytes(2, 0, 32)  # producer is the youngest segment
-        c = windowed_curves(log, window=10)
+        c = windowed_curves(log.to_arrays(), window=10)
         assert c.lifetime_sum.tolist() == [0, 0, 0]
         assert c.comm_bytes.tolist() == [32, 0, 0]
         assert c.lifetime_hist.tolist() == [1]
@@ -81,7 +81,7 @@ class TestHandComputed:
 
 class TestEdgeCases:
     def test_empty_log(self):
-        c = windowed_curves(EventLog())
+        c = windowed_curves(EventLog().to_arrays())
         assert c.n_windows == 0
         assert c.peak_ws_bytes == 0
         assert c.total_comm_bytes == 0
@@ -91,14 +91,14 @@ class TestEdgeCases:
         log = EventLog()
         seg = log.new_segment(0, 0, 0)
         seg.ops = 5
-        c = windowed_curves(log, window=10)
+        c = windowed_curves(log.to_arrays(), window=10)
         assert c.n_windows == 1
         assert c.ops.tolist() == [5]
         assert c.ws_bytes.tolist() == [0]
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="window"):
-            windowed_curves(EventLog(), window=0)
+            windowed_curves(EventLog().to_arrays(), window=0)
 
 
 class TestChunkInvariance:
@@ -133,7 +133,7 @@ class TestSerialisation:
         assert back.window == 10
 
     def test_schema_tagged(self):
-        assert windowed_curves(EventLog()).to_dict()["schema"] == (
+        assert windowed_curves(EventLog().to_arrays()).to_dict()["schema"] == (
             WINDOWED_SCHEMA
         )
 
@@ -156,6 +156,6 @@ class TestAggregateConsistency:
         events = sigil.events
         c = windowed_curves(events, window=4)
         assert int(c.ops.sum()) == events.total_ops()
-        edge_bytes = sum(e.bytes for e in events.edges() if e.kind == "data")
+        edge_bytes = int(events.data["bytes"].sum())
         assert c.total_comm_bytes == edge_bytes
         assert int(c.lifetime_hist.sum()) == c.total_edges

@@ -71,8 +71,8 @@ class TestCombinedModes:
         prof = p.profile()
         assert prof.reuse is not None and prof.events is not None
         assert prof.reuse.byte_breakdown()["1-9"] == 8
-        data = [e for e in prof.events.edges() if e.kind == "data"]
-        assert data and data[0].bytes == 8
+        data = prof.events.data
+        assert len(data) and data["bytes"][0] == 8
 
     def test_one_access_adds_data_edges_in_producer_order(self):
         """A read spanning several producers adds its data edges in
@@ -89,7 +89,7 @@ class TestCombinedModes:
         p.on_fn_exit("r")
         p.on_run_end()
         prof = p.profile()
-        data = [(e.src, e.bytes) for e in prof.events.edges() if e.kind == "data"]
+        data = prof.events.data[["src", "bytes"]].tolist()
         assert data == [(1, 8), (5, 8), (7, 8)]
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 
 from repro.core import SigilConfig, SigilProfiler
-from repro.core.segments import EDGE_CALL, EDGE_DATA, EDGE_ORDER, EventLog
+from repro.core.segments import OC_KIND_CALL, OC_KIND_ORDER, EventLog
 from repro.trace.events import OpKind
 
 
@@ -29,10 +29,10 @@ class TestSegmentCreation:
         p.on_run_end()
         events = p.profile().events
         a_ctx = p.tree.by_name("A")[0].id
-        a_segments = [s for s in events.segments if s.ctx_id == a_ctx]
+        a_segments = events.segs[events.segs["ctx"] == a_ctx]
         assert len(a_segments) == 2
-        assert a_segments[0].call_id == a_segments[1].call_id
-        assert [s.ops for s in a_segments] == [10, 5]
+        assert a_segments["call"][0] == a_segments["call"][1]
+        assert a_segments["ops"].tolist() == [10, 5]
 
     def test_order_edge_enforces_same_call_order(self):
         """'We also add a dependency link to the previous occurrence of A to
@@ -46,10 +46,10 @@ class TestSegmentCreation:
         p.on_run_end()
         events = p.profile().events
         a_ctx = p.tree.by_name("A")[0].id
-        a_ids = [s.seg_id for s in events.segments if s.ctx_id == a_ctx]
+        a_ids = np.flatnonzero(events.segs["ctx"] == a_ctx).tolist()
         order = [
-            e for e in events.edges()
-            if e.kind == EDGE_ORDER and e.src == a_ids[0] and e.dst == a_ids[1]
+            e for e in events.ordercall.tolist()
+            if e == (OC_KIND_ORDER, a_ids[0], a_ids[1])
         ]
         assert len(order) == 1
 
@@ -62,12 +62,10 @@ class TestSegmentCreation:
         p.on_fn_exit("A")
         p.on_run_end()
         events = p.profile().events
-        a0 = next(s for s in events.segments if s.ctx_id == p.tree.by_name("A")[0].id)
-        c0 = next(s for s in events.segments if s.ctx_id == p.tree.by_name("C")[0].id)
-        assert any(
-            e.kind == EDGE_CALL and e.src == a0.seg_id and e.dst == c0.seg_id
-            for e in events.edges()
-        )
+        ctx = events.segs["ctx"].tolist()
+        a0 = ctx.index(p.tree.by_name("A")[0].id)
+        c0 = ctx.index(p.tree.by_name("C")[0].id)
+        assert (OC_KIND_CALL, a0, c0) in events.ordercall.tolist()
 
 
 class TestDataEdges:
@@ -83,9 +81,8 @@ class TestDataEdges:
         p.on_fn_exit("D")
         p.on_run_end()
         events = p.profile().events
-        data = [e for e in events.edges() if e.kind == EDGE_DATA]
-        assert len(data) == 1
-        assert data[0].bytes == 24
+        assert len(events.data) == 1
+        assert events.data["bytes"][0] == 24
 
     def test_consumption_identifies_producing_segment(self):
         """'Node D is then added when it consumes data from that particular
@@ -101,14 +98,11 @@ class TestDataEdges:
         p.on_fn_exit("D")
         p.on_run_end()
         events = p.profile().events
-        data = [e for e in events.edges() if e.kind == EDGE_DATA]
-        assert len(data) == 1
-        producer = events.segments[data[0].src]
-        a_segs = [
-            s for s in events.segments
-            if s.ctx_id == p.tree.by_name("A")[0].id
-        ]
-        assert producer.seg_id == a_segs[1].seg_id
+        assert len(events.data) == 1
+        a_segs = np.flatnonzero(
+            events.segs["ctx"] == p.tree.by_name("A")[0].id
+        )
+        assert events.data["src"][0] == a_segs[1]
 
     def test_edges_point_forward_in_time(self):
         p = _profiler()
@@ -123,8 +117,8 @@ class TestDataEdges:
         p.on_fn_exit("A")
         p.on_run_end()
         events = p.profile().events
-        for e in events.edges():
-            assert e.src < e.dst
+        for table in (events.ordercall, events.data):
+            assert (table["src"] < table["dst"]).all()
 
 
 class TestEventLogUnit:
@@ -134,14 +128,13 @@ class TestEventLogUnit:
         log.new_segment(1, 1, 1)
         log.add_data_bytes(0, 1, 8)
         log.add_data_bytes(0, 1, 16)
-        data = [e for e in log.edges() if e.kind == EDGE_DATA]
-        assert len(data) == 1 and data[0].bytes == 24
+        assert log.to_arrays().data.tolist() == [(0, 1, 24)]
 
     def test_self_edges_ignored(self):
         log = EventLog()
         log.new_segment(0, 0, 0)
         log.add_data_bytes(0, 0, 8)
-        assert not [e for e in log.edges() if e.kind == EDGE_DATA]
+        assert len(log.to_arrays().data) == 0
 
     def test_total_ops(self):
         log = EventLog()
@@ -149,4 +142,4 @@ class TestEventLogUnit:
         s2 = log.new_segment(1, 1, 0)
         s1.ops = 7
         s2.ops = 5
-        assert log.total_ops() == 12
+        assert log.to_arrays().total_ops() == 12

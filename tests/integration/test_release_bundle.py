@@ -28,7 +28,7 @@ from repro.io import (
     dump_events,
     dump_profile,
     load_callgrind,
-    load_events,
+    load_event_arrays,
     load_profile,
 )
 
@@ -76,7 +76,7 @@ class TestOfflineStudies:
     def test_critical_path_study_from_files(self, bundle_dir):
         values = {}
         for name in BUNDLE:
-            events = load_events(bundle_dir / f"{name}.events")
+            events = load_event_arrays(bundle_dir / f"{name}.events")
             values[name] = analyze_critical_path(events).max_parallelism
         assert values["streamcluster"] > values["vips"]
 

@@ -9,7 +9,13 @@ from repro.analysis import analyze_critical_path
 from repro.analysis.threads import per_thread_ops, thread_comm_matrix
 from repro.callgrind import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
-from repro.io import dumps_events, loads_events
+from repro.io import (
+    dumps_events,
+    dumps_events_bin,
+    load_event_arrays,
+    load_event_arrays_bin,
+    loads_events,
+)
 from repro.runtime import TracedRuntime, run_interleaved, traced
 from repro.trace import ObserverPipe
 
@@ -99,7 +105,7 @@ class TestEventThreads:
         p = SigilProfiler(SigilConfig(event_mode=True))
         two_thread_run(p)
         events = p.profile().events
-        threads = {seg.thread for seg in events.segments}
+        threads = set(events.segs["thread"].tolist())
         assert {0, 1, 2} <= threads
 
     def test_thread_comm_matrix(self):
@@ -122,14 +128,12 @@ class TestEventThreads:
         two_thread_run(p)
         events = p.profile().events
         loaded = loads_events(dumps_events(events))
-        assert [s.thread for s in loaded.segments] == [
-            s.thread for s in events.segments
-        ]
+        assert loaded.segs["thread"].tolist() == events.segs["thread"].tolist()
 
     def test_pre_thread_files_still_load(self):
         old = "# sigil-events 1\nseg 0 0 0 0 5\n"
         events = loads_events(old)
-        assert events.segments[0].thread == 0
+        assert events.segs["thread"][0] == 0
 
     def test_threads_expose_parallelism(self):
         """Two independent heavy threads -> parallelism near 2."""
@@ -181,6 +185,25 @@ class TestParallelFluidanimate:
         summary = thread_comm_matrix(p.profile().events)
         assert summary.cross_thread_bytes > 0
         assert summary.sharing_fraction() < 0.5  # mostly intra-partition
+
+    def test_backward_data_edges_round_trip(self, tmp_path):
+        """Regression: the v2 loader rejected this log's backward data
+        edges, which the v1 loader and the analyses accept."""
+        from repro.workloads.fluidanimate_parallel import ParallelFluidanimate
+
+        p = SigilProfiler(SigilConfig(event_mode=True))
+        ParallelFluidanimate("simsmall").run(p)
+        events = p.profile().events
+        assert (events.data["src"] > events.data["dst"]).any()
+        v1, v2 = tmp_path / "fp.events", tmp_path / "fp.bin"
+        v1.write_text(dumps_events(events))
+        v2.write_bytes(dumps_events_bin(events))
+        assert load_event_arrays(v1) == events
+        assert load_event_arrays(v2) == events
+        assert load_event_arrays_bin(v2) == events
+        # The critical path still needs a topological order.
+        with pytest.raises(ValueError, match="not topologically ordered"):
+            analyze_critical_path(events)
 
     def test_balanced_stacks(self):
         from repro.workloads.fluidanimate_parallel import ParallelFluidanimate

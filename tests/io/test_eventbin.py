@@ -11,6 +11,8 @@ import pytest
 from repro.core.segments import (
     DATA_EDGE_DTYPE,
     OC_EDGE_DTYPE,
+    OC_KIND_CALL,
+    OC_KIND_ORDER,
     SEG_DTYPE,
     EventArrays,
     EventLog,
@@ -24,13 +26,11 @@ from repro.io import (
     iter_event_chunks,
     load_event_arrays,
     load_event_arrays_bin,
-    load_events,
-    load_events_bin,
 )
 from repro.io.eventbin import MAGIC_V2, is_binary_events, zstd_available
 
 
-def make_log() -> EventLog:
+def make_log() -> EventArrays:
     log = EventLog()
     s0 = log.new_segment(0, 0, 0)
     s1 = log.new_segment(1, 1, 5, thread=1)
@@ -39,7 +39,7 @@ def make_log() -> EventLog:
     log.add_call_edge(0, 1)
     log.add_order_edge(0, 2)
     log.add_data_bytes(1, 2, 64)
-    return log
+    return log.to_arrays()
 
 
 class TestRoundTrip:
@@ -48,26 +48,26 @@ class TestRoundTrip:
         log = make_log()
         blob = dumps_events_bin(log, compression=compression)
         assert blob.startswith(MAGIC_V2)
-        assert load_events_bin(io.BytesIO(blob)) == log
+        assert load_event_arrays_bin(io.BytesIO(blob)) == log
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "events.bin"
         dump_events_bin(make_log(), path)
-        assert load_events_bin(path) == make_log()
+        assert load_event_arrays_bin(path) == make_log()
 
     def test_v1_v2_v1_byte_identical(self):
         log = make_log()
-        via_v2 = load_events_bin(io.BytesIO(dumps_events_bin(log)))
+        via_v2 = load_event_arrays_bin(io.BytesIO(dumps_events_bin(log)))
         assert dumps_events(via_v2) == dumps_events(log)
 
     def test_chunked_roundtrip(self):
         """Tables spanning many tiny chunks reassemble losslessly."""
         log = make_log()
         blob = dumps_events_bin(log, chunk_rows=1)
-        assert load_events_bin(io.BytesIO(blob)) == log
+        assert load_event_arrays_bin(io.BytesIO(blob)) == log
 
     def test_empty_log(self):
-        blob = dumps_events_bin(EventLog())
+        blob = dumps_events_bin(EventLog().to_arrays())
         loaded = load_event_arrays_bin(io.BytesIO(blob))
         assert loaded.n_segments == 0
         assert len(loaded.ordercall) == 0 and len(loaded.data) == 0
@@ -79,11 +79,14 @@ class TestRoundTrip:
         log.add_order_edge(0, 1)
         log.add_call_edge(1, 2)
         log.add_order_edge(2, 3)
-        loaded = load_events_bin(io.BytesIO(dumps_events_bin(log)))
-        assert [e.kind for e in loaded.edges()] == ["order", "call", "order"]
+        blob = dumps_events_bin(log.to_arrays())
+        loaded = load_event_arrays_bin(io.BytesIO(blob))
+        assert loaded.ordercall["kind"].tolist() == [
+            OC_KIND_ORDER, OC_KIND_CALL, OC_KIND_ORDER
+        ]
 
     def test_accepts_event_arrays_input(self):
-        arrays = EventArrays.from_eventlog(make_log())
+        arrays = make_log()
         blob = dumps_events_bin(arrays)
         assert load_event_arrays_bin(io.BytesIO(blob)) == arrays
 
@@ -93,18 +96,12 @@ class TestStreamingWriter:
         log = make_log()
         path = tmp_path / "stream.bin"
         with BinaryEventWriter(path, chunk_rows=2) as w:
-            for seg in log.segments:
-                assert (
-                    w.add_segment(
-                        seg.ctx_id, seg.call_id, seg.start_time,
-                        seg.ops, seg.thread,
-                    )
-                    == seg.seg_id
-                )
+            for seg_id, row in enumerate(log.segs.tolist()):
+                assert w.add_segment(*row) == seg_id
             w.add_call_edge(0, 1)
             w.add_order_edge(0, 2)
             w.add_data_edge(1, 2, 64)
-        assert load_events_bin(path) == log
+        assert load_event_arrays_bin(path) == log
 
     def test_unclosed_writer_detected_as_truncated(self, tmp_path):
         path = tmp_path / "truncated.bin"
@@ -134,22 +131,13 @@ class TestStreamingWriter:
 
 
 class TestSniffing:
-    def test_load_events_sniffs_both(self, tmp_path):
-        log = make_log()
-        v1, v2 = tmp_path / "v1.events", tmp_path / "v2.events"
-        dump_events(log, v1)
-        dump_events_bin(log, v2)
-        assert load_events(v1) == log
-        assert load_events(v2) == log
-
     def test_load_event_arrays_sniffs_both(self, tmp_path):
         log = make_log()
         v1, v2 = tmp_path / "v1.events", tmp_path / "v2.events"
         dump_events(log, v1)
         dump_events_bin(log, v2)
-        expected = EventArrays.from_eventlog(log)
-        assert load_event_arrays(v1) == expected
-        assert load_event_arrays(v2) == expected
+        assert load_event_arrays(v1) == log
+        assert load_event_arrays(v2) == log
 
     def test_is_binary_events(self):
         assert is_binary_events(MAGIC_V2)
@@ -160,12 +148,14 @@ class TestSniffing:
 class TestValidation:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
-            load_events_bin(io.BytesIO(b"# sigil-events 1\nseg 0 0 0 0 0\n"))
+            load_event_arrays_bin(
+                io.BytesIO(b"# sigil-events 1\nseg 0 0 0 0 0\n")
+            )
 
     def test_truncated_payload(self):
         blob = dumps_events_bin(make_log())
         with pytest.raises(ValueError, match="truncated"):
-            load_events_bin(io.BytesIO(blob[:-10]))
+            load_event_arrays_bin(io.BytesIO(blob[:-10]))
 
     def test_unknown_chunk_tag(self):
         buf = io.BytesIO()
@@ -181,17 +171,17 @@ class TestValidation:
         w._counts[b"segs"] = 2  # corrupt the bookkeeping before sealing
         w.close()
         with pytest.raises(ValueError, match="trailer row counts"):
-            load_events_bin(path)
+            load_event_arrays_bin(path)
 
     def test_negative_ops_rejected(self):
-        arrays = EventArrays.from_eventlog(make_log())
+        arrays = make_log()
         arrays.segs["ops"][0] = -1
         blob = dumps_events_bin(arrays)
         with pytest.raises(ValueError, match="non-negative"):
             load_event_arrays_bin(io.BytesIO(blob))
 
     def test_backward_edge_rejected(self):
-        arrays = EventArrays.from_eventlog(make_log())
+        arrays = make_log()
         arrays.ordercall["src"][0] = 2
         arrays.ordercall["dst"][0] = 1
         blob = dumps_events_bin(arrays)

@@ -5,11 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import analyze_critical_path
-from repro.core.segments import EDGE_DATA, EventLog
-from repro.io import dump_events, dumps_events, load_events, loads_events
+from repro.core.segments import (
+    OC_KIND_CALL,
+    OC_KIND_ORDER,
+    EventArrays,
+    EventLog,
+)
+from repro.io import dump_events, dumps_events, load_event_arrays, loads_events
 
 
-def make_log() -> EventLog:
+def make_log() -> EventArrays:
     log = EventLog()
     s0 = log.new_segment(0, 0, 0)
     s1 = log.new_segment(1, 1, 5)
@@ -18,7 +23,7 @@ def make_log() -> EventLog:
     log.add_call_edge(0, 1)
     log.add_order_edge(0, 2)
     log.add_data_bytes(1, 2, 64)
-    return log
+    return log.to_arrays()
 
 
 class TestRoundTrip:
@@ -30,15 +35,16 @@ class TestRoundTrip:
     def test_segments_preserved(self):
         loaded = loads_events(dumps_events(make_log()))
         assert loaded.n_segments == 3
-        assert [s.ops for s in loaded.segments] == [3, 10, 7]
-        assert [s.start_time for s in loaded.segments] == [0, 5, 9]
+        assert loaded.segs["ops"].tolist() == [3, 10, 7]
+        assert loaded.segs["start"].tolist() == [0, 5, 9]
 
     def test_edges_preserved(self):
         loaded = loads_events(dumps_events(make_log()))
-        kinds = sorted(e.kind for e in loaded.edges())
-        assert kinds == ["call", "data", "order"]
-        data = [e for e in loaded.edges() if e.kind == EDGE_DATA]
-        assert data[0].bytes == 64
+        assert loaded == make_log()
+        assert loaded.ordercall["kind"].tolist() == [
+            OC_KIND_CALL, OC_KIND_ORDER
+        ]
+        assert loaded.data.tolist() == [(1, 2, 64)]
 
     def test_critical_path_identical_after_roundtrip(self, toy_profiles):
         sigil, _ = toy_profiles
@@ -51,7 +57,7 @@ class TestRoundTrip:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "events.txt"
         dump_events(make_log(), path)
-        assert load_events(path).n_segments == 3
+        assert load_event_arrays(path) == make_log()
 
 
 class TestValidation:
@@ -126,16 +132,39 @@ class TestValidation:
             )
 
 
+    TWO_SEGS = "# sigil-events 1\nseg 0 0 0 0 1 0\nseg 1 1 1 1 1 0\n"
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ("edge order 0 9", "order/call edge endpoints out of range"),
+            ("edge call -1 1", "order/call edge endpoints out of range"),
+            ("edge data 0 9 8", "data edge endpoints out of range"),
+            ("edge order 1 0", "must point forward in time"),
+            ("edge call 1 1", "must point forward in time"),
+        ],
+        ids=["order-past-end", "call-negative", "data-past-end",
+             "order-backward", "call-self-loop"],
+    )
+    def test_bad_edges_rejected_with_their_line(self, edge, message):
+        """Regression: these loaded silently, though the v2 loader rejects
+        the same rows."""
+        with pytest.raises(ValueError) as exc:
+            loads_events(self.TWO_SEGS + "edge call 0 1\n" + edge + "\n")
+        assert message in str(exc.value)
+        assert f"(line 5: {edge!r})" in str(exc.value)
+
+
 class TestThreadField:
     def test_six_field_seg_roundtrips_thread(self):
         log = EventLog()
         s0 = log.new_segment(0, 0, 0, thread=2)
         s0.ops = 4
-        text = dumps_events(log)
+        text = dumps_events(log.to_arrays())
         assert "seg 0 0 0 0 4 2" in text
-        assert loads_events(text).segments[0].thread == 2
+        assert loads_events(text).segs["thread"][0] == 2
 
     def test_legacy_five_field_seg_defaults_thread_zero(self):
         loaded = loads_events("# sigil-events 1\nseg 0 0 0 0 7\n")
-        assert loaded.segments[0].thread == 0
-        assert loaded.segments[0].ops == 7
+        assert loaded.segs["thread"][0] == 0
+        assert loaded.segs["ops"][0] == 7

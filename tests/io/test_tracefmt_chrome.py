@@ -7,7 +7,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.segments import EDGE_DATA, EventLog
+from repro.core.segments import EventLog
 from repro.io import (
     dumps_chrome,
     dumps_events,
@@ -58,9 +58,7 @@ class TestEventTimeline:
 
     def test_flow_bytes_total_matches_event_log(self, blackscholes_profiles):
         sigil, _ = blackscholes_profiles
-        expected = sum(
-            e.bytes for e in sigil.events.edges() if e.kind == EDGE_DATA
-        )
+        expected = int(sigil.events.data["bytes"].sum())
         starts = [e for e in flows(events_to_chrome(sigil.events))
                   if e["ph"] == "s"]
         assert sum(e["args"]["bytes"] for e in starts) == expected > 0
@@ -88,8 +86,7 @@ class TestEventTimeline:
         sigil, _ = blackscholes_profiles
         trace = events_to_chrome(sigil.events)
         for name, total in (
-            ("unique bytes (cum)",
-             sum(e.bytes for e in sigil.events.edges() if e.kind == EDGE_DATA)),
+            ("unique bytes (cum)", int(sigil.events.data["bytes"].sum())),
             ("ops (cum)", sigil.events.total_ops()),
         ):
             samples = [e for e in trace if e["ph"] == "C" and e["name"] == name]
@@ -118,7 +115,7 @@ class TestEventTimeline:
         log = EventLog()
         log.new_segment(1, 1, 0, thread=0).ops = 4
         log.new_segment(2, 2, 4, thread=3).ops = 2
-        trace = events_to_chrome(log)
+        trace = events_to_chrome(log.to_arrays())
         pids = {e["pid"] for e in slices(trace)}
         assert pids == {1, 4}  # pid_base + thread
 
@@ -127,7 +124,7 @@ class TestEmptyLog:
     def test_empty_log_renders_as_empty_trace(self):
         """``[]`` is valid Chrome trace JSON; an empty log must not emit
         orphan counter samples or process metadata."""
-        trace = events_to_chrome(EventLog())
+        trace = events_to_chrome(EventLog().to_arrays())
         assert trace == []
         assert json.loads(dumps_chrome(trace)) == []
 
@@ -141,7 +138,7 @@ class TestCurveTracks:
             log.new_segment(i, i, 10 * i).ops = 10
         log.add_data_bytes(0, 2, 64)
         log.add_data_bytes(1, 3, 16)
-        return windowed_curves(log, window=window)
+        return windowed_curves(log.to_arrays(), window=window)
 
     def test_one_sample_per_window_per_track(self):
         from repro.io import curves_to_chrome
@@ -191,7 +188,7 @@ class TestCurveTracks:
         from repro.analysis.windowed import windowed_curves
         from repro.io import curves_to_chrome
 
-        assert curves_to_chrome(windowed_curves(EventLog())) == []
+        assert curves_to_chrome(windowed_curves(EventLog().to_arrays())) == []
 
     def test_combined_harness_trace_is_schema_valid(self, toy_profiles):
         """ProfiledRun.chrome_trace keeps every event in the valid-phase

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Set
 
-from repro.core.segments import as_event_arrays
+from repro.core.segments import EventArrays
 
 
 class NaivePath(NamedTuple):
@@ -34,9 +34,8 @@ class NaivePath(NamedTuple):
     path: List[int]
 
 
-def naive_critical_path(events) -> NaivePath:
+def naive_critical_path(arrays: EventArrays) -> NaivePath:
     """Longest path over the segment DAG by explicit relaxation."""
-    arrays = as_event_arrays(events)
     ops = [int(x) for x in arrays.segs["ops"]]
     n = len(ops)
     preds: Dict[int, List[int]] = {v: [] for v in range(n)}

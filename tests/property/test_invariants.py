@@ -90,7 +90,7 @@ def event_logs(draw):
 @given(event_logs())
 @settings(max_examples=150, deadline=None)
 def test_critical_path_bounded(log):
-    result = analyze_critical_path(log)
+    result = analyze_critical_path(log.to_arrays())
     assert 0 <= result.critical_length <= result.serial_length
     assert result.max_parallelism >= 1.0 or result.serial_length == 0
     # The reported path is a chain with nonincreasing ids backwards.
@@ -103,12 +103,13 @@ def test_critical_path_bounded(log):
 @given(event_logs(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_adding_edge_never_shortens_critical_path(log, data):
-    before = analyze_critical_path(log).critical_length
-    if log.n_segments >= 2:
-        src = data.draw(st.integers(min_value=0, max_value=log.n_segments - 2))
-        dst = data.draw(st.integers(min_value=src + 1, max_value=log.n_segments - 1))
+    before = analyze_critical_path(log.to_arrays()).critical_length
+    n = len(log.segments)
+    if n >= 2:
+        src = data.draw(st.integers(min_value=0, max_value=n - 2))
+        dst = data.draw(st.integers(min_value=src + 1, max_value=n - 1))
         log.add_order_edge(src, dst)
-    after = analyze_critical_path(log).critical_length
+    after = analyze_critical_path(log.to_arrays()).critical_length
     assert after >= before
 
 
@@ -238,7 +239,7 @@ def test_random_call_graphs_profile_cleanly(program):
     prof = profiler.profile()
     # Calls recorded in the tree match the event log's segments per call.
     total_calls = sum(n.calls for n in prof.contexts())
-    distinct_calls = {s.call_id for s in prof.events.segments} - {0}
+    distinct_calls = set(prof.events.segs["call"].tolist()) - {0}
     assert len(distinct_calls) == total_calls
     # Critical path is well-formed on any such program.
     from repro.analysis import analyze_critical_path

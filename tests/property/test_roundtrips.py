@@ -114,13 +114,13 @@ def test_binary_roundtrip_preserves_eventlog_equality(
 ):
     import io
 
-    from repro.io import dumps_events_bin, load_events_bin
+    from repro.io import dumps_events_bin, load_event_arrays_bin
 
     events = run_profiler(steps, event_mode=True).profile().events
     blob = dumps_events_bin(
         events, compression=compression, chunk_rows=chunk_rows
     )
-    loaded = load_events_bin(io.BytesIO(blob))
+    loaded = load_event_arrays_bin(io.BytesIO(blob))
     assert loaded == events
     # v1 -> v2 -> v1 is byte-identical, not merely equal.
     assert dumps_events(loaded) == dumps_events(events)
@@ -129,10 +129,8 @@ def test_binary_roundtrip_preserves_eventlog_equality(
 @given(trace_steps())
 @settings(max_examples=60, deadline=None)
 def test_critical_path_identical_on_both_representations(steps):
-    """The object and columnar forms both reproduce the naive model
-    exactly, including tie-breaking on the reported chain."""
-    from repro.core.segments import EventArrays
-
+    """The in-memory log and its v1 text reload both reproduce the naive
+    model exactly, including tie-breaking on the reported chain."""
     from tests.property.oracles import (
         assert_matches_oracle,
         naive_critical_path,
@@ -142,7 +140,7 @@ def test_critical_path_identical_on_both_representations(steps):
     expected = naive_critical_path(events)
     assert_matches_oracle(analyze_critical_path(events), expected)
     assert_matches_oracle(
-        analyze_critical_path(EventArrays.from_eventlog(events)), expected
+        analyze_critical_path(loads_events(dumps_events(events))), expected
     )
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EDGE_DATA, SigilConfig, SigilProfiler
+from repro.core import SigilConfig, SigilProfiler
 from repro.core.reference import ReferenceSigil
 from repro.core.reuse import ReuseStats
 from repro.io.profilefile import dumps_profile
@@ -310,14 +310,12 @@ def _events_snapshot(profile):
     """The event log as comparable plain data (None without event mode)."""
     if profile.events is None:
         return None
-    segments = tuple(
-        (s.seg_id, s.ctx_id, s.call_id, s.start_time, s.ops, s.thread)
-        for s in profile.events.segments
+    events = profile.events
+    return (
+        events.segs.tolist(),
+        sorted(events.ordercall.tolist()),
+        sorted(events.data.tolist()),
     )
-    edges = tuple(sorted(
-        (e.src, e.dst, e.kind, e.bytes) for e in profile.events.edges()
-    ))
-    return segments, edges
 
 
 def _run_config(steps, config: SigilConfig, batch_size: int):
@@ -483,9 +481,7 @@ def assert_reuse_matches(prof, ref: ReferenceSigil) -> None:
     assert prof.reuse.byte_breakdown() == ref.byte_breakdown()
     assert prof.events.n_segments == ref.n_segments
     got_data = {
-        (e.src, e.dst): e.bytes
-        for e in prof.events.edges()
-        if e.kind == EDGE_DATA
+        (src, dst): nbytes for src, dst, nbytes in prof.events.data.tolist()
     }
     assert got_data == ref.data_edges
 

@@ -199,6 +199,56 @@ class TestCritpath:
         code, _, err = run_cli(capsys, "critpath", "no-such-thing")
         assert code == 2
 
+    def test_every_input_form_renders_the_same_log(self, capsys, tmp_path):
+        """`critpath --dot` and `trace --format chrome` give the same text
+        for the v1 file, the v2 file and a live run of the same workload.
+        Event files carry no function names, so file labels read ``ctxN``
+        where the live run names the function."""
+        import re
+
+        from repro import SigilConfig, profile_workload
+        from repro.io import dumps_chrome, events_to_chrome, load_profile
+
+        prof = tmp_path / "bs.profile"
+        files = {"v1": tmp_path / "bs.events", "v2": tmp_path / "bs.bin"}
+        for fmt, form in (("text", "v1"), ("bin", "v2")):
+            code, _, _ = run_cli(
+                capsys, "profile", "blackscholes", "--size", "simsmall",
+                "-o", str(prof), "--events-out", str(files[form]),
+                "--events-format", fmt,
+            )
+            assert code == 0
+        dots, traces = {}, {}
+        targets = dict(files, run="blackscholes")
+        for form, target in targets.items():
+            dot = tmp_path / f"{form}.dot"
+            code, _, _ = run_cli(
+                capsys, "critpath", str(target), "--size", "simsmall",
+                "--dot", str(dot),
+            )
+            assert code == 0
+            dots[form] = dot.read_text()
+        for form, path in files.items():
+            code, traces[form], _ = run_cli(
+                capsys, "trace", str(path), "--format", "chrome", "-o", "-"
+            )
+            assert code == 0
+        assert dots["v1"] == dots["v2"]
+        tree = load_profile(prof).tree
+        named = re.sub(
+            r'label="ctx(\d+)\\n',
+            lambda m: f'label="{tree.node(int(m[1])).name}\\n',
+            dots["v1"],
+        )
+        assert named == dots["run"] != dots["v1"]
+        live = profile_workload(
+            "blackscholes", "simsmall", config=SigilConfig(event_mode=True),
+            with_callgrind=False,
+        )
+        assert traces["v1"] == traces["v2"] == dumps_chrome(
+            events_to_chrome(live.sigil.events)
+        )
+
 
 class TestTrace:
     @pytest.fixture()
@@ -218,7 +268,7 @@ class TestTrace:
     def test_chrome_round_trip_matches_event_log(self, capsys, bs_files):
         from collections import defaultdict
 
-        from repro.io import load_events
+        from repro.io import load_event_arrays
 
         events_path, _, _ = bs_files
         target = events_path.with_name("t.json")
@@ -227,7 +277,7 @@ class TestTrace:
             "-o", str(target),
         )
         assert code == 0
-        log = load_events(events_path)
+        log = load_event_arrays(events_path)
         trace = json.loads(target.read_text())
         # Chrome trace-event schema: a list of ph-keyed dicts.
         assert isinstance(trace, list)
@@ -250,9 +300,7 @@ class TestTrace:
         total = sum(
             e["args"]["bytes"] for e in trace if e["ph"] == "s"
         )
-        assert total == sum(
-            edge.bytes for edge in log.edges() if edge.kind == "data"
-        ) > 0
+        assert total == int(log.data["bytes"].sum()) > 0
 
     def test_collapsed_export_with_weight(self, capsys, bs_files):
         _, prof, _ = bs_files
@@ -315,13 +363,30 @@ class TestTrace:
         code, _, err = run_cli(capsys, "trace", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_bad_edge_fails_with_its_line(self, capsys, tmp_path):
+        """Regression: an out-of-range edge in a v1 file loaded silently
+        and still produced a trace."""
+        events = tmp_path / "bad.events"
+        events.write_text(
+            "# sigil-events 1\nseg 0 0 0 0 1 0\nseg 1 1 1 1 1 0\n"
+            "edge order 0 9\n"
+        )
+        target = tmp_path / "bad.trace.json"
+        code, _, err = run_cli(
+            capsys, "trace", str(events), "--format", "chrome",
+            "-o", str(target),
+        )
+        assert code == 2
+        assert "endpoints out of range" in err and "line 4" in err
+        assert not target.exists()
+
     def test_empty_event_log_renders_empty_trace(self, capsys, tmp_path):
         """An empty log exports as ``[]`` -- valid Chrome trace JSON."""
         from repro.core.segments import EventLog
         from repro.io import dump_events_bin
 
         events = tmp_path / "empty.bin"
-        dump_events_bin(EventLog(), events)
+        dump_events_bin(EventLog().to_arrays(), events)
         target = tmp_path / "empty.trace.json"
         code, _, _ = run_cli(
             capsys, "trace", str(events), "-o", str(target)
@@ -344,7 +409,7 @@ class TestTimeline:
         log.add_data_bytes(0, 2, 64)
         log.add_data_bytes(1, 5, 16)
         path = tmp_path / "ev.bin"
-        dump_events_bin(log, path)
+        dump_events_bin(log.to_arrays(), path)
         return path
 
     def test_writes_counter_tracks(self, capsys, event_file):
@@ -396,7 +461,7 @@ class TestTimeline:
         from repro.io import dump_events_bin
 
         events = tmp_path / "empty.bin"
-        dump_events_bin(EventLog(), events)
+        dump_events_bin(EventLog().to_arrays(), events)
         code, out, _ = run_cli(capsys, "timeline", str(events), "-o", "-")
         assert code == 0
         assert json.loads(out) == []
