@@ -128,6 +128,10 @@ class CallgrindCollector(BaseObserver):
     miss counts).
     """
 
+    #: The cache and branch simulators have batch kernels, so the harness
+    #: puts the transport in front of this collector.
+    batch_beneficial = True
+
     #: Consume the transport's run-length batches directly: the counters
     #: fall out of the run descriptors (plain Python ints, no NumPy), and
     #: only the line expansion touches arrays.

@@ -225,13 +225,6 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _batch_size_from(args) -> int:
-    """Resolve the transport mode flags: --no-batch wins, then --batch-size."""
-    if getattr(args, "no_batch", False):
-        return 0
-    return getattr(args, "batch_size", None) or SigilConfig().batch_size
-
-
 def _write_events(args, events, path) -> None:
     """Write an event file in the format ``--events-format`` selected.
 
@@ -255,7 +248,6 @@ def _run(args, *, reuse: bool = False, events: bool = False):
         event_mode=events or getattr(args, "events", False),
         line_size=getattr(args, "line_size", 1),
         max_shadow_pages=getattr(args, "max_shadow_pages", None),
-        batch_size=_batch_size_from(args),
     )
     return profile_workload(
         args.workload, args.size, config=config, telemetry=_telemetry_from(args)
@@ -455,7 +447,7 @@ def cmd_run(args) -> int:
     """Assemble and profile a user program (see repro.vm.asm for syntax)."""
     from repro.callgrind import CallgrindCollector
     from repro.core import SigilProfiler
-    from repro.harness import _assemble_observer
+    from repro.harness import _assemble_observer, transport_for
     from repro.telemetry import NULL_TELEMETRY
     from repro.vm import Machine
     from repro.vm.asm import assemble
@@ -465,7 +457,6 @@ def cmd_run(args) -> int:
     config = SigilConfig(
         reuse_mode=args.reuse,
         event_mode=args.events or bool(args.events_out),
-        batch_size=_batch_size_from(args),
     )
     with tel.phase("setup"):
         text = Path(args.program).read_text()
@@ -475,16 +466,17 @@ def cmd_run(args) -> int:
         observer, counter = _assemble_observer(
             [sigil, callgrind], tel, Path(args.program).name
         )
+        dispatch = transport_for(observer)
     with tel.phase("execute"):
-        result = Machine(telemetry=tel).run(
-            program, observer, batch_size=config.batch_size
-        )
+        result = Machine(telemetry=tel).run(program, dispatch)
     with tel.phase("aggregate"):
         profile = sigil.profile()
     manifest = None
     if tel.enabled:
         sigil.record_telemetry(tel)
         callgrind.record_telemetry(tel)
+        if dispatch is not observer:
+            dispatch.record_telemetry(tel)
         counter.publish(tel)
         tel.record_process_stats()
         manifest = build_manifest(
@@ -1289,18 +1281,6 @@ def _add_events_format_arg(p: argparse.ArgumentParser) -> None:
              "version (default: bin)")
 
 
-def _add_transport_args(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="trace-transport ring-buffer capacity in accesses "
-             f"(default {SigilConfig().batch_size})")
-    group.add_argument(
-        "--no-batch", action="store_true",
-        help="disable the batched trace transport: one observer call per "
-             "memory access (the legacy path; profiles are identical)")
-
-
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     # Not argparse `choices`: unknown workloads are reported by the registry
     # with a one-line error (see `main`), not a usage dump -- campaign
@@ -1336,7 +1316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shadow granularity in bytes (power of two)")
     p.add_argument("--max-shadow-pages", type=int, default=None,
                    help="FIFO shadow-memory limit (pages)")
-    _add_transport_args(p)
     p.add_argument("-o", "--output", help="write the aggregate profile here")
     p.add_argument("--events-out", help="write the event file here")
     _add_events_format_arg(p)
@@ -1375,7 +1354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mrc", action="store_true",
                    help="also print the stack-distance miss-ratio curve")
     p.add_argument("--top", type=int, default=8)
-    _add_transport_args(p)
     p.set_defaults(func=cmd_reuse)
 
     p = sub.add_parser("figures", help="regenerate the paper's tables/figures")
@@ -1398,7 +1376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events-out", help="write the event file here")
     _add_events_format_arg(p)
     p.add_argument("--top", type=int, default=10)
-    _add_transport_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("critpath", help="critical-path / scheduling study",

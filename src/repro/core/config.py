@@ -32,29 +32,15 @@ class SigilConfig:
         Granularity of shadowing in bytes.  1 is the paper's byte-level
         default; setting the cache line size (e.g. 64) gives the
         line-granularity mode of section IV-B3 / Figure 12.
-    batch_size:
-        Capacity of the batched trace transport's ring buffer.  When
-        positive (the default), substrates accumulate memory accesses into
-        preallocated NumPy buffers and deliver them to the tools in batches
-        (:meth:`repro.trace.observer.TraceObserver.on_mem_batch`).
-        ``0`` selects the scalar path (one observer call per access).
-        Profiles are byte-identical either way; only throughput changes.
-        Sigil itself has one memory kernel, the scalar one, and replays
-        each batch through it; the transport pays off only for the tools
-        with a batch kernel (Callgrind, the line re-use profiler), so the
-        harness builds it only when one of them is attached.
     """
 
     reuse_mode: bool = False
     event_mode: bool = False
     max_shadow_pages: Optional[int] = None
     line_size: int = 1
-    batch_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.line_size <= 0 or self.line_size & (self.line_size - 1):
             raise ValueError("line_size must be a positive power of two")
         if self.max_shadow_pages is not None and self.max_shadow_pages <= 0:
             raise ValueError("max_shadow_pages must be positive or None")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 = scalar path)")

@@ -94,6 +94,10 @@ class LineReuseProfiler(BaseObserver):
     #: transport must keep ops from overtaking buffered accesses.
     batch_time_strict = True
 
+    #: ``on_mem_batch`` below is a grouped kernel, so the harness puts the
+    #: transport in front of this profiler.
+    batch_beneficial = True
+
     def on_mem_batch(self, addrs, sizes, kinds) -> None:
         """Touch a batch of accesses in one grouped pass.
 

@@ -489,12 +489,6 @@ class SigilProfiler(BaseObserver):
         """Re-use lifetimes are per-access timestamps; demand exact clocks."""
         return self.reuse is not None
 
-    #: Sigil has one memory kernel, the scalar one above: batches replay
-    #: through it via the inherited ``on_mem_batch``, so buffering alone buys
-    #: nothing and the harness skips the transport unless another attached
-    #: tool has a batch kernel.
-    batch_beneficial = False
-
     # -- system calls ---------------------------------------------------------------
 
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:

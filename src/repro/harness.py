@@ -29,7 +29,7 @@ from repro.telemetry import (
     Telemetry,
     build_manifest,
 )
-from repro.trace.batch import DEFAULT_BATCH_SIZE, BatchingTransport
+from repro.trace.batch import BatchingTransport
 from repro.trace.observer import NullObserver, ObserverPipe, TraceObserver
 from repro.workloads.base import InputSize, Workload
 from repro.workloads.registry import get_workload
@@ -42,6 +42,7 @@ __all__ = [
     "native_run",
     "native_seconds",
     "line_reuse_run",
+    "transport_for",
 ]
 
 log = logging.getLogger("repro.harness")
@@ -162,6 +163,20 @@ def _assemble_observer(
     return ObserverPipe(observers), counter
 
 
+def transport_for(observer: TraceObserver) -> TraceObserver:
+    """What a substrate should call: ``observer``, batched when that pays off.
+
+    The one place that decides on the batched transport.  It is built
+    exactly when an attached tool has a batch kernel (``batch_beneficial``:
+    Callgrind, the line re-use profiler); Sigil and the telemetry counters
+    replay batches through their scalar paths, so buffering for them alone
+    would be pure overhead.  Output is byte-identical either way.
+    """
+    if getattr(observer, "batch_beneficial", False):
+        return BatchingTransport(observer)
+    return observer
+
+
 def profile_workload(
     name: str,
     size: InputSize | str = InputSize.SIMSMALL,
@@ -189,23 +204,10 @@ def profile_workload(
     observer, counter = _assemble_observer(
         tools, tel, f"{workload.name}/{workload.size.value}"
     )
-    # Batched transport (default on): accumulate memory accesses (and, for
-    # lenient tools, branches) and hand the tools whole batches.
-    # batch_size=0 keeps the one-call-per-access path; profiles are
-    # identical either way.  Built only when an attached tool has a batch
-    # kernel (Callgrind): Sigil replays every batch through its scalar
-    # kernel, so a Sigil-only run would pay for buffering and gain nothing.
-    transport = None
-    if (
-        tools
-        and cfg.batch_size > 0
-        and getattr(observer, "batch_beneficial", True)
-    ):
-        transport = BatchingTransport(observer, cfg.batch_size)
-        observer = transport
+    dispatch = transport_for(observer)
     t1 = time.perf_counter()
 
-    workload.run(observer)
+    workload.run(dispatch)
     t2 = time.perf_counter()
 
     sigil_profile = sigil.profile() if sigil is not None else None
@@ -228,8 +230,8 @@ def profile_workload(
             sigil.record_telemetry(tel)
         if callgrind is not None:
             callgrind.record_telemetry(tel)
-        if transport is not None:
-            transport.record_telemetry(tel)
+        if dispatch is not observer:
+            dispatch.record_telemetry(tel)
         if counter is not None:
             counter.publish(tel)
         tel.record_process_stats()
@@ -312,21 +314,14 @@ def line_reuse_run(
     size: InputSize | str = InputSize.SIMSMALL,
     *,
     line_size: int = 64,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     telemetry: Optional[Telemetry] = None,
 ) -> LineReuseProfiler:
-    """Run a workload under the line-granularity re-use mode (Figure 12).
-
-    ``batch_size`` selects the batched trace transport (0 = scalar calls);
-    the per-line records are identical either way.
-    """
+    """Run a workload under the line-granularity re-use mode (Figure 12)."""
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     with tel.phase("setup"):
         workload = get_workload(name, size)
         profiler = LineReuseProfiler(line_size)
-        observer: TraceObserver = profiler
-        if batch_size > 0:
-            observer = BatchingTransport(profiler, batch_size)
+        observer = transport_for(profiler)
     with tel.phase("execute"):
         workload.run(observer)
     if tel.enabled:

@@ -63,7 +63,7 @@ from repro.trace.observer import (
 
 __all__ = ["DEFAULT_BATCH_SIZE", "SCALAR_FLUSH_CUTOFF", "BatchingTransport"]
 
-#: Default buffer capacity (accesses); matches ``SigilConfig.batch_size``.
+#: Buffer capacity (accesses) of every transport the harness builds.
 DEFAULT_BATCH_SIZE = 4096
 
 #: Flushes holding fewer accesses than this are delivered as plain scalar
@@ -200,18 +200,6 @@ class BatchingTransport(BaseObserver):
             # ends just before it.
             self._rends.append(len(self._abuf) - 1)
         self._rkeys.append((size << 1) | kind)
-
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
-        # Already-batched input (e.g. a chained transport): flush what we
-        # hold, then pass the batch straight through.
-        self.flush()
-        n = len(addrs)
-        self.flushes += 1
-        self.batched_accesses += n
-        if self._mem_batch_hook is not None:
-            self._mem_batch_hook(addrs, sizes, kinds)
-        else:  # bare downstream without the batching mixin
-            _expand_batch(self.downstream, addrs, sizes, kinds)
 
     def flush(self) -> None:
         """Deliver all pending events downstream, preserving order.

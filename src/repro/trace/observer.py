@@ -112,13 +112,14 @@ class BaseObserver:
     #: always preserved regardless of this flag.
     batch_time_strict: bool = False
 
-    #: Whether batch delivery actually speeds this observer up.  Observers
-    #: that process batches only by scalar expansion (the Sigil profiler,
-    #: whose one memory kernel is the scalar one) gain nothing from
-    #: buffering, so the harness skips the transport when nothing
-    #: downstream benefits.  Output is byte-identical either way -- this is
-    #: purely a performance hint.
-    batch_beneficial: bool = True
+    #: Whether batch delivery actually speeds this observer up.  Opt-in:
+    #: only observers with a batch kernel that pays off (Callgrind, the line
+    #: re-use profiler) set it.  Observers that process batches by scalar
+    #: expansion (the Sigil profiler, the telemetry counters) gain nothing
+    #: from buffering, so the harness builds the transport only when
+    #: something attached benefits.  Output is byte-identical either way --
+    #: this is purely a performance hint.
+    batch_beneficial: bool = False
 
     #: Opt-in for the transport's run-length side channel.  When true the
     #: transport delivers memory batches through ``on_mem_batch_runs(addrs,
@@ -219,7 +220,7 @@ class ObserverPipe(BaseObserver):
     def batch_beneficial(self) -> bool:  # type: ignore[override]
         """Batching pays off if it pays off for any fan-out target."""
         return any(
-            getattr(obs, "batch_beneficial", True) for obs in self.observers
+            getattr(obs, "batch_beneficial", False) for obs in self.observers
         )
 
     def on_mem_batch(self, addrs, sizes, kinds) -> None:
@@ -329,29 +330,16 @@ class RecordingObserver(BaseObserver):
         self.events.append(ThreadSwitch(tid))
 
 
-def replay(
-    events: Iterable[TraceEvent],
-    observer: TraceObserver,
-    *,
-    batch_size: int = 0,
-) -> None:
+def replay(events: Iterable[TraceEvent], observer: TraceObserver) -> None:
     """Replay a materialised trace into an observer.
 
     The paper promises to "release the profile data for many commonly used
     benchmarks ... researchers can use the data without running Sigil";
     ``replay`` is the mechanism that makes a stored trace equivalent to a
-    live run.
-
-    With ``batch_size > 0`` the replay goes through a
-    :class:`repro.trace.batch.BatchingTransport`, so stored traces exercise
-    exactly the batched transport live substrates use (memory accesses are
-    accumulated and delivered via ``on_mem_batch`` at flush boundaries).
-    The observed profile is identical either way.
+    live run.  To drive the batched transport, pass a
+    :class:`repro.trace.batch.BatchingTransport` as ``observer``; the
+    observed profile is identical either way.
     """
-    if batch_size:
-        from repro.trace.batch import BatchingTransport
-
-        observer = BatchingTransport(observer, batch_size)
     observer.on_run_begin()
     for ev in events:
         if isinstance(ev, MemRead):

@@ -166,24 +166,11 @@ class Machine:
         observer: Optional[TraceObserver] = None,
         *,
         validate: bool = True,
-        batch_size: int = 0,
     ) -> MachineResult:
-        """Execute ``program`` from its entry function to completion.
-
-        With ``batch_size > 0`` the machine narrates memory traffic through
-        the batched trace transport: Load/Store primitives accumulate in
-        preallocated NumPy ring buffers and reach ``observer`` as whole
-        batches (``on_mem_batch``) at function/syscall/branch/thread
-        boundaries, instead of one observer call per access.  The observed
-        profile is identical; only dispatch cost changes.
-        """
+        """Execute ``program`` from its entry function to completion."""
         if validate:
             program.validate()
         obs = observer if observer is not None else NullObserver()
-        if batch_size > 0 and observer is not None:
-            from repro.trace.batch import BatchingTransport
-
-            obs = BatchingTransport(obs, batch_size)
         mem = self.memory
         retired = 0
         budget = self.max_instructions

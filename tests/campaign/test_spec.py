@@ -49,8 +49,9 @@ class TestJobKeys:
         assert clone == job and clone.key == job.key
 
     def test_bad_config_field_rejected(self):
-        # track_unread_writes was a SigilConfig field until it was deleted.
-        for name in ("not_a_field", "track_unread_writes"):
+        # track_unread_writes and batch_size were SigilConfig fields until
+        # they were deleted.
+        for name in ("not_a_field", "track_unread_writes", "batch_size"):
             with pytest.raises(TypeError):
                 canonical_config({name: 1})
 

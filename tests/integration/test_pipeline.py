@@ -11,6 +11,7 @@ from repro import (
     native_seconds,
     profile_workload,
 )
+from repro.harness import TOOL_STACKS, run_tool
 from repro.analysis import (
     CDFG,
     analyze_critical_path,
@@ -20,6 +21,8 @@ from repro.analysis import (
     trim_calltree,
 )
 from repro.io import dumps_events, dumps_profile, loads_events, loads_profile
+from repro.io.profilefile import profile_digest
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
 class TestHarness:
@@ -68,6 +71,38 @@ class TestHarness:
         )
         assert run.sigil is not None
         assert bool(built) == expect_transport
+
+    @pytest.mark.parametrize("telemetry", [False, True],
+                             ids=["telemetry-off", "telemetry-on"])
+    @pytest.mark.parametrize("tool", TOOL_STACKS)
+    def test_attached_tools_alone_decide_the_transport(
+        self, monkeypatch, tool, telemetry
+    ):
+        """Only a stack with Callgrind's batch kernel gets the transport;
+        the telemetry counters never switch it on, nor change the profile."""
+        import repro.harness as harness
+
+        built = []
+        real = harness.BatchingTransport
+
+        def recording(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "BatchingTransport", recording)
+        run = run_tool(
+            "blackscholes", "simsmall", tool,
+            telemetry=Telemetry() if telemetry else NULL_TELEMETRY,
+        )
+        batched = "callgrind" in tool
+        assert bool(built) == batched
+        if not telemetry:
+            assert run.manifest is None
+            return
+        assert (run.manifest.metric("batch.flushes") > 0) == batched
+        if run.sigil is not None:
+            plain = run_tool("blackscholes", "simsmall", tool)
+            assert profile_digest(run.sigil) == profile_digest(plain.sigil)
 
     def test_native_seconds(self):
         assert native_seconds("streamcluster", "simsmall") > 0

@@ -101,6 +101,7 @@ class TestRouting:
         ({"workloads": []}, 400),
         ({"workloads": ["blackscholes"], "local_workers": 2}, 400),
         ({"workload": "vips", "config": {"track_unread_writes": True}}, 400),
+        ({"workload": "vips", "config": {"batch_size": 0}}, 400),
     ])
     def test_bad_submissions_are_400(self, server, payload, code):
         with pytest.raises(urllib.error.HTTPError) as err:

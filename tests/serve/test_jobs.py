@@ -54,6 +54,7 @@ class TestSpecFromBody:
         ({"workload": "vips", "size": "huge"}, "huge"),
         ({"workload": "vips", "config": {"track_unread_writes": True}},
          "track_unread_writes"),
+        ({"workload": "vips", "config": {"batch_size": 0}}, "batch_size"),
     ])
     def test_rejects_malformed_bodies(self, body, fragment):
         with pytest.raises(ValueError, match=fragment):

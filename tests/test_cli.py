@@ -521,6 +521,20 @@ class TestRun:
         assert code == 0
         assert "returned 42" in out
 
+    def test_run_manifest_reports_the_transport(self, capsys, tmp_path):
+        """`run` attaches Callgrind, so its manifest carries the transport's
+        metrics just as `profile`'s does."""
+        from pathlib import Path
+
+        example = Path(__file__).parent.parent / "examples" / "toy_program.s"
+        manifest = tmp_path / "m.manifest.json"
+        code, _, _ = run_cli(
+            capsys, "run", str(example), "--manifest-out", str(manifest)
+        )
+        assert code == 0
+        metrics = json.loads(manifest.read_text())["metrics"]
+        assert metrics["batch.flushes"] > 0
+
 
 class TestReportTree:
     def test_calltree_rendering(self, capsys, tmp_path):

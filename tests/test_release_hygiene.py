@@ -216,3 +216,28 @@ def test_event_log_builder_stays_inside_the_profiler():
         if re.search(r"\bEventLog\b", path.read_text())
     )
     assert set(naming) <= allowed, f"modules naming EventLog: {naming}"
+
+
+def test_only_the_harness_builds_the_transport():
+    """One place decides whether the batched transport goes in front of the
+    tools (``harness.transport_for``, reading ``batch_beneficial``); a
+    second module constructing one is a second decision creeping back in.
+    """
+    def constructs(path: Path) -> bool:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "BatchingTransport":
+                    return True
+        return False
+
+    src = REPO / "src" / "repro"
+    building = sorted(
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if constructs(path)
+    )
+    assert building == ["harness.py"], (
+        f"modules constructing BatchingTransport: {building}"
+    )

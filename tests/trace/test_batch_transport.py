@@ -449,7 +449,7 @@ class TestReplayBatching:
         replay(rec.events, scalar)
         for batch_size in (1, 4, 4096):
             batched = SigilProfiler(SigilConfig())
-            replay(rec.events, batched, batch_size=batch_size)
+            replay(rec.events, BatchingTransport(batched, batch_size))
             assert dumps_profile(batched.profile()) == dumps_profile(
                 scalar.profile()
             )
