@@ -112,23 +112,28 @@ def test_observer_throughput(benchmark, config, batch_size):
 # -- standalone publisher ----------------------------------------------------
 
 
-def _events_per_sec(config: str, batch_size: int, repeats: int) -> float:
-    best = float("inf")
-    events = 0
-    for _ in range(repeats):
-        observer = _observer(config, batch_size)
-        t0 = time.perf_counter()
-        events = drive(observer)
-        best = min(best, time.perf_counter() - t0)
-    return events / best
+def _timed_run(config: str, batch_size: int) -> tuple:
+    """(primitives, seconds) of one drive through a fresh observer."""
+    observer = _observer(config, batch_size)
+    t0 = time.perf_counter()
+    events = drive(observer)
+    return events, time.perf_counter() - t0
 
 
 def measure(repeats: int = 5, batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
-    """Best-of-``repeats`` events/sec for every config, both transports."""
+    """Best-of-``repeats`` events/sec for every config, both transports.
+
+    Scalar and batched repeats alternate, so a burst of host contention
+    lands on both sides of the ratio instead of on one.
+    """
     results = {}
     for config in sorted(CONFIGS):
-        scalar = _events_per_sec(config, 0, repeats)
-        batched = _events_per_sec(config, batch_size, repeats)
+        best = [float("inf"), float("inf")]  # scalar, batched seconds
+        for _ in range(repeats):
+            for side, size in enumerate((0, batch_size)):
+                events, seconds = _timed_run(config, size)
+                best[side] = min(best[side], seconds)
+        scalar, batched = events / best[0], events / best[1]
         results[config] = {
             "scalar_events_per_sec": round(scalar),
             "batched_events_per_sec": round(batched),

@@ -25,7 +25,7 @@ from repro.callgrind.cache import CacheConfig, CacheHierarchy
 from repro.callgrind.cycles import DEFAULT_CYCLE_MODEL, CycleModel
 from repro.common.cct import ContextNode, ContextTree
 from repro.trace.events import OpKind
-from repro.trace.observer import MEM_READ, BaseObserver
+from repro.trace.observer import BaseObserver
 
 __all__ = ["CallgrindCosts", "CallgrindProfile", "CallgrindCollector"]
 
@@ -132,11 +132,6 @@ class CallgrindCollector(BaseObserver):
     #: puts the transport in front of this collector.
     batch_beneficial = True
 
-    #: Consume the transport's run-length batches directly: the counters
-    #: fall out of the run descriptors (plain Python ints, no NumPy), and
-    #: only the line expansion touches arrays.
-    batch_accepts_runs = True
-
     def __init__(
         self,
         *,
@@ -229,44 +224,15 @@ class CallgrindCollector(BaseObserver):
         idx = np.arange(total, dtype=np.int64)
         return np.repeat(lo, cnt) + (idx - np.repeat(start, cnt))
 
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
-        """Account a batch of accesses at once.
-
-        The aggregate counters collapse into array reductions, and the
-        cache simulation runs over the batch's concatenated line expansion
-        via :meth:`CacheHierarchy.access_lines` -- miss counts identical to
-        the scalar path, since cache state depends only on the line-touch
-        stream, which both expansion and the transport preserve.
-        """
-        n = len(addrs)
-        if n == 0:
-            return
-        costs = self._cur_costs
-        costs.instructions += n
-        sizes_arr = np.asarray(sizes, dtype=np.int64)
-        is_read = np.asarray(kinds, dtype=np.uint8) == MEM_READ
-        reads = int(is_read.sum())
-        read_bytes = int(sizes_arr[is_read].sum()) if reads else 0
-        costs.reads += reads
-        costs.read_bytes += read_bytes
-        costs.writes += n - reads
-        costs.write_bytes += int(sizes_arr.sum()) - read_bytes
-        caches = self.caches
-        if caches is None:
-            return
-        lines = self._expand_lines(np.asarray(addrs, dtype=np.int64), sizes_arr)
-        l1, ll = caches.access_lines(lines)
-        costs.l1_misses += l1
-        costs.ll_misses += ll
-
     def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
-        """Run-length variant of :meth:`on_mem_batch` (see the transport).
+        """Account a run-length batch of accesses at once.
 
-        ``addrs`` is the int64 address array; run ``i`` covers
-        ``addrs[rends[i-1]:rends[i]]`` with key ``rkeys[i] == (size << 1) |
-        kind``.  The counter sums come straight from the descriptors, so a
-        typical batch (a handful of runs) does no array work at all beyond
-        the line expansion.
+        The counter sums come straight from the run descriptors, so a
+        typical batch (a handful of runs) does no array work beyond the
+        line expansion.  The cache simulation runs over the batch's
+        concatenated line expansion via :meth:`CacheHierarchy.access_lines`
+        -- miss counts identical to the scalar path, since cache state
+        depends only on the line-touch stream, which the batch preserves.
         """
         n = len(addrs)
         if n == 0:
@@ -306,9 +272,9 @@ class CallgrindCollector(BaseObserver):
                     sizes_arr = np.full(n, size, dtype=np.int64)
                     lines = self._expand_lines(addrs, sizes_arr)
         else:
-            rk = np.asarray(rkeys, dtype=np.int64)
-            lens = np.diff(np.asarray(rends, dtype=np.int64), prepend=0)
-            lines = self._expand_lines(addrs, np.repeat(rk >> 1, lens))
+            lens = [end - start for start, end in zip([0, *rends], rends)]
+            sizes = np.repeat(np.asarray(rkeys, dtype=np.int64) >> 1, lens)
+            lines = self._expand_lines(addrs, sizes)
         l1, ll = caches.access_lines(lines)
         costs.l1_misses += l1
         costs.ll_misses += ll

@@ -46,7 +46,6 @@ from repro.campaign.spec import CampaignSpec, Job, canonical_config
 from repro.campaign.state import CampaignState, JobRecord, fold_events
 from repro.campaign.store import (
     DEFAULT_STORE_ENV,
-    IngestReport,
     ResultStore,
     StoredResult,
     VerifyReport,
@@ -60,7 +59,6 @@ __all__ = [
     "CampaignState",
     "DEFAULT_JITTER",
     "DEFAULT_STORE_ENV",
-    "IngestReport",
     "Job",
     "JobRecord",
     "RUNNERS",

@@ -30,7 +30,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.campaign.spec import Job
 from repro.harness import ProfiledRun
@@ -44,7 +44,6 @@ from repro.workloads import get_workload
 __all__ = [
     "ResultStore",
     "StoredResult",
-    "IngestReport",
     "VerifyReport",
     "DEFAULT_STORE_ENV",
     "default_store_root",
@@ -154,21 +153,6 @@ class StoredResult:
         import hashlib
 
         return hashlib.sha256(path.read_bytes()).hexdigest() == recorded
-
-
-@dataclass
-class IngestReport:
-    """What one :meth:`ResultStore.ingest` call did."""
-
-    examined: int = 0
-    merged: int = 0
-    skipped: int = 0  # already present (or lost a benign publish race)
-    bytes_merged: int = 0
-    corrupt: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.corrupt
 
 
 @dataclass
@@ -312,72 +296,6 @@ class ResultStore:
         finally:
             shutil.rmtree(staging, ignore_errors=True)
         return self.get(key)  # type: ignore[return-value]
-
-    def ingest(
-        self,
-        other: "ResultStore",
-        keys: Optional[Iterable[str]] = None,
-        *,
-        verify: bool = True,
-    ) -> IngestReport:
-        """Merge entries from ``other`` into this store, atomically.
-
-        Use it to fold a store filled elsewhere (another checkout, a copy
-        from another machine) into this one.  Every entry is staged into
-        this store's ``tmp`` area, verified (digest check, unless
-        ``verify=False``) *before* publication, and published with the same
-        atomic rename as a local ``put_run`` -- so a half-copied or
-        corrupted entry can never become visible.  Entries already present
-        are skipped (the content is identical by construction -- same key,
-        same pipeline).
-        """
-        report = IngestReport()
-        wanted = list(keys) if keys is not None else other.keys()
-        for key in wanted:
-            report.examined += 1
-            if self.has(key):
-                report.skipped += 1
-                continue
-            source = other.object_dir(key)
-            if not (source / _META).exists():
-                continue  # not (yet) published in the source store
-            staging = self.root / "tmp" / f"ingest-{key}.{os.getpid()}"
-            if staging.exists():
-                shutil.rmtree(staging)
-            staging.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                shutil.copytree(source, staging)
-                entry_bytes = sum(
-                    f.stat().st_size for f in staging.rglob("*") if f.is_file()
-                )
-                if verify:
-                    try:
-                        meta = json.loads((staging / _META).read_text())
-                        staged = StoredResult(key=key, path=staging, meta=meta)
-                        ok = staged.verify()
-                    except (OSError, ValueError):
-                        ok = False
-                    if not ok:
-                        report.corrupt.append(key)
-                        log.warning(
-                            "store: refusing to ingest corrupt entry %s "
-                            "from %s", key[:12], other.root,
-                        )
-                        continue
-                final = self.object_dir(key)
-                final.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.rename(staging, final)
-                except OSError:
-                    if self.has(key):  # lost a benign publish race
-                        report.skipped += 1
-                        continue
-                    raise
-                report.merged += 1
-                report.bytes_merged += entry_bytes
-            finally:
-                shutil.rmtree(staging, ignore_errors=True)
-        return report
 
     def verify_all(self) -> VerifyReport:
         """Verify every entry's recorded digest; unreadable meta is corrupt.

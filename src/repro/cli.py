@@ -610,12 +610,11 @@ def cmd_critpath(args) -> int:
         chain = " -> ".join(result.path_functions(tree))
         print(f"critical chain (leaf to main): {chain}")
     if args.cores:
-        cores = [int(c) for c in args.cores.split(",")]
         print()
         rows = [
             (r.n_cores, r.makespan, f"{r.speedup:.2f}",
              f"{r.efficiency:.2f}", r.cross_core_bytes)
-            for r in speedup_curve(events, cores)
+            for r in speedup_curve(events, args.cores)
         ]
         print(render_table(
             ["cores", "makespan", "speedup", "efficiency", "cross_core_B"],
@@ -1228,6 +1227,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _core_counts(text: str) -> List[int]:
+    """argparse type: comma-separated positive core counts (``1,2,4``)."""
+    try:
+        return [_positive_int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        ) from None
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a strictly positive float."""
     value = float(text)
@@ -1383,7 +1392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="event file or workload name")
     p.add_argument("--size", default="simsmall",
                    choices=[s.value for s in InputSize])
-    p.add_argument("--cores", help="comma-separated core counts to schedule")
+    p.add_argument("--cores", type=_core_counts,
+                   help="comma-separated core counts to schedule")
     p.add_argument("--dot", help="write the dependency-chain graph here")
     p.set_defaults(func=cmd_critpath)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.reuse import REUSE_BUCKET_LABELS, bucketise_counts
 from repro.trace.events import OpKind
-from repro.trace.observer import BaseObserver, _expand_batch
+from repro.trace.observer import BaseObserver, _expand_runs
 
 __all__ = ["LineRecord", "LineReuseProfiler"]
 
@@ -94,12 +94,12 @@ class LineReuseProfiler(BaseObserver):
     #: transport must keep ops from overtaking buffered accesses.
     batch_time_strict = True
 
-    #: ``on_mem_batch`` below is a grouped kernel, so the harness puts the
-    #: transport in front of this profiler.
+    #: ``on_mem_batch_runs`` below is a grouped kernel, so the harness puts
+    #: the transport in front of this profiler.
     batch_beneficial = True
 
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
-        """Touch a batch of accesses in one grouped pass.
+    def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
+        """Touch a run-length batch of accesses in one grouped pass.
 
         The transport flushes before every time-advancing event for strict
         observers, so access ``i`` of the batch ran at clock ``T + i + 1``
@@ -110,14 +110,15 @@ class LineReuseProfiler(BaseObserver):
         n = len(addrs)
         if n == 0:
             return
-        addrs = np.asarray(addrs, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
+        lens = [end - start for start, end in zip([0, *rends], rends)]
+        sizes = np.repeat(np.asarray(rkeys, dtype=np.int64) >> 1, lens)
         if int(sizes.sum()) >> self._shift > 32 * n:
             # Bulk transfers: the scalar path works on contiguous line
             # ranges, so its cost is per access while this kernel's is per
             # expanded line; past ~32 lines per access the scalar path wins.
-            _expand_batch(self, addrs, sizes, kinds)
+            _expand_runs(self, addrs, rkeys, rends)
             return
+        addrs = np.asarray(addrs, dtype=np.int64)
         times = self.time + 1 + np.arange(n, dtype=np.int64)
         self.time += n
         valid = sizes > 0

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.trace.events import OpKind
-from repro.trace.observer import MEM_READ, BaseObserver
+from repro.trace.observer import MEM_WRITE, BaseObserver
 
 __all__ = ["EventCounter"]
 
@@ -58,12 +56,16 @@ class EventCounter(BaseObserver):
     def on_mem_write(self, addr: int, size: int) -> None:
         self.mem_writes += 1
 
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
+    def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
         # Batches count as their scalar equivalent, so events_total (and
         # events/sec) stay comparable between transport modes.
-        reads = int(np.count_nonzero(np.asarray(kinds) == MEM_READ))
-        self.mem_reads += reads
-        self.mem_writes += len(kinds) - reads
+        start = 0
+        for key, end in zip(rkeys, rends):
+            if key & MEM_WRITE:
+                self.mem_writes += end - start
+            else:
+                self.mem_reads += end - start
+            start = end
 
     def on_op(self, kind: OpKind, count: int) -> None:
         self.ops += 1

@@ -10,12 +10,10 @@ aggregation), and that is what this module does for the transport layer:
 :class:`BatchingTransport` sits between a substrate and its observer.  It
 accumulates memory accesses into a flat ``array('q')`` address buffer plus a
 run-length side table (real access streams are long same-size, same-kind
-runs), and hands the downstream observer whole batches through
-:meth:`~repro.trace.observer.TraceObserver.on_mem_batch` -- or, for
-downstreams that advertise ``batch_accepts_runs``, through
-``on_mem_batch_runs`` without ever materialising per-access size/kind
-arrays.  Branches are buffered the same way for lenient downstreams and
-delivered through ``on_branch_batch``.
+runs), and hands the downstream observer whole batches in that form through
+:meth:`~repro.trace.observer.BaseObserver.on_mem_batch_runs`.  Branches are
+buffered the same way for lenient downstreams and delivered through
+``on_branch_batch``.
 
 Flush boundaries
 ----------------
@@ -55,11 +53,7 @@ from array import array
 import numpy as np
 
 from repro.trace.events import OpKind
-from repro.trace.observer import (
-    BaseObserver,
-    TraceObserver,
-    _expand_batch,
-)
+from repro.trace.observer import BaseObserver, TraceObserver, _expand_runs
 
 __all__ = ["DEFAULT_BATCH_SIZE", "SCALAR_FLUSH_CUTOFF", "BatchingTransport"]
 
@@ -67,7 +61,7 @@ __all__ = ["DEFAULT_BATCH_SIZE", "SCALAR_FLUSH_CUTOFF", "BatchingTransport"]
 DEFAULT_BATCH_SIZE = 4096
 
 #: Flushes holding fewer accesses than this are delivered as plain scalar
-#: calls instead of ``on_mem_batch``.  Control-dense workloads flush at
+#: calls instead of ``on_mem_batch_runs``.  Control-dense workloads flush at
 #: every function boundary, so most batches hold only a handful of
 #: accesses -- below this occupancy the array kernels' fixed per-batch cost
 #: exceeds the whole scalar path, and batching them would *slow the run
@@ -114,14 +108,7 @@ class BatchingTransport(BaseObserver):
         self.scalar_cutoff = scalar_cutoff
         self.strict_time = bool(getattr(downstream, "batch_time_strict", False))
         # -- downstream delivery hooks (resolved once) ---------------------
-        self._mem_batch_hook = getattr(downstream, "on_mem_batch", None)
-        runs_hook = getattr(downstream, "on_mem_batch_runs", None)
-        self._runs_hook = (
-            runs_hook
-            if runs_hook is not None
-            and getattr(downstream, "batch_accepts_runs", False)
-            else None
-        )
+        self._runs_hook = getattr(downstream, "on_mem_batch_runs", None)
         self._branch_hook = getattr(downstream, "on_branch_batch", None)
         # -- access buffer: flat addresses + run-length side table ---------
         self._abuf = array("q")
@@ -226,46 +213,16 @@ class BatchingTransport(BaseObserver):
         cell = self._cell
         cell[0] = -1
         cell[1] = -1
-        down = self.downstream
-        if n < self.scalar_cutoff:
-            addrs = buf.tolist()
-            del buf[:]
-            self._rkeys = []
-            self._rends = []
-            read = down.on_mem_read
-            write = down.on_mem_write
-            i = 0
-            for key, end in zip(rkeys, rends):
-                size = key >> 1
-                if key & 1:
-                    for j in range(i, end):
-                        write(addrs[j], size)
-                else:
-                    for j in range(i, end):
-                        read(addrs[j], size)
-                i = end
-            return
-        addrs = np.frombuffer(buf, dtype=np.int64).copy()
-        del buf[:]
         self._rkeys = []
         self._rends = []
-        if self._runs_hook is not None:
+        if n < self.scalar_cutoff or self._runs_hook is None:
+            addrs = buf.tolist()
+            del buf[:]
+            _expand_runs(self.downstream, addrs, rkeys, rends)
+        else:
+            addrs = np.frombuffer(buf, dtype=np.int64).copy()
+            del buf[:]
             self._runs_hook(addrs, rkeys, rends)
-            return
-        if len(rkeys) == 1:
-            key = rkeys[0]
-            sizes = np.full(n, key >> 1, dtype=np.int64)
-            kinds = np.full(n, key & 1, dtype=np.uint8)
-        else:
-            rk = np.asarray(rkeys, dtype=np.int64)
-            ends = np.asarray(rends, dtype=np.int64)
-            lens = np.diff(ends, prepend=0)
-            sizes = np.repeat(rk >> 1, lens)
-            kinds = np.repeat((rk & 1).astype(np.uint8), lens)
-        if self._mem_batch_hook is not None:
-            self._mem_batch_hook(addrs, sizes, kinds)
-        else:
-            _expand_batch(down, addrs, sizes, kinds)
 
     def _flush_branches(self) -> None:
         sites = self._bsites

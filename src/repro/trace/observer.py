@@ -36,23 +36,24 @@ __all__ = [
     "replay",
 ]
 
-#: Kind codes used in the ``kinds`` array of a memory-access batch.
+#: Kind bit of a run key ``(size << 1) | kind`` in a memory-access batch.
 MEM_READ = 0
 MEM_WRITE = 1
 
 
-def _expand_batch(observer, addrs, sizes, kinds) -> None:
-    """Replay a memory-access batch into scalar observer calls, in order."""
-    addrs = addrs.tolist() if hasattr(addrs, "tolist") else addrs
-    sizes = sizes.tolist() if hasattr(sizes, "tolist") else sizes
-    kinds = kinds.tolist() if hasattr(kinds, "tolist") else kinds
+def _expand_runs(observer, addrs, rkeys, rends) -> None:
+    """Replay a run-length memory batch into scalar observer calls, in order."""
+    if not isinstance(addrs, list):
+        addrs = addrs.tolist()
     read = observer.on_mem_read
     write = observer.on_mem_write
-    for addr, size, kind in zip(addrs, sizes, kinds):
-        if kind == MEM_READ:
-            read(addr, size)
-        else:
-            write(addr, size)
+    start = 0
+    for key, end in zip(rkeys, rends):
+        size = key >> 1
+        access = write if key & MEM_WRITE else read
+        for addr in addrs[start:end]:
+            access(addr, size)
+        start = end
 
 
 def _expand_branch_batch(observer, sites, takens) -> None:
@@ -81,7 +82,7 @@ class TraceObserver(Protocol):
 
     def on_mem_write(self, addr: int, size: int) -> None: ...
 
-    def on_mem_batch(self, addrs, sizes, kinds) -> None: ...
+    def on_mem_batch_runs(self, addrs, rkeys, rends) -> None: ...
 
     def on_op(self, kind: OpKind, count: int) -> None: ...
 
@@ -121,16 +122,6 @@ class BaseObserver:
     #: this is purely a performance hint.
     batch_beneficial: bool = False
 
-    #: Opt-in for the transport's run-length side channel.  When true the
-    #: transport delivers memory batches through ``on_mem_batch_runs(addrs,
-    #: rkeys, rends)`` instead of materialising per-access ``sizes``/``kinds``
-    #: arrays: ``addrs`` is the int64 address array, and run ``i`` covers
-    #: ``addrs[rends[i-1]:rends[i]]`` with packed key ``rkeys[i] ==
-    #: (size << 1) | kind``.  Real access streams are long same-size,
-    #: same-kind runs, so the descriptor lists are tiny and the downstream
-    #: kernel can derive its counters without touching NumPy at all.
-    batch_accepts_runs: bool = False
-
     def on_fn_enter(self, name: str) -> None:
         pass
 
@@ -143,18 +134,20 @@ class BaseObserver:
     def on_mem_write(self, addr: int, size: int) -> None:
         pass
 
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
-        """A batch of memory accesses, in program order.
+    def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
+        """A batch of memory accesses, in program order, as runs.
 
-        ``addrs``/``sizes``/``kinds`` are parallel sequences (typically
-        NumPy array views into the transport's ring buffer -- do not retain
-        them past the call).  ``kinds[i]`` is :data:`MEM_READ` or
-        :data:`MEM_WRITE`.  The default implementation expands the batch
-        back into scalar ``on_mem_read``/``on_mem_write`` calls in order,
-        so observers that never heard of batching keep working unchanged;
-        batch-aware observers override this with a vectorised kernel.
+        ``addrs`` is the int64 address array.  Run ``i`` covers
+        ``addrs[rends[i-1]:rends[i]]`` (from 0 for the first run), all of
+        one size and kind, packed as ``rkeys[i] == (size << 1) | kind``
+        with kind :data:`MEM_READ` or :data:`MEM_WRITE`.  Real access
+        streams are long same-size, same-kind runs, so the descriptor lists
+        are short.  Every member of a pipe receives the same objects: read
+        them, do not modify them.  The default implementation replays the
+        batch as scalar ``on_mem_read``/``on_mem_write`` calls in order;
+        observers with a batch kernel override it.
         """
-        _expand_batch(self, addrs, sizes, kinds)
+        _expand_runs(self, addrs, rkeys, rends)
 
     def on_op(self, kind: OpKind, count: int) -> None:
         pass
@@ -223,15 +216,15 @@ class ObserverPipe(BaseObserver):
             getattr(obs, "batch_beneficial", False) for obs in self.observers
         )
 
-    def on_mem_batch(self, addrs, sizes, kinds) -> None:
+    def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
         # Each observer receives the whole batch in order; observers without
         # a batch kernel fall back to scalar expansion via BaseObserver.
         for obs in self.observers:
-            hook = getattr(obs, "on_mem_batch", None)
+            hook = getattr(obs, "on_mem_batch_runs", None)
             if hook is not None:
-                hook(addrs, sizes, kinds)
+                hook(addrs, rkeys, rends)
             else:  # bare TraceObserver without the batching mixin
-                _expand_batch(obs, addrs, sizes, kinds)
+                _expand_runs(obs, addrs, rkeys, rends)
 
     def on_branch_batch(self, sites, takens) -> None:
         for obs in self.observers:

@@ -135,88 +135,6 @@ class TestResultStore:
         assert store.keys() == []
 
 
-def _native(workload="blackscholes"):
-    """A meta-only run: the cheapest publishable entry."""
-    job = Job(workload=workload, tool="native")
-    run = profile_workload(workload, "simsmall",
-                           with_sigil=False, with_callgrind=False)
-    return job, run
-
-
-class TestIngest:
-    """Merging another store in: staged, verified, atomic."""
-
-    def test_merges_missing_entries(self, tmp_path):
-        src = ResultStore(tmp_path / "worker")
-        dst = ResultStore(tmp_path / "shared")
-        job1, run1 = _full()
-        job2, run2 = _native()
-        src.put_run(job1, run1)
-        src.put_run(job2, run2)
-
-        report = dst.ingest(src)
-        assert report.examined == 2
-        assert report.merged == 2 and report.skipped == 0
-        assert report.bytes_merged > 0
-        assert not report.corrupt
-        assert sorted(dst.keys()) == sorted(src.keys())
-        verify = dst.verify_all()
-        assert verify.checked == 2 and not verify.corrupt
-        # merged entries round-trip like local ones
-        back = dst.get(job1.key).profiled_run()
-        assert back.sigil.total_time == run1.sigil.total_time
-
-    def test_present_entries_are_skipped(self, tmp_path):
-        src = ResultStore(tmp_path / "worker")
-        dst = ResultStore(tmp_path / "shared")
-        job, run = _native()
-        src.put_run(job, run)
-        assert dst.ingest(src).merged == 1
-        again = dst.ingest(src)
-        assert again.merged == 0 and again.skipped == 1
-        assert len(dst.keys()) == 1
-
-    def test_key_filter_limits_the_merge(self, tmp_path):
-        src = ResultStore(tmp_path / "worker")
-        dst = ResultStore(tmp_path / "shared")
-        job1, run1 = _native()
-        job2, run2 = _native("streamcluster")
-        src.put_run(job1, run1)
-        src.put_run(job2, run2)
-        report = dst.ingest(src, [job1.key])
-        assert report.merged == 1
-        assert dst.keys() == [job1.key]
-
-    def test_corrupt_source_entry_is_refused(self, tmp_path):
-        """A tampered worker artifact must never reach the shared store."""
-        src = ResultStore(tmp_path / "worker")
-        dst = ResultStore(tmp_path / "shared")
-        bad_job, bad_run = _full()
-        good_job, good_run = _native()
-        src.put_run(bad_job, bad_run)
-        src.put_run(good_job, good_run)
-        src.get(bad_job.key).profile_path().write_text(
-            "# sigil-profile 1\ntime 0\n")
-
-        report = dst.ingest(src)
-        assert report.corrupt == [bad_job.key]
-        assert report.merged == 1
-        assert not dst.has(bad_job.key) and dst.has(good_job.key)
-        # nothing half-copied survives the refusal
-        tmp_dir = dst.root / "tmp"
-        assert not tmp_dir.exists() or not any(tmp_dir.iterdir())
-
-    def test_unpublished_source_entry_is_ignored(self, tmp_path):
-        src = ResultStore(tmp_path / "worker")
-        dst = ResultStore(tmp_path / "shared")
-        job, _ = _native()
-        # a directory without meta.json: the worker is mid-publish
-        src.object_dir(job.key).mkdir(parents=True)
-        report = dst.ingest(src, [job.key])
-        assert report.merged == 0 and not report.corrupt
-        assert not dst.has(job.key)
-
-
 def _race_publish(root, barrier):
     job, run = _full()
     store = ResultStore(root)

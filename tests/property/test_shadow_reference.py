@@ -320,7 +320,7 @@ def _events_snapshot(profile):
 
 def _run_config(steps, config: SigilConfig, batch_size: int):
     profiler = SigilProfiler(config)
-    # scalar_cutoff=0 forces even tiny flushes through on_mem_batch -- the
+    # scalar_cutoff=0 forces even tiny flushes through on_mem_batch_runs -- the
     # point here is differential coverage of the transport's ordering and
     # strict flushes on the way into the profiler's scalar kernel.
     observer = (

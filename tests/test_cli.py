@@ -199,6 +199,15 @@ class TestCritpath:
         code, _, err = run_cli(capsys, "critpath", "no-such-thing")
         assert code == 2
 
+    @pytest.mark.parametrize("cores", ["a", "0", "-2", "2,,4"])
+    def test_bad_cores_is_a_usage_error(self, capsys, cores):
+        """A bad --cores fails while parsing, before any profiling runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "critpath", "streamcluster", "--cores", cores)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --cores" in err
+
     def test_every_input_form_renders_the_same_log(self, capsys, tmp_path):
         """`critpath --dot` and `trace --format chrome` give the same text
         for the v1 file, the v2 file and a live run of the same workload.

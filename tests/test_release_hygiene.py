@@ -241,3 +241,30 @@ def test_only_the_harness_builds_the_transport():
     assert building == ["harness.py"], (
         f"modules constructing BatchingTransport: {building}"
     )
+
+
+def test_memory_batches_have_one_format():
+    """The transport delivers memory batches only as runs
+    (``on_mem_batch_runs``); a per-access ``on_mem_batch`` or the
+    ``batch_accepts_runs`` opt-in would be a second format creeping back.
+    """
+    retired = {"on_mem_batch", "batch_accepts_runs"}
+
+    def defined_names(path: Path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    yield getattr(target, "id", None) or getattr(
+                        target, "attr", None)
+
+    src = REPO / "src" / "repro"
+    found = sorted(
+        f"{path.relative_to(src).as_posix()}: {name}"
+        for path in src.rglob("*.py")
+        for name in defined_names(path)
+        if name in retired
+    )
+    assert found == [], f"retired batch hooks defined: {found}"

@@ -14,6 +14,7 @@ import pytest
 from repro.callgrind.collector import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
 from repro.core.shadow import SHADOW_PAGE_SIZE
+from repro.harness import transport_for
 from repro.io.profilefile import dumps_profile
 from repro.trace.batch import (
     DEFAULT_BATCH_SIZE,
@@ -29,12 +30,13 @@ from repro.trace.observer import (
     RecordingObserver,
     replay,
 )
+from repro.workloads import get_workload
 
 
 def _profile_text(drive, batch_size):
     profiler = SigilProfiler(SigilConfig())
     # scalar_cutoff=0: these tests pin the transport's ordering and strict
-    # flushes, so even tiny flushes must go through on_mem_batch (which
+    # flushes, so even tiny flushes must go through on_mem_batch_runs (which
     # replays the batch into the profiler's scalar kernel, in order).
     observer = (
         BatchingTransport(profiler, batch_size, scalar_cutoff=0)
@@ -152,7 +154,7 @@ class TestFlushBoundaries:
             def on_op(self, kind, count):
                 self.order.append("op")
 
-            def on_mem_batch(self, addrs, sizes, kinds):
+            def on_mem_batch_runs(self, addrs, rkeys, rends):
                 self.order.append(f"batch{len(addrs)}")
 
         obs = Lenient()
@@ -177,7 +179,7 @@ class TestFlushBoundaries:
             def on_mem_write(self, addr, size):
                 self.calls.append(("write", addr, size))
 
-            def on_mem_batch(self, addrs, sizes, kinds):
+            def on_mem_batch_runs(self, addrs, rkeys, rends):
                 self.calls.append(("batch", len(addrs)))
 
         obs = Both()
@@ -250,7 +252,7 @@ class _LenientBranchObserver(BaseObserver):
     def on_branch_batch(self, sites, takens):
         self.order.append(("branches", sites.tolist(), takens.tolist()))
 
-    def on_mem_batch(self, addrs, sizes, kinds):
+    def on_mem_batch_runs(self, addrs, rkeys, rends):
         self.order.append(("mem", len(addrs)))
 
 
@@ -342,7 +344,7 @@ class TestObserverPipeMixing:
         exact order RecordingObserver (the oracle) records it."""
 
         class ScalarOnly:
-            """Deliberately not a BaseObserver: no on_mem_batch at all."""
+            """Deliberately not a BaseObserver: no on_mem_batch_runs at all."""
 
             def __init__(self):
                 self.calls = []
@@ -409,6 +411,48 @@ class TestObserverPipeMixing:
         assert ObserverPipe([lenient, strict]).batch_time_strict
         assert ObserverPipe([lenient, RecordingObserver()]).batch_time_strict
 
+    def test_pipe_hands_every_member_the_same_runs(self):
+        """One batch format: every member gets the transport's own address
+        array and run lists, not a per-member conversion."""
+
+        class Runs(BaseObserver):
+            def __init__(self):
+                self.batches = []
+
+            def on_mem_batch_runs(self, addrs, rkeys, rends):
+                self.batches.append((addrs, rkeys, rends))
+
+        a, b = Runs(), Runs()
+        transport = BatchingTransport(ObserverPipe([a, b]), 64, scalar_cutoff=0)
+        transport.on_mem_read(8, 4)
+        transport.on_mem_read(12, 4)
+        transport.on_mem_write(16, 2)
+        transport.flush()
+        assert len(a.batches) == len(b.batches) == 1
+        (addrs, rkeys, rends), = a.batches
+        assert addrs.tolist() == [8, 12, 16]
+        assert rkeys == [(4 << 1) | MEM_READ, (2 << 1) | MEM_WRITE]
+        assert rends == [2, 3]
+        assert all(x is y for x, y in zip(a.batches[0], b.batches[0]))
+
+    def test_sigil_callgrind_pipe_reaches_callgrinds_run_kernel(self):
+        """The paper's pipe: Callgrind behind the transport gets run-length
+        batches, not a scalar replay."""
+        callgrind = CallgrindCollector()
+        runs = []
+        kernel = callgrind.on_mem_batch_runs
+
+        def counting(addrs, rkeys, rends):
+            runs.append(len(addrs))
+            kernel(addrs, rkeys, rends)
+
+        callgrind.on_mem_batch_runs = counting
+        sigil = SigilProfiler(SigilConfig(reuse_mode=True, event_mode=True))
+        dispatch = transport_for(ObserverPipe([sigil, callgrind]))
+        assert isinstance(dispatch, BatchingTransport)
+        get_workload("facesim", "simsmall").run(dispatch)
+        assert runs and min(runs) >= SCALAR_FLUSH_CUTOFF
+
     def test_pipe_profilers_match_scalar(self):
         """Two profilers sharing one pipe under one transport both match
         their scalar twins."""
@@ -455,12 +499,12 @@ class TestReplayBatching:
             )
 
     def test_batch_passthrough_preserves_order(self):
-        """on_mem_batch into a transport flushes its own buffer first."""
+        """A batch handed to a transport queues behind its own buffer."""
         transport, rec = self._mk()
         transport.on_mem_write(1, 1)
-        transport.on_mem_batch(
-            np.array([2, 3]), np.array([1, 1]),
-            np.array([MEM_READ, MEM_WRITE], dtype=np.uint8),
+        transport.on_mem_batch_runs(
+            np.array([2, 3]), [(1 << 1) | MEM_READ, (1 << 1) | MEM_WRITE],
+            [1, 2],
         )
         transport.flush()
         got = [(type(e).__name__, e.addr) for e in rec.events]
