@@ -29,8 +29,7 @@ class _FullyAssocCacheObserver(BaseObserver):
         )
 
     def _touch(self, addr: int, size: int) -> None:
-        for line in self.cache.lines_of(addr, size):
-            self.cache.access_line(line)
+        self.cache.access_lines(self.cache.lines_of(addr, size))
 
     def on_mem_read(self, addr: int, size: int) -> None:
         self._touch(addr, size)

@@ -6,12 +6,15 @@ uses for the software-runtime side of the partitioning study.  We model a
 data hierarchy (D1 backed by LL) with true-LRU sets, write-allocate, and
 accesses that may straddle line boundaries.
 
-LRU is kept as a per-set dict mapping resident line number to the tick of
-its last touch; the victim is the minimum-tick entry.  Within one set the
-tag <-> line mapping is a bijection, so this is exactly the classic
-recency-list LRU, but a hit costs one dict store instead of a
-``list.remove`` scan, and the batched walk in :meth:`CacheHierarchy.
-access_lines` can share the same structures with the scalar path.
+Each set is an insertion-ordered dict of its resident line numbers in
+recency order, least recently used first: a hit deletes the line and
+re-inserts it at the end, and a miss into a full set evicts the first
+entry.  Under LRU a line misses exactly when its per-set reuse distance is
+at least ``assoc``, so this order is all the state a level needs.
+:meth:`Cache.access_lines` is the one walk that applies the rule; the
+hierarchy runs D1's walk over the touches and LL's walk over D1's misses,
+which is exact because LL is touched only on a D1 miss and D1 never reads
+LL's state.
 
 The instruction side of Callgrind's model (I1) has no analogue here because
 the substrates do not fetch encoded instructions from memory; the cycle
@@ -21,7 +24,7 @@ formula accounts for instruction count directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +42,8 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.line_size <= 0 or self.line_size & (self.line_size - 1):
             raise ValueError("line_size must be a positive power of two")
+        if self.assoc < 1:
+            raise ValueError(f"assoc must be at least 1, got {self.assoc}")
         if self.size % (self.assoc * self.line_size):
             raise ValueError("size must be a multiple of assoc * line_size")
         n_sets = self.size // (self.assoc * self.line_size)
@@ -68,28 +73,35 @@ class Cache:
     def __init__(self, config: CacheConfig):
         self.config = config
         self._line_shift = config.line_size.bit_length() - 1
-        self._n_sets = config.n_sets
-        self._set_mask = self._n_sets - 1
-        # Per set: resident line number -> tick of last touch.  The victim
-        # is the minimum-tick entry (identical to recency-list LRU).
-        self._sets: List[Dict[int, int]] = [{} for _ in range(self._n_sets)]
-        self._tick = 0
+        self._set_mask = config.n_sets - 1
+        # Per set: resident line numbers in recency order, LRU first.
+        self._sets: List[Dict[int, None]] = [{} for _ in range(config.n_sets)]
         self.accesses = 0
         self.misses = 0
 
+    def access_lines(self, lines: Sequence[int]) -> List[int]:
+        """Touch ``lines`` in order; returns the lines that missed, in order."""
+        sets = self._sets
+        mask = self._set_mask
+        assoc = self.config.assoc
+        missed: List[int] = []
+        miss = missed.append
+        for line in lines:
+            ways = sets[line & mask]
+            if line in ways:
+                del ways[line]
+            else:
+                miss(line)
+                if len(ways) >= assoc:
+                    del ways[next(iter(ways))]
+            ways[line] = None
+        self.accesses += len(lines)
+        self.misses += len(missed)
+        return missed
+
     def access_line(self, line_no: int) -> bool:
         """Touch one line; returns True on miss."""
-        self.accesses += 1
-        self._tick += 1
-        ways = self._sets[line_no & self._set_mask]
-        if line_no in ways:
-            ways[line_no] = self._tick
-            return False
-        self.misses += 1
-        if len(ways) >= self.config.assoc:
-            del ways[min(ways, key=ways.get)]
-        ways[line_no] = self._tick
-        return True
+        return bool(self.access_lines((line_no,)))
 
     def lines_of(self, addr: int, size: int) -> range:
         """Line numbers covered by an access of ``size`` bytes at ``addr``."""
@@ -114,15 +126,10 @@ class CacheHierarchy:
             raise ValueError("D1 and LL must share a line size")
 
     def access(self, addr: int, size: int) -> AccessResult:
-        """Run one data access through D1 and, on miss, LL."""
-        l1_misses = 0
-        ll_misses = 0
-        for line in self.d1.lines_of(addr, size):
-            if self.d1.access_line(line):
-                l1_misses += 1
-                if self.ll.access_line(line):
-                    ll_misses += 1
-        return AccessResult(l1_misses, ll_misses)
+        """Run one data access through D1 and its D1 misses through LL."""
+        missed = self.d1.access_lines(self.d1.lines_of(addr, size))
+        ll_misses = len(self.ll.access_lines(missed)) if missed else 0
+        return AccessResult(len(missed), ll_misses)
 
     def access_lines(self, lines: np.ndarray) -> Tuple[int, int]:
         """Run an in-order line-touch stream through the hierarchy in bulk.
@@ -130,62 +137,23 @@ class CacheHierarchy:
         ``lines`` is the concatenated per-access line expansion of a batch
         (one entry per line touch, program order); returns ``(l1_misses,
         ll_misses)`` and folds all counters into the member caches, exactly
-        as the equivalent sequence of :meth:`Cache.access_line` calls would.
+        as :meth:`access` over the same touches would.
 
         Consecutive touches of the same line are deduplicated first: after
         the first touch the line is resident and most-recently-used, so the
         repeats are guaranteed D1 hits that change neither LRU order nor
         miss counts (they still count as D1 accesses).  Real streams are
-        dominated by these MRU repeats, so the residual sequential walk --
-        one fused D1+LL pass over plain Python ints -- runs over far fewer
+        dominated by these MRU repeats, so D1's walk runs over far fewer
         entries than the batch touched.
         """
         n_touches = len(lines)
-        if not n_touches:
-            return (0, 0)
         if n_touches > 1:
             keep = np.empty(n_touches, dtype=bool)
             keep[0] = True
             np.not_equal(lines[1:], lines[:-1], out=keep[1:])
             if not keep.all():
                 lines = lines[keep]
-        d1 = self.d1
-        ll = self.ll
-        d1_sets = d1._sets
-        d1_mask = d1._set_mask
-        d1_assoc = d1.config.assoc
-        ll_sets = ll._sets
-        ll_mask = ll._set_mask
-        ll_assoc = ll.config.assoc
-        t1 = d1._tick
-        t2 = ll._tick
-        l1_misses = 0
-        ll_accesses = 0
-        ll_misses = 0
-        for line in lines.tolist():
-            ways = d1_sets[line & d1_mask]
-            t1 += 1
-            if line in ways:
-                ways[line] = t1
-                continue
-            l1_misses += 1
-            if len(ways) >= d1_assoc:
-                del ways[min(ways, key=ways.get)]
-            ways[line] = t1
-            ll_accesses += 1
-            w2 = ll_sets[line & ll_mask]
-            t2 += 1
-            if line in w2:
-                w2[line] = t2
-            else:
-                ll_misses += 1
-                if len(w2) >= ll_assoc:
-                    del w2[min(w2, key=w2.get)]
-                w2[line] = t2
-        d1._tick = t1
-        ll._tick = t2
-        d1.accesses += n_touches
-        d1.misses += l1_misses
-        ll.accesses += ll_accesses
-        ll.misses += ll_misses
-        return (l1_misses, ll_misses)
+        self.d1.accesses += n_touches - len(lines)
+        missed = self.d1.access_lines(lines.tolist())
+        ll_misses = len(self.ll.access_lines(missed)) if missed else 0
+        return (len(missed), ll_misses)

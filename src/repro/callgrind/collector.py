@@ -25,7 +25,7 @@ from repro.callgrind.cache import CacheConfig, CacheHierarchy
 from repro.callgrind.cycles import DEFAULT_CYCLE_MODEL, CycleModel
 from repro.common.cct import ContextNode, ContextTree
 from repro.trace.events import OpKind
-from repro.trace.observer import BaseObserver
+from repro.trace.observer import BaseObserver, _expand_lines
 
 __all__ = ["CallgrindCosts", "CallgrindProfile", "CallgrindCollector"]
 
@@ -207,23 +207,6 @@ class CallgrindCollector(BaseObserver):
             costs.l1_misses += result.l1_misses
             costs.ll_misses += result.ll_misses
 
-    def _expand_lines(self, addrs, sizes) -> np.ndarray:
-        """Per-access line expansion of a batch, concatenated in order.
-
-        One entry per line touch, exactly what the scalar path's
-        ``lines_of`` loop would visit (size-0 accesses touch one line).
-        """
-        shift = self.caches.d1._line_shift
-        lo = addrs >> shift
-        hi = (addrs + np.maximum(sizes, 1) - 1) >> shift
-        if (lo == hi).all():  # no access straddles a line (the common case)
-            return lo
-        cnt = hi - lo + 1
-        total = int(cnt.sum())
-        start = np.cumsum(cnt) - cnt
-        idx = np.arange(total, dtype=np.int64)
-        return np.repeat(lo, cnt) + (idx - np.repeat(start, cnt))
-
     def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
         """Account a run-length batch of accesses at once.
 
@@ -259,22 +242,11 @@ class CallgrindCollector(BaseObserver):
         if caches is None:
             return
         if len(rkeys) == 1:
-            size = rkeys[0] >> 1
-            shift = caches.d1._line_shift
-            if size <= 1:
-                lines = addrs >> shift
-            else:
-                lo = addrs >> shift
-                hi = (addrs + (size - 1)) >> shift
-                if (lo == hi).all():
-                    lines = lo
-                else:
-                    sizes_arr = np.full(n, size, dtype=np.int64)
-                    lines = self._expand_lines(addrs, sizes_arr)
+            sizes = rkeys[0] >> 1
         else:
             lens = [end - start for start, end in zip([0, *rends], rends)]
             sizes = np.repeat(np.asarray(rkeys, dtype=np.int64) >> 1, lens)
-            lines = self._expand_lines(addrs, sizes)
+        lines, _ = _expand_lines(addrs, sizes, caches.d1._line_shift)
         l1, ll = caches.access_lines(lines)
         costs.l1_misses += l1
         costs.ll_misses += ll

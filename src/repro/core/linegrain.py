@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.reuse import REUSE_BUCKET_LABELS, bucketise_counts
 from repro.trace.events import OpKind
-from repro.trace.observer import BaseObserver, _expand_runs
+from repro.trace.observer import BaseObserver, _expand_lines, _expand_runs
 
 __all__ = ["LineRecord", "LineReuseProfiler"]
 
@@ -128,21 +128,9 @@ class LineReuseProfiler(BaseObserver):
             times = times[valid]
             if addrs.size == 0:
                 return
-        shift = self._shift
-        lo = addrs >> shift
-        hi = (addrs + sizes - 1) >> shift
-        if (hi == lo).all():
-            # Common case: no access straddles a line; skip the ragged
-            # expansion entirely.
-            line, t = lo, times
-            total = len(line)
-        else:
-            n_lines = hi - lo + 1
-            total = int(n_lines.sum())
-            start = np.cumsum(n_lines) - n_lines
-            idx = np.arange(total, dtype=np.int64)
-            line = np.repeat(lo, n_lines) + (idx - np.repeat(start, n_lines))
-            t = np.repeat(times, n_lines)
+        line, n_lines = _expand_lines(addrs, sizes, self._shift)
+        t = times if n_lines is None else np.repeat(times, n_lines)
+        total = len(line)
 
         order = np.argsort(line, kind="stable")
         sl = line[order]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.trace.events import (
     Branch,
     ThreadSwitch,
@@ -54,6 +56,27 @@ def _expand_runs(observer, addrs, rkeys, rends) -> None:
         for addr in addrs[start:end]:
             access(addr, size)
         start = end
+
+
+def _expand_lines(addrs, sizes, shift: int):
+    """Line numbers a memory batch touches, concatenated in program order.
+
+    ``sizes`` is one size for the whole batch (a single run) or one per
+    access; numpy broadcasts either.  A size-0 access touches the line at
+    its address.  Returns ``(lines, counts)``, where ``counts`` holds each
+    access's number of lines, or is None when every access touches exactly
+    one line (the common case, which skips the ragged expansion).
+    """
+    lo = addrs >> shift
+    hi = (addrs + (np.maximum(sizes, 1) - 1)) >> shift
+    if (lo == hi).all():
+        return lo, None
+    counts = hi - lo + 1
+    ends = np.cumsum(counts)
+    # Access i's lines lo[i], lo[i] + 1, ... sit at output positions
+    # ends[i] - counts[i], ends[i] - counts[i] + 1, ...
+    offsets = np.repeat(lo - (ends - counts), counts)
+    return offsets + np.arange(int(ends[-1]), dtype=np.int64), counts
 
 
 def _expand_branch_batch(observer, sites, takens) -> None:

@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig(size=0, assoc=8, line_size=64)
 
+    @pytest.mark.parametrize("assoc", [0, -8])
+    def test_bad_assoc_rejected(self, assoc):
+        with pytest.raises(ValueError, match="assoc must be at least 1"):
+            CacheConfig(size=32 * 1024, assoc=assoc, line_size=64)
+
 
 class TestLRU:
     def make(self, assoc=2, sets=2):

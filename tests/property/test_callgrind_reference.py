@@ -1,10 +1,10 @@
 """Differential property test: batched Callgrind collector versus scalar.
 
 The batched transport plus the collector's run-length kernel, line
-expansion, deduped cache walk, and fused branch predictor must reproduce
-the scalar path's profile exactly -- same per-context costs, same cache
-miss counts, same mispredictions -- for any trace, including accesses that
-straddle cache lines and zero-byte accesses.  Hypothesis drives random
+expansion, deduped per-level LRU walks, and fused branch predictor must
+reproduce the scalar path's profile exactly -- same per-context costs, same
+cache miss counts, same mispredictions -- for any trace, including accesses
+that straddle cache lines and zero-byte accesses.  Hypothesis drives random
 interleavings; every batch size from degenerate (1) to never-full (4096)
 must agree.
 """
@@ -161,7 +161,7 @@ def test_batched_collector_identical_to_scalar(variant, steps):
 @settings(max_examples=20, deadline=None)
 def test_batched_collector_default_caches_identical_to_scalar(steps):
     """The default (32 KiB D1 / 8 MiB LL) geometry agrees too -- the
-    deduped timestamp-LRU walk must match scalar when sets never fill."""
+    deduped recency-ordered LRU walks must match scalar when sets never fill."""
     make = CallgrindCollector
     scalar = _run(steps, make, 0)
     for batch_size in (3, 4096):

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.callgrind import Cache, CacheConfig
+from repro.callgrind import Cache, CacheConfig, CacheHierarchy
 from repro.analysis import analyze_critical_path
 from repro.common.cct import ContextTree
 from repro.core.reuse import bucketise_counts
@@ -59,6 +59,94 @@ def test_cache_misses_bounded_by_accesses(lines):
     for line in lines:
         cache.access_line(line)
     assert 0 <= cache.misses <= cache.accesses == len(lines)
+
+
+class _RefHierarchy:
+    """Reference D1+LL hierarchy: LL sees exactly D1's misses."""
+
+    def __init__(self, d1: Tuple[int, int], ll: Tuple[int, int]):
+        self.levels = (_RefLRU(*d1), _RefLRU(*ll))
+        self.accesses = [0, 0]
+        self.misses = [0, 0]
+
+    def access_line(self, line: int) -> Tuple[int, int]:
+        misses = [0, 0]
+        for level, ref in enumerate(self.levels):
+            self.accesses[level] += 1
+            if not ref.access(line):
+                break
+            self.misses[level] += 1
+            misses[level] = 1
+        return misses[0], misses[1]
+
+
+_LINE = 16
+_GEOMETRIES = [(1, 1), (1, 2), (2, 2), (4, 1), (2, 4)]
+
+
+@st.composite
+def _straddling_accesses(draw):
+    """(addr, size) accesses over a few lines, with MRU repeats."""
+    base = st.tuples(
+        st.integers(min_value=0, max_value=12 * _LINE),
+        st.integers(min_value=0, max_value=2 * _LINE + 1),
+        st.integers(min_value=1, max_value=4),
+    )
+    accesses = []
+    for addr, size, repeats in draw(st.lists(base, min_size=1, max_size=60)):
+        accesses.extend([(addr, size)] * repeats)
+    return accesses
+
+
+def _lines_touched(addr: int, size: int) -> List[int]:
+    return list(range(addr // _LINE, (addr + max(size, 1) - 1) // _LINE + 1))
+
+
+def _hierarchy(d1: Tuple[int, int], ll: Tuple[int, int]) -> CacheHierarchy:
+    def config(assoc: int, n_sets: int) -> CacheConfig:
+        return CacheConfig(size=assoc * n_sets * _LINE, assoc=assoc, line_size=_LINE)
+
+    return CacheHierarchy(config(*d1), config(*ll))
+
+
+def _level_counts(h: CacheHierarchy):
+    return [h.d1.accesses, h.ll.accesses], [h.d1.misses, h.ll.misses]
+
+
+@given(
+    _straddling_accesses(),
+    st.sampled_from(_GEOMETRIES),
+    st.sampled_from(_GEOMETRIES),
+    st.integers(min_value=1, max_value=16),
+)
+@settings(max_examples=150, deadline=None)
+def test_hierarchy_matches_reference_lru(accesses, d1, ll, chunk):
+    """D1 then LL on each D1 miss, via both the scalar and the batch walk."""
+    ref = _RefHierarchy(d1, ll)
+    scalar = _hierarchy(d1, ll)
+    for addr, size in accesses:
+        expected = [0, 0]
+        for line in _lines_touched(addr, size):
+            l1, l2 = ref.access_line(line)
+            expected[0] += l1
+            expected[1] += l2
+        result = scalar.access(addr, size)
+        assert [result.l1_misses, result.ll_misses] == expected
+    assert _level_counts(scalar) == (ref.accesses, ref.misses)
+
+    batched = _hierarchy(d1, ll)
+    totals = [0, 0]
+    for i in range(0, len(accesses), chunk):
+        lines = [
+            line
+            for addr, size in accesses[i : i + chunk]
+            for line in _lines_touched(addr, size)
+        ]
+        l1, l2 = batched.access_lines(np.array(lines, dtype=np.int64))
+        totals[0] += l1
+        totals[1] += l2
+    assert totals == ref.misses
+    assert _level_counts(batched) == (ref.accesses, ref.misses)
 
 
 # -- critical path -----------------------------------------------------------
