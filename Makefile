@@ -9,16 +9,24 @@ test: telemetry-smoke campaign-smoke serve-smoke timeline-smoke
 	PYTHONPATH=src python -m pytest tests/
 	PYTHONPATH=src python -m pytest perfbench -q
 
-# Prove the self-telemetry loop end to end: profile a small workload with a
-# manifest, then render it back through `repro stats` (reading from stdin,
-# the CI-log piping path).  The trap removes the scratch manifest whether
+# Prove the self-telemetry loop end to end: write a manifest from each
+# workload-running entry point (`profile`, `run` on a VM program, `reuse
+# --mrc`), then render each back through `repro stats` (reading from stdin,
+# the CI-log piping path).  The trap removes the scratch manifests whether
 # the steps pass or fail.
 telemetry-smoke:
 	@set -e; \
-	trap 'rm -f .telemetry-smoke.manifest.json' EXIT; \
+	trap 'rm -f .telemetry-smoke*.manifest.json' EXIT; \
 	PYTHONPATH=src python -m repro profile blackscholes --size simsmall \
 		--manifest-out .telemetry-smoke.manifest.json >/dev/null; \
-	PYTHONPATH=src python -m repro stats - < .telemetry-smoke.manifest.json
+	PYTHONPATH=src python -m repro run examples/toy_program.s \
+		--manifest-out .telemetry-smoke-run.manifest.json >/dev/null; \
+	PYTHONPATH=src python -m repro reuse blackscholes --mrc \
+		--manifest-out .telemetry-smoke-reuse.manifest.json >/dev/null; \
+	for m in .telemetry-smoke.manifest.json .telemetry-smoke-run.manifest.json \
+		.telemetry-smoke-reuse.manifest.json; do \
+		PYTHONPATH=src python -m repro stats - < $$m; \
+	done
 
 # Prove the campaign engine end to end: a 2-worker mini-campaign over two
 # small workloads, then the same campaign again -- the warm run must report
@@ -133,5 +141,5 @@ examples:
 clean:
 	rm -rf benchmarks/results .pytest_cache .benchmarks
 	rm -rf .campaign-smoke .serve-smoke .repro-campaigns
-	rm -f .telemetry-smoke.manifest.json *.trace.json *.collapsed
+	rm -f .telemetry-smoke*.manifest.json *.trace.json *.collapsed
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -50,6 +50,7 @@ import json
 import logging
 import math
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -71,8 +72,9 @@ from repro.analysis import (
 from repro.analysis.partition import BusModel, PartitionPolicy
 from repro.analysis.schedule import speedup_curve
 from repro.analysis.windowed import DEFAULT_WINDOW_OPS
-from repro.core import SigilConfig
-from repro.harness import profile_workload
+from repro.callgrind import CallgrindCollector
+from repro.core import ReuseDistanceProfiler, SigilConfig, SigilProfiler
+from repro.harness import _drive, _profile
 from repro.io import (
     dump_callgrind,
     dump_events,
@@ -83,7 +85,7 @@ from repro.io import (
     load_profile,
 )
 from repro.io.tracefmt import COLLAPSED_WEIGHTS as _COLLAPSED_WEIGHTS
-from repro.telemetry import Manifest, Telemetry, build_manifest
+from repro.telemetry import Manifest, Telemetry
 from repro.workloads import ALL_NAMES, WORKLOADS, InputSize
 
 __all__ = ["main", "build_parser"]
@@ -238,7 +240,7 @@ def _write_events(args, events, path) -> None:
         dump_events_bin(events, path)
 
 
-def _run(args, *, reuse: bool = False, events: bool = False):
+def _run(args, *, reuse: bool = False, events: bool = False, extra_tools=()):
     # Asking for an event-file or trace output implies collecting events.
     events = events or bool(
         getattr(args, "events_out", None) or getattr(args, "trace_out", None)
@@ -249,8 +251,9 @@ def _run(args, *, reuse: bool = False, events: bool = False):
         line_size=getattr(args, "line_size", 1),
         max_shadow_pages=getattr(args, "max_shadow_pages", None),
     )
-    return profile_workload(
-        args.workload, args.size, config=config, telemetry=_telemetry_from(args)
+    return _profile(
+        args.workload, args.size, config, True, True, _telemetry_from(args),
+        extra_tools,
     )
 
 
@@ -378,7 +381,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_reuse(args) -> int:
-    run = _run(args, reuse=True)
+    # --mrc's stack distances ride in the same run as Sigil and Callgrind.
+    distance = ReuseDistanceProfiler(64)
+    run = _run(args, reuse=True, extra_tools=[distance] if args.mrc else [])
     profile = run.sigil
     breakdown = byte_reuse_breakdown(profile)
     print(render_barchart(
@@ -420,11 +425,6 @@ def cmd_reuse(args) -> int:
                       f"(context {'/'.join(node.path)})",
             ))
     if args.mrc:
-        from repro.core import ReuseDistanceProfiler
-        from repro.workloads import get_workload
-
-        distance = ReuseDistanceProfiler(64)
-        get_workload(args.workload, args.size).run(distance)
         rows = [
             (capacity, f"{capacity * 64 // 1024} KB", f"{ratio:.4f}")
             for capacity, ratio in distance.miss_ratio_curve(
@@ -445,50 +445,28 @@ def cmd_reuse(args) -> int:
 
 def cmd_run(args) -> int:
     """Assemble and profile a user program (see repro.vm.asm for syntax)."""
-    from repro.callgrind import CallgrindCollector
-    from repro.core import SigilProfiler
-    from repro.harness import _assemble_observer, transport_for
-    from repro.telemetry import NULL_TELEMETRY
     from repro.vm import Machine
     from repro.vm.asm import assemble
 
     tel = _telemetry_from(args)
-    tel = tel if tel is not None else NULL_TELEMETRY
     config = SigilConfig(
         reuse_mode=args.reuse,
         event_mode=args.events or bool(args.events_out),
     )
-    with tel.phase("setup"):
-        text = Path(args.program).read_text()
-        program = assemble(text, entry=args.entry)
-        sigil = SigilProfiler(config)
-        callgrind = CallgrindCollector()
-        observer, counter = _assemble_observer(
-            [sigil, callgrind], tel, Path(args.program).name
-        )
-        dispatch = transport_for(observer)
-    with tel.phase("execute"):
-        result = Machine(telemetry=tel).run(program, dispatch)
-    with tel.phase("aggregate"):
-        profile = sigil.profile()
-    manifest = None
-    if tel.enabled:
-        sigil.record_telemetry(tel)
-        callgrind.record_telemetry(tel)
-        if dispatch is not observer:
-            dispatch.record_telemetry(tel)
-        counter.publish(tel)
-        tel.record_process_stats()
-        manifest = build_manifest(
-            workload=Path(args.program).name,
-            size="program",
-            config=config,
-            phases=tel.timers.snapshot(),
-            spans=tel.timers.spans(),
-            metrics=tel.metrics.snapshot(),
-            events_total=counter.total,
-            execute_seconds=tel.timers.seconds("execute"),
-        )
+    started = time.perf_counter()
+    program = assemble(Path(args.program).read_text(), entry=args.entry)
+    sigil = SigilProfiler(config)
+    callgrind = CallgrindCollector()
+    result, profile, _, manifest = _drive(
+        lambda obs: Machine(telemetry=tel).run(program, obs),
+        [sigil, callgrind],
+        sigil.profile,
+        name=Path(args.program).name,
+        size="program",
+        config=config,
+        telemetry=tel,
+        started=started,
+    )
     print(
         f"{args.program}: returned {result.value!r}, "
         f"{result.instructions} instructions, "

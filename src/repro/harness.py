@@ -3,11 +3,12 @@
 Mirrors how the paper collects data: a *native* run (no tool), a *Callgrind*
 run (calltree costs + cache/branch simulation), and a *Sigil* run (shadow
 memory, optionally alongside Callgrind so partitioning studies can join
-communication with timing).  Wall-clock is measured per pipeline phase --
-workload *setup*, substrate *execute*, profile *aggregate* -- so the Figure
-4-6 overhead characterisation charges only tool time to the tool, and every
-telemetry-enabled run yields a structured :class:`~repro.telemetry.Manifest`
-describing its own cost (per-phase seconds, events/sec, shadow footprint).
+communication with timing).  One private driver, ``_drive``, runs every
+entry point -- :func:`profile_workload` and its wrappers,
+:func:`line_reuse_run`, ``repro run`` and ``repro reuse`` -- so each
+assembles its pipe, times its *setup*/*execute*/*aggregate* phases (Figures
+4-6 charge only tool time to the tool) and yields a telemetry
+:class:`~repro.telemetry.Manifest` the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 log = logging.getLogger("repro.harness")
+
+#: The pipeline phases every driven run times, in order.
+_PHASES = ("setup", "execute", "aggregate")
 
 
 @dataclass
@@ -115,11 +119,9 @@ class ProfiledRun:
         else:
             cursor = 0.0
             spans = []
-            for phase, seconds in (
-                ("setup", self.setup_seconds),
-                ("execute", self.execute_seconds),
-                ("aggregate", self.aggregate_seconds),
-            ):
+            for phase, seconds in zip(_PHASES, (
+                self.setup_seconds, self.execute_seconds, self.aggregate_seconds
+            )):
                 spans.append((phase, cursor, cursor + seconds))
                 cursor += seconds
             label = f"repro pipeline ({self.name}/{self.size.value})"
@@ -177,6 +179,59 @@ def transport_for(observer: TraceObserver) -> TraceObserver:
     return observer
 
 
+def _drive(run, tools, aggregate, *, name, size, config, telemetry, started):
+    """The one run driver: assemble, time, publish and manifest one run.
+
+    ``run(observer)`` executes the substrate (a workload's ``run``, or
+    ``Machine.run`` on a program) and ``aggregate()`` then distils the
+    ``tools``' results.  Setup is timed from the caller's ``started``
+    :func:`time.perf_counter` reading, so it covers building the workload
+    and the tools.
+
+    Returns ``(result, aggregated, seconds, manifest)``: what ``run`` and
+    ``aggregate`` returned, the per-phase seconds in :data:`_PHASES` order,
+    and the run's manifest (None with null telemetry).
+    """
+    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+    observer, counter = _assemble_observer(tools, telemetry, f"{name}/{size}")
+    dispatch = transport_for(observer)
+    t1 = time.perf_counter()
+    result = run(dispatch)
+    t2 = time.perf_counter()
+    aggregated = aggregate()
+    t3 = time.perf_counter()
+    seconds = (t1 - started, t2 - t1, t3 - t2)
+    manifest = None
+    if telemetry.enabled:
+        for phase, phase_seconds in zip(_PHASES, seconds):
+            telemetry.timers.record(phase, phase_seconds)
+        for tool in tools:
+            # Not every observer publishes metrics (the stack-distance
+            # profiler does not).
+            record = getattr(tool, "record_telemetry", None)
+            if record is not None:
+                record(telemetry)
+        if dispatch is not observer:
+            dispatch.record_telemetry(telemetry)
+        counter.publish(telemetry)
+        telemetry.record_process_stats()
+        manifest = build_manifest(
+            workload=name,
+            size=size,
+            config=config,
+            phases=telemetry.timers.snapshot(),
+            spans=telemetry.timers.spans(),
+            metrics=telemetry.metrics.snapshot(),
+            events_total=counter.total,
+            execute_seconds=seconds[1],
+        )
+        log.info(
+            "%s/%s: setup %.3fs, execute %.3fs, aggregate %.3fs, %s events",
+            name, size, *seconds, f"{counter.total:,}",
+        )
+    return result, aggregated, seconds, manifest
+
+
 def profile_workload(
     name: str,
     size: InputSize | str = InputSize.SIMSMALL,
@@ -193,68 +248,38 @@ def profile_workload(
     distilled into ``ProfiledRun.manifest``.  The default null telemetry
     reproduces the uninstrumented pipeline exactly.
     """
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    return _profile(name, size, config, with_sigil, with_callgrind, telemetry, ())
 
-    t0 = time.perf_counter()
+
+def _profile(name, size, config, with_sigil, with_callgrind, telemetry, extra):
+    """:func:`profile_workload`, with the ``extra`` observers riding in the
+    same run after the tools (``repro reuse --mrc``'s stack distances)."""
+    started = time.perf_counter()
     workload = get_workload(name, size)
     cfg = config if config is not None else SigilConfig()
     sigil = SigilProfiler(cfg) if with_sigil else None
     callgrind = CallgrindCollector() if with_callgrind else None
-    tools = [obs for obs in (sigil, callgrind) if obs is not None]
-    observer, counter = _assemble_observer(
-        tools, tel, f"{workload.name}/{workload.size.value}"
-    )
-    dispatch = transport_for(observer)
-    t1 = time.perf_counter()
+    tools = [obs for obs in (sigil, callgrind, *extra) if obs is not None]
 
-    workload.run(dispatch)
-    t2 = time.perf_counter()
-
-    sigil_profile = sigil.profile() if sigil is not None else None
-    callgrind_profile = callgrind.profile if callgrind is not None else None
-    t3 = time.perf_counter()
-
-    run = ProfiledRun(
-        workload=workload,
-        sigil=sigil_profile,
-        callgrind=callgrind_profile,
-        setup_seconds=t1 - t0,
-        execute_seconds=t2 - t1,
-        aggregate_seconds=t3 - t2,
-    )
-    if tel.enabled:
-        tel.timers.record("setup", run.setup_seconds)
-        tel.timers.record("execute", run.execute_seconds)
-        tel.timers.record("aggregate", run.aggregate_seconds)
-        if sigil is not None:
-            sigil.record_telemetry(tel)
-        if callgrind is not None:
-            callgrind.record_telemetry(tel)
-        if dispatch is not observer:
-            dispatch.record_telemetry(tel)
-        if counter is not None:
-            counter.publish(tel)
-        tel.record_process_stats()
-        run.manifest = build_manifest(
-            workload=workload.name,
-            size=workload.size.value,
-            config=cfg,
-            phases=tel.timers.snapshot(),
-            spans=tel.timers.spans(),
-            metrics=tel.metrics.snapshot(),
-            events_total=counter.total if counter is not None else 0,
-            execute_seconds=run.execute_seconds,
+    def aggregate():
+        return (
+            sigil.profile() if sigil is not None else None,
+            callgrind.profile if callgrind is not None else None,
         )
-        log.info(
-            "%s/%s: setup %.3fs, execute %.3fs, aggregate %.3fs, %s events",
-            workload.name,
-            workload.size.value,
-            run.setup_seconds,
-            run.execute_seconds,
-            run.aggregate_seconds,
-            f"{counter.total:,}" if counter is not None else "?",
-        )
-    return run
+
+    _, (sigil_profile, callgrind_profile), seconds, manifest = _drive(
+        workload.run,
+        tools,
+        aggregate,
+        name=workload.name,
+        size=workload.size.value,
+        config=cfg,
+        telemetry=telemetry,
+        started=started,
+    )
+    return ProfiledRun(
+        workload, sigil_profile, callgrind_profile, *seconds, manifest
+    )
 
 
 #: Named tool stacks, mirroring how the paper labels its runs: the
@@ -282,13 +307,8 @@ def run_tool(
         raise ValueError(
             f"unknown tool stack {tool!r}; available: {', '.join(TOOL_STACKS)}"
         )
-    return profile_workload(
-        name,
-        size,
-        config=config,
-        with_sigil="sigil" in tool,
-        with_callgrind="callgrind" in tool,
-        telemetry=telemetry,
+    return _profile(
+        name, size, config, "sigil" in tool, "callgrind" in tool, telemetry, ()
     )
 
 
@@ -299,9 +319,7 @@ def native_run(
     telemetry: Optional[Telemetry] = None,
 ) -> ProfiledRun:
     """An uninstrumented run with per-phase timing (the Figure 4 baseline)."""
-    return profile_workload(
-        name, size, with_sigil=False, with_callgrind=False, telemetry=telemetry
-    )
+    return _profile(name, size, None, False, False, telemetry, ())
 
 
 def native_seconds(name: str, size: InputSize | str = InputSize.SIMSMALL) -> float:
@@ -317,14 +335,17 @@ def line_reuse_run(
     telemetry: Optional[Telemetry] = None,
 ) -> LineReuseProfiler:
     """Run a workload under the line-granularity re-use mode (Figure 12)."""
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    with tel.phase("setup"):
-        workload = get_workload(name, size)
-        profiler = LineReuseProfiler(line_size)
-        observer = transport_for(profiler)
-    with tel.phase("execute"):
-        workload.run(observer)
-    if tel.enabled:
-        profiler.record_telemetry(tel)
-        tel.record_process_stats()
+    started = time.perf_counter()
+    workload = get_workload(name, size)
+    profiler = LineReuseProfiler(line_size)
+    _drive(
+        workload.run,
+        [profiler],
+        lambda: None,
+        name=workload.name,
+        size=workload.size.value,
+        config={"line_size": line_size},
+        telemetry=telemetry,
+        started=started,
+    )
     return profiler

@@ -113,21 +113,30 @@ def _encode(payload: bytes, codec: bytes) -> bytes:
     raise ValueError(f"unknown event-chunk codec {codec!r}")
 
 
-def _decode(payload: bytes, codec: bytes) -> bytes:
+def _decode(payload: bytes, codec: bytes, what: str) -> bytes:
+    """``payload`` decoded; a codec failure is a ValueError naming ``what``."""
     if codec == _CODEC_RAW:
         return payload
     if codec == _CODEC_GZIP:
-        return zlib.decompress(payload)
-    if codec == _CODEC_ZSTD:
+        decompress, codec_error = zlib.decompress, zlib.error
+    elif codec == _CODEC_ZSTD:
         try:
             import zstandard
         except ImportError:
             raise ValueError(
                 "event file uses zstd chunks but the zstandard package "
-                "is not installed"
+                f"is not installed ({what})"
             ) from None
-        return zstandard.ZstdDecompressor().decompress(payload)
-    raise ValueError(f"unknown event-chunk codec {codec!r}")
+        decompress = zstandard.ZstdDecompressor().decompress
+        codec_error = zstandard.ZstdError
+    else:
+        raise ValueError(f"unknown event-chunk codec {codec!r} in {what}")
+    try:
+        return decompress(payload)
+    except codec_error as exc:
+        raise ValueError(
+            f"corrupt event file: {codec!r} decode failed in {what}: {exc}"
+        ) from exc
 
 
 def _codec_for(compression: Optional[str]) -> bytes:
@@ -332,11 +341,21 @@ def is_binary_events(header: bytes) -> bool:
     return header.startswith(MAGIC_V2) or MAGIC_V2.startswith(header)
 
 
+#: Largest single ``read`` when fetching a chunk payload.
+_READ_BLOCK = 1 << 24
+
+
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    block = fh.read(n)
-    if len(block) != n:
-        raise ValueError(f"truncated event file: short read in {what}")
-    return block
+    # Bounded reads: a corrupt 64-bit chunk length then ends in a short
+    # read at end of file instead of one allocation of that many bytes.
+    parts = []
+    while n > 0:
+        part = fh.read(min(n, _READ_BLOCK))
+        if not part:
+            raise ValueError(f"truncated event file: short read in {what}")
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
 
 
 #: Table names accepted by ``iter_event_chunks(..., tables=...)``.
@@ -364,11 +383,12 @@ def iter_event_chunks(
     decoding their payloads (their trailer counts are then not verified,
     since counting rows would require the decode being skipped).
 
-    Raises :class:`ValueError` on a bad magic, an unknown chunk tag, or a
-    truncated file (no trailer or a row-count mismatch); truncation and
-    corruption errors name the chunk index and the byte offset at which the
-    bad chunk starts, so a damaged log can be inspected with ``dd``/``xxd``
-    directly.
+    Raises :class:`ValueError` on a bad magic, an unknown chunk tag or
+    codec, a payload its codec cannot decode, or a truncated file (no
+    trailer, a row-count mismatch, or a chunk length past the end of the
+    file); truncation and corruption errors name the chunk index and the
+    byte offset at which the bad chunk starts, so a damaged log can be
+    inspected with ``dd``/``xxd`` directly.
     """
     if tables is not None:
         unknown = set(tables) - set(TABLE_NAMES)
@@ -409,23 +429,29 @@ def iter_event_chunks(
                 and tag not in (_TAG_HEAD, _TAG_END)
                 and tag not in wanted
             )
+            what = f"{tag!r} payload ({where})"
             if skip:
                 # Advance past the payload without decoding it.
-                _read_exact(
-                    fh, length, f"{tag!r} payload ({where})"
-                )
+                _read_exact(fh, length, what)
                 payload = b""
             else:
-                payload = _decode(
-                    _read_exact(fh, length, f"{tag!r} payload ({where})"),
-                    codec,
-                )
+                payload = _decode(_read_exact(fh, length, what), codec, what)
             index += 1
             offset += _CHUNK_HEADER.size + length
             if skip or tag == _TAG_HEAD:
                 continue
             if tag == _TAG_END:
-                trailer = json.loads(payload.decode())
+                try:
+                    trailer = json.loads(payload.decode())
+                except ValueError as exc:  # bad UTF-8 or bad JSON
+                    raise ValueError(
+                        f"corrupt event file: unreadable trailer in {what}"
+                    ) from exc
+                if not isinstance(trailer, dict):
+                    raise ValueError(
+                        f"corrupt event file: trailer is not an object in "
+                        f"{what}"
+                    )
                 expected = {
                     t: trailer.get(name, 0)
                     for t, name in (
@@ -447,6 +473,11 @@ def iter_event_chunks(
             if dtype is None:
                 raise ValueError(
                     f"unknown event-chunk tag {tag!r} ({where})"
+                )
+            if len(payload) % dtype.itemsize:
+                raise ValueError(
+                    f"corrupt event file: {len(payload)} bytes are not whole "
+                    f"{dtype.itemsize}-byte rows in {what}"
                 )
             rows = np.frombuffer(payload, dtype=dtype)
             counts[tag] += len(rows)

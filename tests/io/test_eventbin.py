@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -250,6 +251,83 @@ class TestErrorLocation:
         ):
             list(iter_event_chunks(path))
         w.close()
+
+    @staticmethod
+    def _second_chunk(blob: bytes) -> int:
+        """Byte offset of chunk 1, the first table chunk after the header."""
+        first_len = struct.unpack_from("<Q", blob, len(MAGIC_V2) + 8)[0]
+        return len(MAGIC_V2) + 16 + first_len
+
+    def test_huge_chunk_length_is_a_located_truncation(self, tmp_path):
+        """A flipped high bit in a 64-bit length reads to end of file and
+        reports truncation; it never asks for that many bytes at once."""
+        blob = bytearray(dumps_events_bin(make_log(), compression="gzip"))
+        second = self._second_chunk(blob)
+        (length,) = struct.unpack_from("<Q", blob, second + 8)
+        struct.pack_into("<Q", blob, second + 8, length | 1 << 40)
+        path = tmp_path / "huge.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            ValueError, match=rf"truncated event file.*chunk 1 at byte {second}"
+        ):
+            load_event_arrays_bin(path)
+
+    def test_corrupt_gzip_payload_names_chunk_and_offset(self, tmp_path):
+        blob = bytearray(dumps_events_bin(make_log(), compression="gzip"))
+        second = self._second_chunk(blob)
+        (length,) = struct.unpack_from("<Q", blob, second + 8)
+        blob[second + 16 + length // 2] ^= 0xFF
+        path = tmp_path / "flipped.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            ValueError, match=rf"corrupt event file.*chunk 1 at byte {second}"
+        ) as info:
+            load_event_arrays_bin(path)
+        assert isinstance(info.value.__cause__, zlib.error)
+
+    def test_unknown_codec_names_chunk_and_offset(self):
+        blob = bytearray(dumps_events_bin(make_log(), compression="gzip"))
+        second = self._second_chunk(blob)
+        blob[second + 4 : second + 8] = b"lz4."
+        with pytest.raises(
+            ValueError,
+            match=rf"unknown event-chunk codec .* \(chunk 1 at byte {second}\)",
+        ):
+            list(iter_event_chunks(io.BytesIO(bytes(blob))))
+
+    def test_corrupt_trailer_names_chunk_and_offset(self):
+        blob = bytearray(dumps_events_bin(make_log(), compression=None))
+        trailer = blob.rfind(b"end.")
+        blob[trailer + 16] ^= 0xFF
+        with pytest.raises(
+            ValueError,
+            match=rf"unreadable trailer in .* \(chunk \d+ at byte {trailer}\)",
+        ):
+            list(iter_event_chunks(io.BytesIO(bytes(blob))))
+
+    def test_non_object_trailer_names_chunk_and_offset(self):
+        blob = dumps_events_bin(make_log(), compression=None)
+        trailer = blob.rfind(b"end.")
+        bad = blob[:trailer] + struct.pack("<4s4sQ", b"end.", b"raw.", 3) + b"[1]"
+        with pytest.raises(
+            ValueError,
+            match=rf"trailer is not an object in .* \(chunk \d+ at byte {trailer}\)",
+        ):
+            list(iter_event_chunks(io.BytesIO(bad)))
+
+    def test_partial_row_names_chunk_and_offset(self):
+        """A raw payload one byte short of whole rows is corrupt, not a
+        bare NumPy buffer-size error."""
+        blob = bytearray(dumps_events_bin(make_log(), compression=None))
+        second = self._second_chunk(blob)
+        (length,) = struct.unpack_from("<Q", blob, second + 8)
+        struct.pack_into("<Q", blob, second + 8, length - 1)
+        del blob[second + 16]
+        with pytest.raises(
+            ValueError,
+            match=rf"not whole .*-byte rows in .* \(chunk 1 at byte {second}\)",
+        ):
+            list(iter_event_chunks(io.BytesIO(bytes(blob))))
 
 
 class TestTableFilter:

@@ -176,6 +176,38 @@ class TestReuse:
         assert code == 2
         assert "not found" in err
 
+    def test_mrc_rides_in_the_profiled_run(self, capsys, monkeypatch):
+        """--mrc prints a standalone stack-distance run's curve, yet runs
+        the workload only once: the profiler joins the Sigil run."""
+        from repro.core import ReuseDistanceProfiler
+        from repro.workloads import get_workload
+        from repro.workloads.base import Workload
+
+        standalone = ReuseDistanceProfiler(64)
+        get_workload("dedup", "simsmall").run(standalone)
+        expected = [
+            [str(capacity), str(capacity * 64 // 1024), "KB", f"{ratio:.4f}"]
+            for capacity, ratio in standalone.miss_ratio_curve(
+                [2 ** k for k in range(2, 14)]
+            )
+        ]
+
+        runs = []
+        real_run = Workload.run
+
+        def counting_run(self, observer=None):
+            runs.append(self.name)
+            return real_run(self, observer)
+
+        monkeypatch.setattr(Workload, "run", counting_run)
+        code, out, _ = run_cli(capsys, "reuse", "dedup", "--mrc")
+        assert code == 0
+        assert runs == ["dedup"]
+        curve = out.split("miss-ratio curve from LRU stack distances")[1]
+        rows = [line.split() for line in curve.splitlines()
+                if line[:1].isdigit()]
+        assert rows == expected
+
 
 class TestCritpath:
     def test_live_workload(self, capsys):
