@@ -1,6 +1,6 @@
 # Convenience targets for the Sigil reproduction.
 
-.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed regen-golden clean
+.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-pipeline regen-golden clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -116,6 +116,15 @@ bench-event-io:
 # not below what materialising the tables would cost.
 bench-windowed:
 	PYTHONPATH=src python benchmarks/bench_windowed.py --check
+
+# Publish the paper pipe's cost into BENCH_pipeline.json: cold `repro
+# profile --reuse --events --callgrind-out` processes for streamcluster,
+# facesim and raytrace at simlarge, end to end (median and quartiles) and
+# per phase, next to the same runs with every pipe behind the batched
+# transport.  Fails only if the two sides write different bytes; it gates
+# no speed yet.  About three minutes.
+bench-pipeline:
+	PYTHONPATH=src python benchmarks/bench_pipeline.py
 
 # Rewrite the golden-profile fixtures in tests/golden/ (and events.json, the
 # digest of the sigil-reuse event log).  Run this ONLY when

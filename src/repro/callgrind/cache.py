@@ -24,7 +24,7 @@ formula accounts for instruction count directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,9 +59,12 @@ class CacheConfig:
         return self.size // (self.assoc * self.line_size)
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Miss counts incurred by one (possibly line-straddling) access."""
+class AccessResult(NamedTuple):
+    """Miss counts incurred by one (possibly line-straddling) access.
+
+    A named tuple rather than a dataclass: Callgrind's scalar path builds
+    one per access, and a tuple is several times cheaper to build.
+    """
 
     l1_misses: int
     ll_misses: int
@@ -74,8 +77,11 @@ class Cache:
         self.config = config
         self._line_shift = config.line_size.bit_length() - 1
         self._set_mask = config.n_sets - 1
-        # Per set: resident line numbers in recency order, LRU first.
-        self._sets: List[Dict[int, None]] = [{} for _ in range(config.n_sets)]
+        # Per set: resident line numbers in recency order, LRU first.  A set
+        # starts as the shared empty tuple and gets its dict on its first
+        # miss: the LL alone has thousands of sets, and building them all up
+        # front was a fixed cost of every collector.
+        self._sets: list = [()] * config.n_sets
         self.accesses = 0
         self.misses = 0
 
@@ -94,6 +100,8 @@ class Cache:
                 miss(line)
                 if len(ways) >= assoc:
                     del ways[next(iter(ways))]
+                elif not ways:
+                    ways = sets[line & mask] = {}
             ways[line] = None
         self.accesses += len(lines)
         self.misses += len(missed)
@@ -124,10 +132,17 @@ class CacheHierarchy:
         )
         if self.d1.config.line_size != self.ll.config.line_size:
             raise ValueError("D1 and LL must share a line size")
+        self._line_shift = self.d1._line_shift
 
     def access(self, addr: int, size: int) -> AccessResult:
         """Run one data access through D1 and its D1 misses through LL."""
-        missed = self.d1.access_lines(self.d1.lines_of(addr, size))
+        # Cache.lines_of, inlined: this is the scalar pipe's per-access path.
+        shift = self._line_shift
+        first = addr >> shift
+        last = (addr + size - 1 if size > 1 else addr) >> shift
+        missed = self.d1.access_lines(
+            (first,) if first == last else range(first, last + 1)
+        )
         ll_misses = len(self.ll.access_lines(missed)) if missed else 0
         return AccessResult(len(missed), ll_misses)
 
@@ -151,8 +166,7 @@ class CacheHierarchy:
             keep = np.empty(n_touches, dtype=bool)
             keep[0] = True
             np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-            if not keep.all():
-                lines = lines[keep]
+            lines = lines[keep]
         self.d1.accesses += n_touches - len(lines)
         missed = self.d1.access_lines(lines.tolist())
         ll_misses = len(self.ll.access_lines(missed)) if missed else 0

@@ -193,9 +193,9 @@ class CallgrindCollector(BaseObserver):
         costs.reads += 1
         costs.read_bytes += size
         if self.caches is not None:
-            result = self.caches.access(addr, size)
-            costs.l1_misses += result.l1_misses
-            costs.ll_misses += result.ll_misses
+            l1_misses, ll_misses = self.caches.access(addr, size)
+            costs.l1_misses += l1_misses
+            costs.ll_misses += ll_misses
 
     def on_mem_write(self, addr: int, size: int) -> None:
         costs = self._cur_costs
@@ -203,9 +203,9 @@ class CallgrindCollector(BaseObserver):
         costs.writes += 1
         costs.write_bytes += size
         if self.caches is not None:
-            result = self.caches.access(addr, size)
-            costs.l1_misses += result.l1_misses
-            costs.ll_misses += result.ll_misses
+            l1_misses, ll_misses = self.caches.access(addr, size)
+            costs.l1_misses += l1_misses
+            costs.ll_misses += ll_misses
 
     def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
         """Account a run-length batch of accesses at once.

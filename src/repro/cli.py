@@ -353,6 +353,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    run = None
     if args.profile and args.callgrind:
         sigil = load_profile(args.profile)
         callgrind = load_callgrind(args.callgrind)
@@ -377,6 +378,9 @@ def cmd_partition(args) -> int:
         rows,
         title="acceleration candidates by breakeven speedup (Eq. 1)",
     ))
+    if run is not None:
+        _emit_manifest(args, run.manifest,
+                       default_stem=f"{run.name}-{run.size.value}-partition")
     return 0
 
 
@@ -555,6 +559,7 @@ def cmd_diff(args) -> int:
 
 def cmd_critpath(args) -> int:
     tree = None
+    run = None
     if Path(args.target).exists():
         if args.dot:
             # Rendering needs every segment row anyway; load them once.
@@ -599,6 +604,9 @@ def cmd_critpath(args) -> int:
             rows,
             title="list-scheduled speedup (achievable, vs. theoretical limit)",
         ))
+    if run is not None:
+        _emit_manifest(args, run.manifest,
+                       default_stem=f"{run.name}-{run.size.value}-critpath")
     return 0
 
 

@@ -300,12 +300,6 @@ class SigilProfiler(BaseObserver):
     def on_branch(self, site: int, taken: bool) -> None:
         self.time += 1
 
-    def on_branch_batch(self, sites, takens) -> None:
-        # Branches only advance the instruction clock here, and the clock is
-        # a sum; the transport only defers branches for lenient (non-reuse)
-        # configs, where no output reads per-access timestamps.
-        self.time += len(sites)
-
     # -- memory ------------------------------------------------------------------
 
     def _runs(self, page: ShadowPage, lo: int, hi: int) -> List[int]:

@@ -169,10 +169,13 @@ def transport_for(observer: TraceObserver) -> TraceObserver:
     """What a substrate should call: ``observer``, batched when that pays off.
 
     The one place that decides on the batched transport.  It is built
-    exactly when an attached tool has a batch kernel (``batch_beneficial``:
-    Callgrind, the line re-use profiler); Sigil and the telemetry counters
-    replay batches through their scalar paths, so buffering for them alone
-    would be pure overhead.  Output is byte-identical either way.
+    exactly when every attached tool has a batch kernel
+    (``batch_beneficial``: Callgrind, the line re-use profiler, the
+    telemetry event counter).  One scalar-only member -- the Sigil profiler
+    in any config, a heartbeat -- makes every batch replay access by
+    access, so the transport would only add buffering and a second
+    dispatch; such a pipe is called directly.  Output is byte-identical
+    either way.
     """
     if getattr(observer, "batch_beneficial", False):
         return BatchingTransport(observer)
@@ -194,7 +197,9 @@ def _drive(run, tools, aggregate, *, name, size, config, telemetry, started):
     """
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     observer, counter = _assemble_observer(tools, telemetry, f"{name}/{size}")
-    dispatch = transport_for(observer)
+    # A run with no tool is the native baseline: the telemetry counter alone
+    # never puts a transport in front of the substrate.
+    dispatch = transport_for(observer) if tools else observer
     t1 = time.perf_counter()
     result = run(dispatch)
     t2 = time.perf_counter()

@@ -19,6 +19,7 @@ from typing import Dict, List, Union
 from repro.callgrind.collector import CallgrindCosts, CallgrindProfile
 from repro.callgrind.cycles import CycleModel
 from repro.common.cct import ContextTree
+from repro.io.profilefile import _located
 
 __all__ = [
     "dump_callgrind",
@@ -59,44 +60,54 @@ def dump_callgrind(profile: CallgrindProfile, path: Union[str, Path]) -> None:
 
 
 def loads_callgrind(text: str) -> CallgrindProfile:
-    """Parse a Callgrind-equivalent profile from text."""
+    """Parse a Callgrind-equivalent profile from text.
+
+    Raises :class:`ValueError` naming the line number and text of the
+    first malformed record.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
-        raise ValueError("not a callgrind-equivalent profile (bad magic)")
+        first = lines[0] if lines else ""
+        raise ValueError(
+            f"not a callgrind-equivalent profile (bad magic) (line 1: {first!r})"
+        )
     tree = ContextTree()
     profile = CallgrindProfile(tree)
     id_map: Dict[int, int] = {0: 0}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
-        kind, _, rest = line.partition(" ")
-        if kind == "model":
-            parts = [float(x) for x in rest.split()]
-            profile.cycle_model = CycleModel(*parts)
-        elif kind == "ctx":
-            fields = rest.split(" ", 3)
-            file_id, parent_id, calls = int(fields[0]), int(fields[1]), int(fields[2])
-            node = tree.child(tree.node(id_map[parent_id]), fields[3])
-            node.calls = calls
-            id_map[file_id] = node.id
-        elif kind == "cost":
-            parts = [int(x) for x in rest.split()]
-            profile.self_costs[id_map[parts[0]]] = CallgrindCosts(
-                instructions=parts[1],
-                iops=parts[2],
-                flops=parts[3],
-                reads=parts[4],
-                read_bytes=parts[5],
-                writes=parts[6],
-                write_bytes=parts[7],
-                l1_misses=parts[8],
-                ll_misses=parts[9],
-                branches=parts[10],
-                branch_misses=parts[11],
-                syscalls=parts[12],
-            )
-        else:
-            raise ValueError(f"unknown callgrind line kind: {kind!r}")
+        try:
+            kind, _, rest = line.partition(" ")
+            if kind == "model":
+                parts = [float(x) for x in rest.split()]
+                profile.cycle_model = CycleModel(*parts)
+            elif kind == "ctx":
+                fields = rest.split(" ", 3)
+                file_id, parent_id, calls = int(fields[0]), int(fields[1]), int(fields[2])
+                node = tree.child(tree.node(id_map[parent_id]), fields[3])
+                node.calls = calls
+                id_map[file_id] = node.id
+            elif kind == "cost":
+                parts = [int(x) for x in rest.split()]
+                profile.self_costs[id_map[parts[0]]] = CallgrindCosts(
+                    instructions=parts[1],
+                    iops=parts[2],
+                    flops=parts[3],
+                    reads=parts[4],
+                    read_bytes=parts[5],
+                    writes=parts[6],
+                    write_bytes=parts[7],
+                    l1_misses=parts[8],
+                    ll_misses=parts[9],
+                    branches=parts[10],
+                    branch_misses=parts[11],
+                    syscalls=parts[12],
+                )
+            else:
+                raise ValueError(f"unknown callgrind line kind: {kind!r}")
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise _located(exc, number, line) from None
     return profile
 
 

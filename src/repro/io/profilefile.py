@@ -111,11 +111,22 @@ def dump_profile(profile: SigilProfile, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps_profile(profile))
 
 
+def _located(exc: Exception, number: int, line: str) -> ValueError:
+    """``exc`` as a :class:`ValueError` naming the line it came from."""
+    reason = exc if isinstance(exc, ValueError) else repr(exc)
+    return ValueError(f"{reason} (line {number}: {line!r})")
+
+
 def loads_profile(text: str) -> SigilProfile:
-    """Parse a profile previously produced by :func:`dumps_profile`."""
+    """Parse a profile previously produced by :func:`dumps_profile`.
+
+    Raises :class:`ValueError` naming the line number and text of the
+    first malformed record.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
-        raise ValueError("not a sigil profile file (bad magic)")
+        first = lines[0] if lines else ""
+        raise ValueError(f"not a sigil profile file (bad magic) (line 1: {first!r})")
 
     tree = ContextTree()
     functions: Dict[int, FnComm] = {}
@@ -126,71 +137,73 @@ def loads_profile(text: str) -> SigilProfile:
     shadow = ShadowStats(0, 0, 0, 0, 0)
     id_map: Dict[int, int] = {0: 0}  # file ctx id -> rebuilt ctx id
 
-    for line in lines[1:]:
-        line = line.rstrip("\n")
+    for number, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
-        kind, _, rest = line.partition(" ")
-        if kind == "config":
-            kv = dict(item.split("=", 1) for item in rest.split())
-            config = SigilConfig(
-                reuse_mode=bool(int(kv["reuse"])),
-                event_mode=bool(int(kv["event"])),
-                line_size=int(kv["line"]),
-            )
-            if config.reuse_mode:
-                reuse = ReuseStats()
-        elif kind == "time":
-            total_time = int(rest)
-        elif kind == "shadow":
-            parts = [int(x) for x in rest.split()]
-            shadow = ShadowStats(*parts)
-        elif kind == "ctx":
-            fields = rest.split(" ", 3)
-            file_id, parent_id, calls = int(fields[0]), int(fields[1]), int(fields[2])
-            name = fields[3]
-            parent = tree.node(id_map[parent_id])
-            node = tree.child(parent, name)
-            node.calls = calls
-            id_map[file_id] = node.id
-        elif kind == "fn":
-            parts = [int(x) for x in rest.split()]
-            functions[id_map[parts[0]]] = FnComm(
-                iops=parts[1],
-                flops=parts[2],
-                reads=parts[3],
-                read_bytes=parts[4],
-                writes=parts[5],
-                write_bytes=parts[6],
-                syscall_input_bytes=parts[7],
-                syscall_output_bytes=parts[8],
-            )
-        elif kind == "edge":
-            parts = [int(x) for x in rest.split()]
-            writer = id_map[parts[0]] if parts[0] >= 0 else parts[0]
-            comm.add(writer, id_map[parts[1]], unique=parts[2], nonunique=parts[3])
-        elif kind == "reuse-fn":
-            if reuse is None:
-                raise ValueError("reuse-fn line in non-reuse profile")
-            parts = [int(x) for x in rest.split()]
-            stats = reuse.fn(id_map[parts[0]])
-            stats.reused_windows = parts[1]
-            stats.lifetime_sum = parts[2]
-            stats.reuse_accesses = parts[3]
-        elif kind == "reuse-hist":
-            if reuse is None:
-                raise ValueError("reuse-hist line in non-reuse profile")
-            ctx_str, _, pairs = rest.partition(" ")
-            stats = reuse.fn(id_map[int(ctx_str)])
-            for pair in pairs.split():
-                b, _, c = pair.partition(":")
-                stats.histogram[int(b)] = int(c)
-        elif kind == "reuse-buckets":
-            if reuse is None:
-                raise ValueError("reuse-buckets line in non-reuse profile")
-            reuse.byte_buckets = np.array([int(x) for x in rest.split()], dtype=np.int64)
-        else:
-            raise ValueError(f"unknown profile line kind: {kind!r}")
+        try:
+            kind, _, rest = line.partition(" ")
+            if kind == "config":
+                kv = dict(item.split("=", 1) for item in rest.split())
+                config = SigilConfig(
+                    reuse_mode=bool(int(kv["reuse"])),
+                    event_mode=bool(int(kv["event"])),
+                    line_size=int(kv["line"]),
+                )
+                if config.reuse_mode:
+                    reuse = ReuseStats()
+            elif kind == "time":
+                total_time = int(rest)
+            elif kind == "shadow":
+                parts = [int(x) for x in rest.split()]
+                shadow = ShadowStats(*parts)
+            elif kind == "ctx":
+                fields = rest.split(" ", 3)
+                file_id, parent_id, calls = int(fields[0]), int(fields[1]), int(fields[2])
+                name = fields[3]
+                parent = tree.node(id_map[parent_id])
+                node = tree.child(parent, name)
+                node.calls = calls
+                id_map[file_id] = node.id
+            elif kind == "fn":
+                parts = [int(x) for x in rest.split()]
+                functions[id_map[parts[0]]] = FnComm(
+                    iops=parts[1],
+                    flops=parts[2],
+                    reads=parts[3],
+                    read_bytes=parts[4],
+                    writes=parts[5],
+                    write_bytes=parts[6],
+                    syscall_input_bytes=parts[7],
+                    syscall_output_bytes=parts[8],
+                )
+            elif kind == "edge":
+                parts = [int(x) for x in rest.split()]
+                writer = id_map[parts[0]] if parts[0] >= 0 else parts[0]
+                comm.add(writer, id_map[parts[1]], unique=parts[2], nonunique=parts[3])
+            elif kind == "reuse-fn":
+                if reuse is None:
+                    raise ValueError("reuse-fn line in non-reuse profile")
+                parts = [int(x) for x in rest.split()]
+                stats = reuse.fn(id_map[parts[0]])
+                stats.reused_windows = parts[1]
+                stats.lifetime_sum = parts[2]
+                stats.reuse_accesses = parts[3]
+            elif kind == "reuse-hist":
+                if reuse is None:
+                    raise ValueError("reuse-hist line in non-reuse profile")
+                ctx_str, _, pairs = rest.partition(" ")
+                stats = reuse.fn(id_map[int(ctx_str)])
+                for pair in pairs.split():
+                    b, _, c = pair.partition(":")
+                    stats.histogram[int(b)] = int(c)
+            elif kind == "reuse-buckets":
+                if reuse is None:
+                    raise ValueError("reuse-buckets line in non-reuse profile")
+                reuse.byte_buckets = np.array([int(x) for x in rest.split()], dtype=np.int64)
+            else:
+                raise ValueError(f"unknown profile line kind: {kind!r}")
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise _located(exc, number, line) from None
 
     return SigilProfile(
         config, tree, functions, comm, reuse, None, shadow, total_time

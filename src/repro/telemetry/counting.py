@@ -21,6 +21,10 @@ __all__ = ["EventCounter"]
 class EventCounter(BaseObserver):
     """Counts dispatched trace primitives by kind (one int add per event)."""
 
+    #: The run hook adds one count per run, so the counter never keeps a
+    #: pipe of batch kernels off the transport.
+    batch_beneficial = True
+
     __slots__ = (
         "fn_enters",
         "fn_exits",

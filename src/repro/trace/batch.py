@@ -8,12 +8,21 @@ batched cross-flow interception; Kercher's per-epoch working-set
 aggregation), and that is what this module does for the transport layer:
 
 :class:`BatchingTransport` sits between a substrate and its observer.  It
-accumulates memory accesses into a flat ``array('q')`` address buffer plus a
+stores memory accesses into a fixed ``array('q')`` address buffer plus a
 run-length side table (real access streams are long same-size, same-kind
 runs), and hands the downstream observer whole batches in that form through
 :meth:`~repro.trace.observer.BaseObserver.on_mem_batch_runs`.  Branches are
 buffered the same way for lenient downstreams and delivered through
 ``on_branch_batch``.
+
+Batching pays only when whatever consumes a batch has a batch kernel.  A
+downstream pipe with one scalar-only member (the Sigil profiler, a
+heartbeat) replays every batch access by access, and the transport then
+costs a buffer, a replay and a second dispatch for nothing.  So
+:func:`repro.harness.transport_for` builds one only when every attached
+tool sets ``batch_beneficial``: Callgrind, the line re-use profiler and
+the telemetry event counter.  The paper's Sigil+Callgrind pipe therefore
+dispatches scalar.
 
 Flush boundaries
 ----------------
@@ -26,7 +35,7 @@ forwarded -- at:
 * syscall enter and exit,
 * thread switches,
 * run end, and
-* buffer full.
+* buffer full (when the next access arrives).
 
 Plain op events (``on_op``) and branches do **not** flush by default: the
 instruction clock is a sum and predictor state depends only on the branch
@@ -87,11 +96,11 @@ class BatchingTransport(BaseObserver):
         through the batch hooks, which the kernel-semantics tests use.
 
     The hot-path handlers (``on_mem_read``/``on_mem_write``/``on_branch``)
-    are installed as per-instance closures so each buffered access costs a
-    couple of list appends and one size compare -- subclasses overriding
-    them must rebuild the instance attributes, not just the class methods.
-    The arrays passed downstream are freshly decoded per flush; downstream
-    observers may retain them.
+    are installed as per-instance closures so each buffered access costs
+    one indexed store and one compare -- subclasses overriding them must
+    rebuild the instance attributes, not just the class methods.  The
+    arrays and lists passed downstream are fresh copies per flush;
+    downstream observers may retain them.
     """
 
     def __init__(
@@ -110,14 +119,6 @@ class BatchingTransport(BaseObserver):
         # -- downstream delivery hooks (resolved once) ---------------------
         self._runs_hook = getattr(downstream, "on_mem_batch_runs", None)
         self._branch_hook = getattr(downstream, "on_branch_batch", None)
-        # -- access buffer: flat addresses + run-length side table ---------
-        self._abuf = array("q")
-        self._rkeys: list = []  # (size << 1) | kind per run
-        self._rends: list = []  # exclusive end index per *completed* run
-        # _cell[kind] holds the active run's size for that kind; the other
-        # slot is forced to -1, so a single compare per access detects both
-        # a size change and a kind flip.
-        self._cell = [-1, -1]
         # -- branch buffer (lenient downstreams only) ----------------------
         self._bsites: list = []
         self._btakens: list = []
@@ -128,29 +129,79 @@ class BatchingTransport(BaseObserver):
         self._install_hot_handlers()
 
     def _install_hot_handlers(self) -> None:
-        """Bind the per-access closures as instance attributes."""
+        """Bind the per-access closures and the memory flush.
+
+        The address buffer is a fixed ``array('q')`` of ``batch_size``
+        slots written by index, and the fill count ``n`` lives in this
+        scope, shared by the closures: no append, no ``len`` and no
+        reallocation per access.  A full buffer flushes when the next
+        access finds no free slot (the store raises ``IndexError``), so
+        the common path carries no capacity compare; batches and their
+        order are the same as flushing the moment the buffer fills.
+        """
         cap = self.batch_size
-        abuf = self._abuf
-        cell = self._cell
-        brk = self._run_break
-        flush_mem = self._flush_mem
+        buf = array("q", bytes(8 * cap))
+        slots = np.frombuffer(buf, dtype=np.int64)
+        # cell[kind] holds the active run's size for that kind; the other
+        # slot is forced to -1, so a single compare per access detects both
+        # a size change and a kind flip.
+        cell = [-1, -1]
+        rkeys: list = []  # (size << 1) | kind per run
+        rends: list = []  # exclusive end index per *completed* run
+        n = 0
+        downstream = self.downstream
+        runs_hook = self._runs_hook
+        cutoff = self.scalar_cutoff
 
-        def on_mem_read(addr, size, _append=abuf.append, _cell=cell,
-                        _buf=abuf, _cap=cap, _brk=brk, _flush=flush_mem):
-            _append(addr)
-            if size != _cell[0]:
-                _brk(size, 0)
-            if len(_buf) >= _cap:
-                _flush()
+        def run_break(size, kind):
+            cell[1 - kind] = -1
+            cell[kind] = size
+            if rkeys:
+                # The triggering address is already stored; the previous
+                # run ends just before it.
+                rends.append(n - 1)
+            rkeys.append((size << 1) | kind)
 
-        def on_mem_write(addr, size, _append=abuf.append, _cell=cell,
-                         _buf=abuf, _cap=cap, _brk=brk, _flush=flush_mem):
-            _append(addr)
-            if size != _cell[1]:
-                _brk(size, 1)
-            if len(_buf) >= _cap:
-                _flush()
+        def flush_mem():
+            nonlocal n, rkeys, rends
+            count = n
+            if not count:
+                return
+            n = 0
+            self.flushes += 1
+            self.batched_accesses += count
+            keys, ends = rkeys, rends
+            ends.append(count)
+            rkeys, rends = [], []
+            cell[0] = cell[1] = -1
+            if count < cutoff or runs_hook is None:
+                _expand_runs(downstream, buf[:count].tolist(), keys, ends)
+            else:
+                runs_hook(slots[:count].copy(), keys, ends)
 
+        def on_mem_read(addr, size):
+            nonlocal n
+            try:
+                buf[n] = addr
+            except IndexError:
+                flush_mem()
+                buf[0] = addr
+            n += 1
+            if size != cell[0]:
+                run_break(size, 0)
+
+        def on_mem_write(addr, size):
+            nonlocal n
+            try:
+                buf[n] = addr
+            except IndexError:
+                flush_mem()
+                buf[0] = addr
+            n += 1
+            if size != cell[1]:
+                run_break(size, 1)
+
+        self._flush_mem = flush_mem
         self.on_mem_read = on_mem_read
         self.on_mem_write = on_mem_write
 
@@ -177,17 +228,6 @@ class BatchingTransport(BaseObserver):
 
     # -- buffering ---------------------------------------------------------
 
-    def _run_break(self, size: int, kind: int) -> None:
-        """Close the active run (if any) and open one for (size, kind)."""
-        cell = self._cell
-        cell[1 - kind] = -1
-        cell[kind] = size
-        if self._rkeys:
-            # The triggering address is already appended; the previous run
-            # ends just before it.
-            self._rends.append(len(self._abuf) - 1)
-        self._rkeys.append((size << 1) | kind)
-
     def flush(self) -> None:
         """Deliver all pending events downstream, preserving order.
 
@@ -199,30 +239,6 @@ class BatchingTransport(BaseObserver):
         """
         self._flush_mem()
         self._flush_branches()
-
-    def _flush_mem(self) -> None:
-        buf = self._abuf
-        n = len(buf)
-        if not n:
-            return
-        self.flushes += 1
-        self.batched_accesses += n
-        rkeys = self._rkeys
-        rends = self._rends
-        rends.append(n)
-        cell = self._cell
-        cell[0] = -1
-        cell[1] = -1
-        self._rkeys = []
-        self._rends = []
-        if n < self.scalar_cutoff or self._runs_hook is None:
-            addrs = buf.tolist()
-            del buf[:]
-            _expand_runs(self.downstream, addrs, rkeys, rends)
-        else:
-            addrs = np.frombuffer(buf, dtype=np.int64).copy()
-            del buf[:]
-            self._runs_hook(addrs, rkeys, rends)
 
     def _flush_branches(self) -> None:
         sites = self._bsites

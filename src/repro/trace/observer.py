@@ -61,16 +61,26 @@ def _expand_runs(observer, addrs, rkeys, rends) -> None:
 def _expand_lines(addrs, sizes, shift: int):
     """Line numbers a memory batch touches, concatenated in program order.
 
-    ``sizes`` is one size for the whole batch (a single run) or one per
-    access; numpy broadcasts either.  A size-0 access touches the line at
-    its address.  Returns ``(lines, counts)``, where ``counts`` holds each
+    ``sizes`` is one ``int`` size for the whole batch (a single run) or an
+    array with one per access.  A size-0 access touches the line at its
+    address.  Returns ``(lines, counts)``, where ``counts`` holds each
     access's number of lines, or is None when every access touches exactly
     one line (the common case, which skips the ragged expansion).
     """
     lo = addrs >> shift
-    hi = (addrs + (np.maximum(sizes, 1) - 1)) >> shift
-    if (lo == hi).all():
-        return lo, None
+    if isinstance(sizes, int):
+        # One size: an access straddles a line boundary exactly when its
+        # offset within the line plus the size overruns the line, so the
+        # largest offset settles the whole batch.
+        span = max(sizes, 1) - 1
+        line = 1 << shift
+        if not span or int((addrs & (line - 1)).max()) + span < line:
+            return lo, None
+        hi = (addrs + span) >> shift
+    else:
+        hi = (addrs + (np.maximum(sizes, 1) - 1)) >> shift
+        if (lo == hi).all():
+            return lo, None
     counts = hi - lo + 1
     ends = np.cumsum(counts)
     # Access i's lines lo[i], lo[i] + 1, ... sit at output positions
@@ -136,13 +146,14 @@ class BaseObserver:
     #: always preserved regardless of this flag.
     batch_time_strict: bool = False
 
-    #: Whether batch delivery actually speeds this observer up.  Opt-in:
-    #: only observers with a batch kernel that pays off (Callgrind, the line
-    #: re-use profiler) set it.  Observers that process batches by scalar
-    #: expansion (the Sigil profiler, the telemetry counters) gain nothing
-    #: from buffering, so the harness builds the transport only when
-    #: something attached benefits.  Output is byte-identical either way --
-    #: this is purely a performance hint.
+    #: Whether this observer has a batch kernel that pays for buffering.
+    #: Opt-in: Callgrind, the line re-use profiler and the telemetry event
+    #: counter (whose run hook is O(runs)) set it.  Observers that replay a
+    #: batch through their scalar path (the Sigil profiler, heartbeats) do
+    #: not, and :class:`ObserverPipe` is beneficial only when every member
+    #: is, so the harness builds the transport only when every attached
+    #: tool has a batch kernel.  Output is byte-identical either way -- this
+    #: is purely a performance hint.
     batch_beneficial: bool = False
 
     def on_fn_enter(self, name: str) -> None:
@@ -234,8 +245,13 @@ class ObserverPipe(BaseObserver):
 
     @property
     def batch_beneficial(self) -> bool:  # type: ignore[override]
-        """Batching pays off if it pays off for any fan-out target."""
-        return any(
+        """Batching pays off only if it pays off for every fan-out target.
+
+        One member without a batch kernel replays every batch access by
+        access, so the pipe pays the buffering and a second dispatch on
+        top of the scalar path it would have taken anyway.
+        """
+        return all(
             getattr(obs, "batch_beneficial", False) for obs in self.observers
         )
 

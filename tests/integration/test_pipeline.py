@@ -47,13 +47,13 @@ class TestHarness:
         assert run.callgrind is not None
 
     @pytest.mark.parametrize("with_callgrind,expect_transport", [
-        (False, False), (True, True),
+        (False, False), (True, False),
     ], ids=["sigil-only", "sigil+callgrind"])
     def test_transport_built_only_for_batch_kernels(
         self, monkeypatch, with_callgrind, expect_transport
     ):
-        """Sigil replays batches through its scalar kernel, so a Sigil-only
-        run skips the transport; Callgrind's batch kernel brings it back."""
+        """Sigil replays batches through its scalar kernel, so any run with
+        Sigil attached skips the transport, even next to Callgrind."""
         import repro.harness as harness
 
         built = []
@@ -78,8 +78,9 @@ class TestHarness:
     def test_attached_tools_alone_decide_the_transport(
         self, monkeypatch, tool, telemetry
     ):
-        """Only a stack with Callgrind's batch kernel gets the transport;
-        the telemetry counters never switch it on, nor change the profile."""
+        """Only a stack of batch kernels (Callgrind alone) gets the
+        transport; the telemetry counter never switches it on or off, nor
+        changes the profile."""
         import repro.harness as harness
 
         built = []
@@ -94,7 +95,7 @@ class TestHarness:
             "blackscholes", "simsmall", tool,
             telemetry=Telemetry() if telemetry else NULL_TELEMETRY,
         )
-        batched = "callgrind" in tool
+        batched = tool == "callgrind"
         assert bool(built) == batched
         if not telemetry:
             assert run.manifest is None

@@ -13,6 +13,7 @@ import pytest
 
 from repro.callgrind.collector import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
+from repro.core.linegrain import LineReuseProfiler
 from repro.core.shadow import SHADOW_PAGE_SIZE
 from repro.harness import transport_for
 from repro.io.profilefile import dumps_profile
@@ -21,6 +22,7 @@ from repro.trace.batch import (
     SCALAR_FLUSH_CUTOFF,
     BatchingTransport,
 )
+from repro.telemetry.counting import EventCounter
 from repro.trace.events import OpKind
 from repro.trace.observer import (
     MEM_READ,
@@ -389,8 +391,8 @@ class TestObserverPipeMixing:
 
     def test_batch_beneficial_advertisement(self):
         """Sigil replays every batch through its scalar kernel, so no config
-        gains from batching; a pipe benefits if any member has a batch
-        kernel (Callgrind)."""
+        gains from batching; a pipe benefits only if every member has a
+        batch kernel, so Sigil keeps even Callgrind's pipe scalar."""
         for config in (
             SigilConfig(),
             SigilConfig(reuse_mode=True),
@@ -400,9 +402,12 @@ class TestObserverPipeMixing:
             sigil = SigilProfiler(config)
             assert not sigil.batch_beneficial, config
             assert not ObserverPipe([sigil]).batch_beneficial, config
-            assert ObserverPipe(
+            assert not ObserverPipe(
                 [sigil, CallgrindCollector()]
             ).batch_beneficial, config
+        assert ObserverPipe(
+            [CallgrindCollector(), EventCounter()]
+        ).batch_beneficial
 
     def test_pipe_is_strict_if_any_member_is(self):
         lenient = SigilProfiler(SigilConfig())  # baseline: not strict
@@ -435,23 +440,27 @@ class TestObserverPipeMixing:
         assert rends == [2, 3]
         assert all(x is y for x, y in zip(a.batches[0], b.batches[0]))
 
-    def test_sigil_callgrind_pipe_reaches_callgrinds_run_kernel(self):
-        """The paper's pipe: Callgrind behind the transport gets run-length
-        batches, not a scalar replay."""
-        callgrind = CallgrindCollector()
-        runs = []
-        kernel = callgrind.on_mem_batch_runs
+    def test_callgrind_reaches_its_run_kernel(self):
+        """Callgrind behind the transport, alone or with the telemetry
+        counter, gets run-length batches, not a scalar replay."""
+        for with_counter in (False, True):
+            callgrind = CallgrindCollector()
+            runs = []
+            kernel = callgrind.on_mem_batch_runs
 
-        def counting(addrs, rkeys, rends):
-            runs.append(len(addrs))
-            kernel(addrs, rkeys, rends)
+            def counting(addrs, rkeys, rends, kernel=kernel, runs=runs):
+                runs.append(len(addrs))
+                kernel(addrs, rkeys, rends)
 
-        callgrind.on_mem_batch_runs = counting
-        sigil = SigilProfiler(SigilConfig(reuse_mode=True, event_mode=True))
-        dispatch = transport_for(ObserverPipe([sigil, callgrind]))
-        assert isinstance(dispatch, BatchingTransport)
-        get_workload("facesim", "simsmall").run(dispatch)
-        assert runs and min(runs) >= SCALAR_FLUSH_CUTOFF
+            callgrind.on_mem_batch_runs = counting
+            observer = (
+                ObserverPipe([callgrind, EventCounter()]) if with_counter
+                else callgrind
+            )
+            dispatch = transport_for(observer)
+            assert isinstance(dispatch, BatchingTransport)
+            get_workload("facesim", "simsmall").run(dispatch)
+            assert runs and min(runs) >= SCALAR_FLUSH_CUTOFF, with_counter
 
     def test_pipe_profilers_match_scalar(self):
         """Two profilers sharing one pipe under one transport both match
@@ -474,6 +483,51 @@ class TestObserverPipeMixing:
 
         assert dumps_profile(a.profile()) == dumps_profile(sa.profile())
         assert dumps_profile(b.profile()) == dumps_profile(sb.profile())
+
+
+SIGIL_CONFIGS = {
+    "baseline": SigilConfig(),
+    "reuse": SigilConfig(reuse_mode=True),
+    "events": SigilConfig(event_mode=True),
+    "reuse+events": SigilConfig(reuse_mode=True, event_mode=True),
+    "bounded": SigilConfig(max_shadow_pages=1),
+    "lines": SigilConfig(line_size=64),
+}
+
+#: (composition id, tool factories, transport expected).  Any Sigil member
+#: keeps a pipe scalar; pipes of batch kernels get the transport.
+TRANSPORT_TABLE = [
+    (f"sigil:{name}{extra}",
+     [lambda c=config: SigilProfiler(c), *extras], False)
+    for name, config in SIGIL_CONFIGS.items()
+    for extra, extras in (
+        ("", []),
+        ("+cg", [CallgrindCollector]),
+        ("+counter", [EventCounter]),
+        ("+cg+counter", [CallgrindCollector, EventCounter]),
+    )
+] + [
+    ("cg", [CallgrindCollector], True),
+    ("cg+counter", [CallgrindCollector, EventCounter], True),
+    ("line-reuse", [LineReuseProfiler], True),
+    ("line-reuse+counter", [LineReuseProfiler, EventCounter], True),
+]
+
+
+@pytest.mark.parametrize(
+    "factories,expected",
+    [(factories, expected) for _, factories, expected in TRANSPORT_TABLE],
+    ids=[name for name, _, _ in TRANSPORT_TABLE],
+)
+def test_transport_for_compositions(factories, expected):
+    """``transport_for`` batches a composition only if every tool has a
+    batch kernel."""
+    tools = [make() for make in factories]
+    observer = tools[0] if len(tools) == 1 else ObserverPipe(tools)
+    dispatch = transport_for(observer)
+    assert isinstance(dispatch, BatchingTransport) == expected
+    if not expected:
+        assert dispatch is observer
 
 
 class TestReplayBatching:
