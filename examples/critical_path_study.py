@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro import SigilConfig, profile_workload
 from repro.analysis import analyze_critical_path, render_barchart
-from repro.io import dump_events, load_event_arrays
+from repro.io import dump_events_bin, load_event_arrays
 
 SUITE = ("blackscholes", "dedup", "fluidanimate", "libquantum",
          "raytrace", "streamcluster", "x264")
@@ -32,7 +32,7 @@ def main() -> None:
             name, "simsmall", config=SigilConfig(event_mode=True),
             with_callgrind=False,
         )
-        dump_events(run.sigil.events, workdir / f"{name}.events")
+        dump_events_bin(run.sigil.events, workdir / f"{name}.events")
         trees[name] = run.sigil.tree
 
     # Offline pass: load the event files back and analyze.

@@ -8,8 +8,8 @@ tables, and an in-memory log takes the same code path.  The pieces:
 
 * :class:`ChunkSource` -- one re-iterable handle over an event log in *any*
   form (path, raw bytes, ``EventArrays``).  Only its constructor looks at
-  the input's type; analyses see chunks.  File and byte sources stream
-  through :func:`~repro.io.eventbin.iter_event_chunks`
+  the input's type; analyses see chunks.  File and byte sources are v2
+  and stream through :func:`~repro.io.eventbin.iter_event_chunks`
   (optionally filtered by table, skipping the decode of unwanted chunks);
   in-memory forms are sliced into synthetic chunks, so the
   chunk-size-invariance property tests cover both.
@@ -39,12 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.segments import EventArrays, check_rows
-from repro.io.eventbin import (
-    DEFAULT_CHUNK_ROWS,
-    is_binary_events,
-    iter_event_chunks,
-)
-from repro.io.eventfile import load_event_arrays, loads_events
+from repro.io.eventbin import DEFAULT_CHUNK_ROWS, iter_event_chunks
 
 __all__ = [
     "ChunkSource",
@@ -99,21 +94,11 @@ class ChunkSource:
             self._arrays = source
         elif isinstance(source, (bytes, bytearray)):
             self._bytes = bytes(source)
-            if not is_binary_events(self._bytes[:32]):
-                # v1 text bytes: parse once, then serve synthetic chunks.
-                self._arrays = loads_events(self._bytes.decode())
-                self._bytes = None
         elif hasattr(source, "read"):
             # A one-shot stream cannot be re-iterated; buffer it.
             self._bytes = source.read()  # type: ignore[union-attr]
         else:
             self._path = Path(source)
-            with open(self._path, "rb") as fh:
-                head = fh.read(32)
-            if not is_binary_events(head):
-                # v1 text file: parse once, then serve synthetic chunks.
-                self._arrays = load_event_arrays(self._path)
-                self._path = None
 
     def chunks(
         self, tables: Optional[Tuple[str, ...]] = None

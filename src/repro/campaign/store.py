@@ -35,8 +35,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.campaign.spec import Job
 from repro.harness import ProfiledRun
 from repro.io.callgrindfile import dump_callgrind, load_callgrind
-from repro.io.eventbin import dump_events_bin
-from repro.io.eventfile import load_event_arrays
+from repro.io.eventbin import dump_events_bin, load_event_arrays
 from repro.io.profilefile import dump_profile, load_profile, profile_digest
 from repro.telemetry import Manifest
 from repro.workloads import get_workload
@@ -261,8 +260,6 @@ class ResultStore:
                 meta["profile_sha256"] = profile_digest(run.sigil)
                 if run.sigil.events is not None:
                     # Binary v2: compact and loads without per-row objects.
-                    # load_event_arrays sniffs, so stores with v1 entries
-                    # written by older versions keep reading fine.
                     dump_events_bin(run.sigil.events, staging / _EVENTS)
                     # Cache the time-resolved curves next to the log, so
                     # watchers (and `repro serve`) plot WS(t) without

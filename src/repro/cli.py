@@ -231,8 +231,8 @@ def _write_events(args, events, path) -> None:
     """Write an event file in the format ``--events-format`` selected.
 
     Binary v2 is the default (columnar, chunked, compressed -- see
-    docs/file-formats.md); ``--events-format text`` keeps the line-oriented
-    v1 for hand-inspection and diffing.  Every reader sniffs the version.
+    docs/file-formats.md); ``--events-format text`` writes the line-oriented
+    v1 for reading and diffing by eye.  Nothing reads v1 back.
     """
     if getattr(args, "events_format", "bin") == "text":
         dump_events(events, path)
@@ -561,16 +561,22 @@ def cmd_critpath(args) -> int:
     tree = None
     run = None
     if Path(args.target).exists():
-        if args.dot:
-            # Rendering needs every segment row anyway; load them once.
-            events = load_event_arrays(args.target)
-        else:
-            # Out-of-core: the analyses stream the file chunk-at-a-time
-            # (v1 text parses once under the same interface).
-            from repro.analysis.streaming import ChunkSource
-
-            events = ChunkSource(args.target)
         name = Path(args.target).stem
+        try:
+            if args.dot:
+                # Rendering needs every segment row anyway; load them once.
+                events = load_event_arrays(args.target)
+            else:
+                # Out-of-core: the analyses stream the file chunk-at-a-time.
+                from repro.analysis.streaming import ChunkSource
+
+                events = ChunkSource(args.target)
+            result = analyze_critical_path(
+                events, telemetry=_telemetry_from(args)
+            )
+        except (OSError, ValueError) as exc:
+            log.error("cannot analyse %s: %s", args.target, exc)
+            return 2
     else:
         if args.target not in WORKLOADS:
             log.error(
@@ -582,7 +588,7 @@ def cmd_critpath(args) -> int:
         events = run.sigil.events
         tree = run.sigil.tree
         name = run.name
-    result = analyze_critical_path(events, telemetry=_telemetry_from(args))
+        result = analyze_critical_path(events, telemetry=_telemetry_from(args))
     print(f"{name}: serial {result.serial_length} ops, "
           f"critical path {result.critical_length} ops")
     if args.dot:
@@ -701,18 +707,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
-_EVENTS_MAGIC = "# sigil-events"
+_EVENTS_MAGIC = b"# sigil-events"
 _PROFILE_MAGIC = "# sigil-profile"
 
 
 def _sniff_trace_input(text: str) -> str:
-    """Classify a `repro trace` input: 'events', 'profile' or 'manifest'."""
+    """Classify a decoded `repro trace` input: 'profile' or 'manifest'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return "manifest"
     first = stripped.splitlines()[0] if stripped else ""
-    if first.startswith(_EVENTS_MAGIC):
-        return "events"
     if first.startswith(_PROFILE_MAGIC):
         return "profile"
     raise ValueError(
@@ -729,14 +733,14 @@ def cmd_trace(args) -> int:
         manifest_to_chrome,
         profile_to_collapsed,
     )
-    from repro.io.eventbin import is_binary_events
     from repro.io.profilefile import loads_profile
 
     source = Path(args.input)
     try:
         raw = source.read_bytes()
-        if is_binary_events(raw[:32]):
-            kind, text = "events-bin", ""
+        if raw.startswith(_EVENTS_MAGIC):
+            # Either version: the v2 reader loads v2 and rejects v1.
+            kind, text = "events", ""
         else:
             text = raw.decode()
             kind = _sniff_trace_input(text)
@@ -745,7 +749,7 @@ def cmd_trace(args) -> int:
         return 2
 
     if args.format == "chrome":
-        if kind in ("events", "events-bin"):
+        if kind == "events":
             try:
                 events = load_event_arrays(source)
             except ValueError as exc:
@@ -1272,8 +1276,8 @@ def _add_events_format_arg(p: argparse.ArgumentParser) -> None:
         "--events-format", choices=["text", "bin"], default="bin",
         help="event-file format for --events-out: 'bin' is the columnar "
              "# sigil-events 2 (compact, loads without per-row objects); "
-             "'text' is the line-oriented v1. All readers sniff the "
-             "version (default: bin)")
+             "'text' is the line-oriented v1, written for people to read "
+             "and diff; every reader takes bin (default: bin)")
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:

@@ -56,6 +56,9 @@ class LineReuseProfiler(BaseObserver):
         # line -> [accesses, first, last]; plain dict keeps this mode cheap.
         self._lines: Dict[int, List[int]] = {}
         self.time = 0
+        #: The run manifest :func:`repro.harness.line_reuse_run` hands
+        #: back (None without telemetry).
+        self.manifest = None
 
     # -- observer interface ----------------------------------------------
 

@@ -155,7 +155,7 @@ class EventArrays:
     analysed without building per-row Python objects.  ``segs`` rows are
     indexed by segment id (ids are dense by construction); ``ordercall``
     keeps order and call edges interleaved in their insertion order, which
-    the v1 text format preserves; ``data`` rows keep the aggregated
+    both on-disk formats preserve; ``data`` rows keep the aggregated
     data-edge order.
     """
 
@@ -197,9 +197,9 @@ def first_violation(
     ``"oced"`` or ``"data"``).  Segment ops and threads and data-edge bytes
     must be non-negative; edge endpoints must lie in ``[0, n_segments)``
     (only the lower bound when ``n_segments`` is None, as for a chunk whose
-    log is still arriving); order/call edges must point forward in time,
-    while data edges may point either way.  Returns ``(row, message)`` or
-    None.
+    log is still arriving); order/call edges must be of kind order or call
+    and point forward in time, while data edges may point either way.
+    Returns ``(row, message)`` or None.
     """
     found: List[Tuple[int, str]] = []
 
@@ -226,6 +226,10 @@ def first_violation(
             f"{label} edge endpoints out of range: {src[i]} -> {dst[i]}"
         ))
         if table == "oced":
+            kind = rows["kind"]
+            rule((kind != OC_KIND_ORDER) & (kind != OC_KIND_CALL), lambda i: (
+                f"unknown order/call edge kind {kind[i]}"
+            ))
             rule(src >= dst, lambda i: (
                 "order/call edges must point forward in time (src < dst): "
                 f"{src[i]} -> {dst[i]}"

@@ -339,11 +339,14 @@ def line_reuse_run(
     line_size: int = 64,
     telemetry: Optional[Telemetry] = None,
 ) -> LineReuseProfiler:
-    """Run a workload under the line-granularity re-use mode (Figure 12)."""
+    """Run a workload under the line-granularity re-use mode (Figure 12).
+
+    With ``telemetry``, the run's manifest is ``profiler.manifest``.
+    """
     started = time.perf_counter()
     workload = get_workload(name, size)
     profiler = LineReuseProfiler(line_size)
-    _drive(
+    *_, profiler.manifest = _drive(
         workload.run,
         [profiler],
         lambda: None,

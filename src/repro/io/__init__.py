@@ -11,14 +11,9 @@ from repro.io.eventbin import (
     dump_events_bin,
     dumps_events_bin,
     iter_event_chunks,
-    load_event_arrays_bin,
-)
-from repro.io.eventfile import (
-    dump_events,
-    dumps_events,
     load_event_arrays,
-    loads_events,
 )
+from repro.io.eventfile import dump_events, dumps_events
 from repro.io.kcachegrind import export_callgrind, export_sigil
 from repro.io.profilefile import (
     dump_profile,
@@ -52,8 +47,6 @@ __all__ = [
     "export_sigil",
     "iter_event_chunks",
     "load_event_arrays",
-    "load_event_arrays_bin",
-    "loads_events",
     "dump_profile",
     "dumps_profile",
     "load_profile",

@@ -1,12 +1,13 @@
-"""Binary columnar event logs (``# sigil-events 2``).
+"""Binary columnar event logs (``# sigil-events 2``): the one readable form.
 
-The v1 text format (:mod:`repro.io.eventfile`) parses every record through
-Python string handling and builds Python objects per record -- fine for the
-paper's toy graphs, hopeless for the million-segment logs the batched trace
-transport now produces.  Version 2 stores the same information as NumPy
-structured arrays in length-prefixed chunks, so logs stream to disk while
-they are collected and stream back as whole arrays, never touching a
-per-row Python object.
+Version 2 stores an event log as NumPy structured arrays in
+length-prefixed chunks, so logs stream to disk while they are collected
+and stream back as whole arrays, never touching a per-row Python object.
+Every event-log input -- :func:`load_event_arrays`, the streaming analyses,
+``repro critpath``/``timeline``/``trace`` -- reads through
+:func:`iter_event_chunks`.  The v1 text format (:mod:`repro.io.eventfile`)
+is write-only, for reading and diffing by eye; its magic is recognised
+here only to reject it by name.
 
 Layout::
 
@@ -33,9 +34,10 @@ whenever its buffer fills, so serialisation needs O(chunk) memory, and the
 streaming reader (:func:`iter_event_chunks`) hands back one decoded array
 per chunk without materialising the file.
 
-The format is lossless: text-v1 -> binary-v2 -> text-v1 round-trips
-byte-identically (segment order, the interleaving of order/call edges, and
-aggregated data-edge order are all preserved).
+The format is lossless: the v1 text of a log loaded back from v2 is
+byte-identical to the v1 text of the log itself (segment order, the
+interleaving of order/call edges, and aggregated data-edge order are all
+preserved).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from repro.core.segments import (
     OC_EDGE_DTYPE,
     SEG_DTYPE,
     EventArrays,
+    first_violation,
 )
 
 __all__ = [
@@ -61,14 +64,15 @@ __all__ = [
     "BinaryEventWriter",
     "dump_events_bin",
     "dumps_events_bin",
-    "load_event_arrays_bin",
+    "load_event_arrays",
     "iter_event_chunks",
-    "is_binary_events",
     "zstd_available",
     "TABLE_NAMES",
 ]
 
 MAGIC_V2 = b"# sigil-events 2\n"
+#: The write-only v1 text format's magic, recognised only to reject it.
+_MAGIC_V1 = b"# sigil-events 1"
 
 _TAG_HEAD = b"head"
 _TAG_SEGS = b"segs"
@@ -156,11 +160,12 @@ def _codec_for(compression: Optional[str]) -> bytes:
 class BinaryEventWriter:
     """Streaming chunk writer for ``# sigil-events 2``.
 
-    Collectors append rows as they happen (:meth:`add_segment`,
-    :meth:`add_order_edge`, ...) or in bulk (:meth:`write_segments`, ...);
-    a chunk goes to disk whenever a table's buffer reaches ``chunk_rows``,
-    so the log never has to be fully materialised to serialise.  Usable as
-    a context manager; :meth:`close` seals the file with the trailer chunk.
+    Rows arrive as structured arrays (:meth:`write_segments`,
+    :meth:`write_order_call_edges`, :meth:`write_data_edges`) in any
+    number of calls; a chunk goes to disk whenever a table's buffer
+    reaches ``chunk_rows``, so the log never has to be fully materialised
+    to serialise.  Usable as a context manager; :meth:`close` seals the
+    file with the trailer chunk.
     """
 
     def __init__(
@@ -244,28 +249,6 @@ class BinaryEventWriter:
         """Append rows of :data:`DATA_EDGE_DTYPE` (aggregated per pair)."""
         self._append(_TAG_DATA, edges)
 
-    # -- scalar appends (collector-facing) ---------------------------------
-
-    def add_segment(
-        self, ctx: int, call: int, start: int, ops: int, thread: int = 0
-    ) -> int:
-        """Append one segment; returns the segment id it received."""
-        seg_id = self._counts[_TAG_SEGS]
-        row = np.array([(ctx, call, start, ops, thread)], dtype=SEG_DTYPE)
-        self._append(_TAG_SEGS, row)
-        return seg_id
-
-    def add_order_edge(self, src: int, dst: int) -> None:
-        self._append(_TAG_OCED, np.array([(0, src, dst)], dtype=OC_EDGE_DTYPE))
-
-    def add_call_edge(self, src: int, dst: int) -> None:
-        self._append(_TAG_OCED, np.array([(1, src, dst)], dtype=OC_EDGE_DTYPE))
-
-    def add_data_edge(self, src: int, dst: int, count: int) -> None:
-        self._append(
-            _TAG_DATA, np.array([(src, dst, count)], dtype=DATA_EDGE_DTYPE)
-        )
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -336,11 +319,6 @@ def dumps_events_bin(
 # ---------------------------------------------------------------------------
 
 
-def is_binary_events(header: bytes) -> bool:
-    """Sniff: does ``header`` (the first bytes of a file) start v2 data?"""
-    return header.startswith(MAGIC_V2) or MAGIC_V2.startswith(header)
-
-
 #: Largest single ``read`` when fetching a chunk payload.
 _READ_BLOCK = 1 << 24
 
@@ -383,13 +361,22 @@ def iter_event_chunks(
     decoding their payloads (their trailer counts are then not verified,
     since counting rows would require the decode being skipped).
 
-    Raises :class:`ValueError` on a bad magic, an unknown chunk tag or
-    codec, a payload its codec cannot decode, or a truncated file (no
-    trailer, a row-count mismatch, or a chunk length past the end of the
-    file); truncation and corruption errors name the chunk index and the
-    byte offset at which the bad chunk starts, so a damaged log can be
-    inspected with ``dd``/``xxd`` directly.
+    Raises :class:`ValueError` on a write-only v1 text log, a bad magic,
+    an unknown chunk tag or codec, a payload its codec cannot decode, or a
+    truncated file (no trailer, a row-count mismatch, or a chunk length
+    past the end of the file); truncation and corruption errors name the
+    chunk index and the byte offset at which the bad chunk starts, so a
+    damaged log can be inspected with ``dd``/``xxd`` directly.
     """
+    for table, rows, _where in _located_chunks(source, tables):
+        yield table, rows
+
+
+def _located_chunks(
+    source: Union[str, Path, BinaryIO],
+    tables: Optional[Tuple[str, ...]],
+) -> Iterator[Tuple[str, np.ndarray, str]]:
+    """:func:`iter_event_chunks`, each chunk with where it starts."""
     if tables is not None:
         unknown = set(tables) - set(TABLE_NAMES)
         if unknown:
@@ -406,8 +393,16 @@ def iter_event_chunks(
         owns = True
     try:
         magic = fh.read(len(MAGIC_V2))
+        if magic.startswith(_MAGIC_V1):
+            raise ValueError(
+                "a v1 text event log (magic '# sigil-events 1' at byte 0) "
+                "is write-only, for reading by eye; event readers take v2 "
+                "(write it with --events-format bin, the default)"
+            )
         if magic != MAGIC_V2:
-            raise ValueError("not a binary sigil event file (bad magic)")
+            raise ValueError(
+                f"not a v2 sigil event file (bad magic {magic!r} at byte 0)"
+            )
         counts = {_TAG_SEGS: 0, _TAG_OCED: 0, _TAG_DATA: 0}
         sealed = False
         # Chunk index and byte offset of the chunk being read, tracked
@@ -481,7 +476,7 @@ def iter_event_chunks(
                 )
             rows = np.frombuffer(payload, dtype=dtype)
             counts[tag] += len(rows)
-            yield tag.decode().rstrip("."), rows
+            yield tag.decode().rstrip("."), rows, where
         if not sealed:
             raise ValueError(
                 "truncated event file: missing trailer (writer not "
@@ -492,24 +487,40 @@ def iter_event_chunks(
             fh.close()
 
 
-def load_event_arrays_bin(
-    source: Union[str, Path, BinaryIO],
-) -> EventArrays:
-    """Load a v2 file into :class:`EventArrays` (no per-row objects)."""
-    tables = {"segs": [], "oced": [], "data": []}
-    for table, rows in iter_event_chunks(source):
-        tables[table].append(rows)
+def load_event_arrays(source: Union[str, Path, BinaryIO]) -> EventArrays:
+    """Load a v2 event log into :class:`EventArrays` (no per-row objects).
+
+    The one event-log loader.  Besides :func:`iter_event_chunks`' errors,
+    a row that breaks :func:`~repro.core.segments.check_rows` raises a
+    :class:`ValueError` naming its table row and the chunk and byte offset
+    it was read from.
+    """
+    blocks = {name: [] for name in TABLE_NAMES}
+    wheres = {name: [] for name in TABLE_NAMES}
+    for table, rows, where in _located_chunks(source, None):
+        blocks[table].append(rows)
+        wheres[table].append(where)
 
     def cat(name: str, dtype) -> np.ndarray:
-        blocks = tables[name]
-        if not blocks:
+        table = blocks[name]
+        if not table:
             return np.empty(0, dtype=dtype)
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return table[0] if len(table) == 1 else np.concatenate(table)
 
     arrays = EventArrays(
         segs=cat("segs", SEG_DTYPE),
         ordercall=cat("oced", OC_EDGE_DTYPE),
         data=cat("data", DATA_EDGE_DTYPE),
     )
-    arrays.validate()
+    for name, rows in zip(
+        TABLE_NAMES, (arrays.segs, arrays.ordercall, arrays.data)
+    ):
+        bad = first_violation(name, rows, arrays.n_segments)
+        if bad is not None:
+            row, message = bad
+            ends = np.cumsum([len(block) for block in blocks[name]])
+            chunk = int(np.searchsorted(ends, row, side="right"))
+            raise ValueError(
+                f"{message} ({name} row {row}, in {wheres[name][chunk]})"
+            )
     return arrays

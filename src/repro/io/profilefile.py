@@ -202,7 +202,9 @@ def loads_profile(text: str) -> SigilProfile:
                 reuse.byte_buckets = np.array([int(x) for x in rest.split()], dtype=np.int64)
             else:
                 raise ValueError(f"unknown profile line kind: {kind!r}")
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+        except (
+            IndexError, KeyError, OverflowError, TypeError, ValueError
+        ) as exc:
             raise _located(exc, number, line) from None
 
     return SigilProfile(

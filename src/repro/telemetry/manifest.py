@@ -101,10 +101,25 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
-        """Parse a manifest from its JSON form."""
+        """Parse a manifest from its JSON form.
+
+        Raises :class:`ValueError`: a JSON syntax error names its line and
+        column; a top-level value that is not an object, or an object
+        lacking the ``workload`` or ``size`` every manifest has, is named
+        as such.
+        """
         data = json.loads(text)
         if not isinstance(data, dict):
-            raise ValueError("manifest JSON must be an object")
+            raise ValueError(
+                "manifest JSON must be an object; the top-level value is "
+                f"a {type(data).__name__}"
+            )
+        missing = [key for key in ("workload", "size") if key not in data]
+        if missing:
+            raise ValueError(
+                "manifest JSON object lacks the key(s) "
+                + ", ".join(repr(key) for key in missing)
+            )
         return cls.from_dict(data)
 
     # -- files ------------------------------------------------------------

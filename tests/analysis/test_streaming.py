@@ -23,7 +23,7 @@ from repro.core.segments import (
     EventArrays,
     EventLog,
 )
-from repro.io import dump_events, dumps_events, dumps_events_bin
+from repro.io import dumps_events_bin
 
 from tests.property.oracles import assert_matches_oracle, naive_critical_path
 
@@ -65,7 +65,7 @@ class _FakeSource:
 
 class TestChunkSource:
     @pytest.mark.parametrize("form", [
-        "arrays", "v2_bytes", "v2_path", "v1_text", "v1_path", "fh",
+        "arrays", "v2_bytes", "v2_path", "fh",
     ])
     def test_all_forms_materialise_identically(self, form, tmp_path):
         log = expected = make_log()
@@ -76,12 +76,6 @@ class TestChunkSource:
         elif form == "v2_path":
             path = tmp_path / "v2.bin"
             path.write_bytes(dumps_events_bin(log))
-            source = ChunkSource(path)
-        elif form == "v1_text":
-            source = ChunkSource(dumps_events(log).encode())
-        elif form == "v1_path":
-            path = tmp_path / "v1.events"
-            dump_events(log, path)
             source = ChunkSource(path)
         else:
             source = ChunkSource(io.BytesIO(dumps_events_bin(log)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro import (
@@ -20,7 +22,13 @@ from repro.analysis import (
     top_reuse_functions,
     trim_calltree,
 )
-from repro.io import dumps_events, dumps_profile, loads_events, loads_profile
+from repro.io import (
+    dumps_events,
+    dumps_events_bin,
+    dumps_profile,
+    load_event_arrays,
+    loads_profile,
+)
 from repro.io.profilefile import profile_digest
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -148,10 +156,10 @@ class TestOfflineAnalysis:
             config=SigilConfig(reuse_mode=True, event_mode=True),
         )
         profile_text = dumps_profile(run.sigil)
-        events_text = dumps_events(run.sigil.events)
+        events_blob = dumps_events_bin(run.sigil.events)
 
         prof = loads_profile(profile_text)
-        events = loads_events(events_text)
+        events = load_event_arrays(io.BytesIO(events_blob))
 
         cdfg = CDFG(prof)
         assert cdfg.data_edges()

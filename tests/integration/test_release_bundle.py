@@ -25,7 +25,7 @@ from repro.analysis import (
 )
 from repro.io import (
     dump_callgrind,
-    dump_events,
+    dump_events_bin,
     dump_profile,
     load_callgrind,
     load_event_arrays,
@@ -44,7 +44,7 @@ def bundle_dir(tmp_path_factory):
             config=SigilConfig(reuse_mode=True, event_mode=True),
         )
         dump_profile(run.sigil, root / f"{name}.profile")
-        dump_events(run.sigil.events, root / f"{name}.events")
+        dump_events_bin(run.sigil.events, root / f"{name}.events")
         dump_callgrind(run.callgrind, root / f"{name}.cg")
     return root
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,7 @@ from repro.analysis import analyze_critical_path
 from repro.analysis.threads import per_thread_ops, thread_comm_matrix
 from repro.callgrind import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
-from repro.io import (
-    dumps_events,
-    dumps_events_bin,
-    load_event_arrays,
-    load_event_arrays_bin,
-    loads_events,
-)
+from repro.io import dumps_events, dumps_events_bin, load_event_arrays
 from repro.runtime import TracedRuntime, run_interleaved, traced
 from repro.trace import ObserverPipe
 
@@ -127,13 +123,9 @@ class TestEventThreads:
         p = SigilProfiler(SigilConfig(event_mode=True))
         two_thread_run(p)
         events = p.profile().events
-        loaded = loads_events(dumps_events(events))
+        loaded = load_event_arrays(io.BytesIO(dumps_events_bin(events)))
         assert loaded.segs["thread"].tolist() == events.segs["thread"].tolist()
-
-    def test_pre_thread_files_still_load(self):
-        old = "# sigil-events 1\nseg 0 0 0 0 5\n"
-        events = loads_events(old)
-        assert events.segs["thread"][0] == 0
+        assert dumps_events(loaded) == dumps_events(events)
 
     def test_threads_expose_parallelism(self):
         """Two independent heavy threads -> parallelism near 2."""
@@ -188,19 +180,18 @@ class TestParallelFluidanimate:
 
     def test_backward_data_edges_round_trip(self, tmp_path):
         """Regression: the v2 loader rejected this log's backward data
-        edges, which the v1 loader and the analyses accept."""
+        edges, which the analyses accept."""
         from repro.workloads.fluidanimate_parallel import ParallelFluidanimate
 
         p = SigilProfiler(SigilConfig(event_mode=True))
         ParallelFluidanimate("simsmall").run(p)
         events = p.profile().events
         assert (events.data["src"] > events.data["dst"]).any()
-        v1, v2 = tmp_path / "fp.events", tmp_path / "fp.bin"
-        v1.write_text(dumps_events(events))
+        v2 = tmp_path / "fp.bin"
         v2.write_bytes(dumps_events_bin(events))
-        assert load_event_arrays(v1) == events
-        assert load_event_arrays(v2) == events
-        assert load_event_arrays_bin(v2) == events
+        loaded = load_event_arrays(v2)
+        assert loaded == events
+        assert dumps_events(loaded) == dumps_events(events)
         # The critical path still needs a topological order.
         with pytest.raises(ValueError, match="not topologically ordered"):
             analyze_critical_path(events)

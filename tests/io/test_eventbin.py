@@ -26,9 +26,8 @@ from repro.io import (
     dumps_events_bin,
     iter_event_chunks,
     load_event_arrays,
-    load_event_arrays_bin,
 )
-from repro.io.eventbin import MAGIC_V2, is_binary_events, zstd_available
+from repro.io.eventbin import MAGIC_V2, zstd_available
 
 
 def make_log() -> EventArrays:
@@ -43,33 +42,38 @@ def make_log() -> EventArrays:
     return log.to_arrays()
 
 
+def one_seg(ctx=0, call=0, start=0, ops=1, thread=0) -> np.ndarray:
+    """One :data:`SEG_DTYPE` row, for appending a segment at a time."""
+    return np.array([(ctx, call, start, ops, thread)], dtype=SEG_DTYPE)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("compression", [None, "gzip"])
     def test_bytes_roundtrip(self, compression):
         log = make_log()
         blob = dumps_events_bin(log, compression=compression)
         assert blob.startswith(MAGIC_V2)
-        assert load_event_arrays_bin(io.BytesIO(blob)) == log
+        assert load_event_arrays(io.BytesIO(blob)) == log
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "events.bin"
         dump_events_bin(make_log(), path)
-        assert load_event_arrays_bin(path) == make_log()
+        assert load_event_arrays(path) == make_log()
 
     def test_v1_v2_v1_byte_identical(self):
         log = make_log()
-        via_v2 = load_event_arrays_bin(io.BytesIO(dumps_events_bin(log)))
+        via_v2 = load_event_arrays(io.BytesIO(dumps_events_bin(log)))
         assert dumps_events(via_v2) == dumps_events(log)
 
     def test_chunked_roundtrip(self):
         """Tables spanning many tiny chunks reassemble losslessly."""
         log = make_log()
         blob = dumps_events_bin(log, chunk_rows=1)
-        assert load_event_arrays_bin(io.BytesIO(blob)) == log
+        assert load_event_arrays(io.BytesIO(blob)) == log
 
     def test_empty_log(self):
         blob = dumps_events_bin(EventLog().to_arrays())
-        loaded = load_event_arrays_bin(io.BytesIO(blob))
+        loaded = load_event_arrays(io.BytesIO(blob))
         assert loaded.n_segments == 0
         assert len(loaded.ordercall) == 0 and len(loaded.data) == 0
 
@@ -81,7 +85,7 @@ class TestRoundTrip:
         log.add_call_edge(1, 2)
         log.add_order_edge(2, 3)
         blob = dumps_events_bin(log.to_arrays())
-        loaded = load_event_arrays_bin(io.BytesIO(blob))
+        loaded = load_event_arrays(io.BytesIO(blob))
         assert loaded.ordercall["kind"].tolist() == [
             OC_KIND_ORDER, OC_KIND_CALL, OC_KIND_ORDER
         ]
@@ -89,25 +93,28 @@ class TestRoundTrip:
     def test_accepts_event_arrays_input(self):
         arrays = make_log()
         blob = dumps_events_bin(arrays)
-        assert load_event_arrays_bin(io.BytesIO(blob)) == arrays
+        assert load_event_arrays(io.BytesIO(blob)) == arrays
 
 
 class TestStreamingWriter:
     def test_scalar_appends_match_bulk_dump(self, tmp_path):
+        """Rows appended one at a time land as a single bulk dump would."""
         log = make_log()
         path = tmp_path / "stream.bin"
         with BinaryEventWriter(path, chunk_rows=2) as w:
-            for seg_id, row in enumerate(log.segs.tolist()):
-                assert w.add_segment(*row) == seg_id
-            w.add_call_edge(0, 1)
-            w.add_order_edge(0, 2)
-            w.add_data_edge(1, 2, 64)
-        assert load_event_arrays_bin(path) == log
+            for table, write in (
+                (log.segs, w.write_segments),
+                (log.ordercall, w.write_order_call_edges),
+                (log.data, w.write_data_edges),
+            ):
+                for i in range(len(table)):
+                    write(table[i : i + 1])
+        assert load_event_arrays(path) == log
 
     def test_unclosed_writer_detected_as_truncated(self, tmp_path):
         path = tmp_path / "truncated.bin"
         w = BinaryEventWriter(path)
-        w.add_segment(0, 0, 0, 1)
+        w.write_segments(one_seg())
         w._fh.flush()
         # no close(): trailer missing
         with pytest.raises(ValueError, match="trailer"):
@@ -118,7 +125,7 @@ class TestStreamingWriter:
         w = BinaryEventWriter(tmp_path / "closed.bin")
         w.close()
         with pytest.raises(ValueError, match="closed"):
-            w.add_segment(0, 0, 0, 1)
+            w.write_segments(one_seg())
 
     def test_streaming_reader_yields_per_chunk(self):
         blob = dumps_events_bin(make_log(), chunk_rows=1)
@@ -133,30 +140,28 @@ class TestStreamingWriter:
 
 class TestSniffing:
     def test_load_event_arrays_sniffs_both(self, tmp_path):
+        """The magic tells the versions apart: v2 loads, and the
+        write-only v1 is rejected by name."""
         log = make_log()
         v1, v2 = tmp_path / "v1.events", tmp_path / "v2.events"
         dump_events(log, v1)
         dump_events_bin(log, v2)
-        assert load_event_arrays(v1) == log
         assert load_event_arrays(v2) == log
-
-    def test_is_binary_events(self):
-        assert is_binary_events(MAGIC_V2)
-        assert is_binary_events(MAGIC_V2 + b"junk")
-        assert not is_binary_events(b"# sigil-events 1\n")
+        with pytest.raises(ValueError, match="v1 text event log .* write-only"):
+            load_event_arrays(v1)
 
 
 class TestValidation:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
-            load_event_arrays_bin(
+            load_event_arrays(
                 io.BytesIO(b"# sigil-events 1\nseg 0 0 0 0 0\n")
             )
 
     def test_truncated_payload(self):
         blob = dumps_events_bin(make_log())
         with pytest.raises(ValueError, match="truncated"):
-            load_event_arrays_bin(io.BytesIO(blob[:-10]))
+            load_event_arrays(io.BytesIO(blob[:-10]))
 
     def test_unknown_chunk_tag(self):
         buf = io.BytesIO()
@@ -168,18 +173,18 @@ class TestValidation:
     def test_trailer_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.bin"
         w = BinaryEventWriter(path, compression=None)
-        w.add_segment(0, 0, 0, 1)
+        w.write_segments(one_seg())
         w._counts[b"segs"] = 2  # corrupt the bookkeeping before sealing
         w.close()
         with pytest.raises(ValueError, match="trailer row counts"):
-            load_event_arrays_bin(path)
+            load_event_arrays(path)
 
     def test_negative_ops_rejected(self):
         arrays = make_log()
         arrays.segs["ops"][0] = -1
         blob = dumps_events_bin(arrays)
         with pytest.raises(ValueError, match="non-negative"):
-            load_event_arrays_bin(io.BytesIO(blob))
+            load_event_arrays(io.BytesIO(blob))
 
     def test_backward_edge_rejected(self):
         arrays = make_log()
@@ -187,7 +192,7 @@ class TestValidation:
         arrays.ordercall["dst"][0] = 1
         blob = dumps_events_bin(arrays)
         with pytest.raises(ValueError, match="forward"):
-            load_event_arrays_bin(io.BytesIO(blob))
+            load_event_arrays(io.BytesIO(blob))
 
     def test_zstd_gated_when_unavailable(self):
         if zstd_available():
@@ -233,7 +238,7 @@ class TestErrorLocation:
     def test_trailer_mismatch_names_chunk_and_offset(self, tmp_path):
         path = tmp_path / "bad.bin"
         w = BinaryEventWriter(path, compression=None)
-        w.add_segment(0, 0, 0, 1)
+        w.write_segments(one_seg())
         w._counts[b"segs"] = 2
         w.close()
         with pytest.raises(
@@ -244,7 +249,7 @@ class TestErrorLocation:
     def test_missing_trailer_names_last_offset(self, tmp_path):
         path = tmp_path / "truncated.bin"
         w = BinaryEventWriter(path)
-        w.add_segment(0, 0, 0, 1)
+        w.write_segments(one_seg())
         w._fh.flush()  # no close(): trailer missing
         with pytest.raises(
             ValueError, match=r"missing trailer .*chunk \d+ at byte \d+"
@@ -270,7 +275,7 @@ class TestErrorLocation:
         with pytest.raises(
             ValueError, match=rf"truncated event file.*chunk 1 at byte {second}"
         ):
-            load_event_arrays_bin(path)
+            load_event_arrays(path)
 
     def test_corrupt_gzip_payload_names_chunk_and_offset(self, tmp_path):
         blob = bytearray(dumps_events_bin(make_log(), compression="gzip"))
@@ -282,7 +287,7 @@ class TestErrorLocation:
         with pytest.raises(
             ValueError, match=rf"corrupt event file.*chunk 1 at byte {second}"
         ) as info:
-            load_event_arrays_bin(path)
+            load_event_arrays(path)
         assert isinstance(info.value.__cause__, zlib.error)
 
     def test_unknown_codec_names_chunk_and_offset(self):
@@ -354,9 +359,9 @@ class TestTableFilter:
         """Skipped tables are not decoded, so their counts are unchecked."""
         path = tmp_path / "bad_data.bin"
         w = BinaryEventWriter(path, compression=None)
-        w.add_segment(0, 0, 0, 1)
-        w.add_segment(1, 1, 1, 1)
-        w.add_data_edge(0, 1, 8)
+        w.write_segments(one_seg())
+        w.write_segments(one_seg(1, 1, 1))
+        w.write_data_edges(np.array([(0, 1, 8)], dtype=DATA_EDGE_DTYPE))
         w._counts[b"data"] = 5  # corrupt only the data-table count
         w.close()
         segs = list(iter_event_chunks(path, tables=("segs",)))

@@ -1,17 +1,29 @@
-"""Event-file persistence tests."""
+"""Text event-log (``# sigil-events 1``) tests.
+
+v1 is write-only: the writer's text is pinned here, logs reach it back
+only through the v2 reader, and every event reader rejects a v1 file by
+name.  The validation tests hand the v2 reader the malformed records a v1
+line could once carry; it names the table row, chunk and byte offset.
+"""
 
 from __future__ import annotations
 
+import io
+
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_critical_path
+from repro.analysis.streaming import ChunkSource
+from repro.cli import main
 from repro.core.segments import (
-    OC_KIND_CALL,
-    OC_KIND_ORDER,
+    DATA_EDGE_DTYPE,
+    OC_EDGE_DTYPE,
+    SEG_DTYPE,
     EventArrays,
     EventLog,
 )
-from repro.io import dump_events, dumps_events, load_event_arrays, loads_events
+from repro.io import dump_events, dumps_events, dumps_events_bin, load_event_arrays
 
 
 def make_log() -> EventArrays:
@@ -26,133 +38,119 @@ def make_log() -> EventArrays:
     return log.to_arrays()
 
 
+def via_v2(events: EventArrays, **dump_kwargs) -> EventArrays:
+    """``events`` written as v2 and read back by the one loader."""
+    return load_event_arrays(io.BytesIO(dumps_events_bin(events, **dump_kwargs)))
+
+
 class TestRoundTrip:
     def test_text_stable(self):
-        log = make_log()
-        text = dumps_events(log)
-        assert dumps_events(loads_events(text)) == text
+        """The text of a log read back from v2 is the log's own text."""
+        text = dumps_events(make_log())
+        assert dumps_events(via_v2(make_log())) == text
 
     def test_segments_preserved(self):
-        loaded = loads_events(dumps_events(make_log()))
-        assert loaded.n_segments == 3
-        assert loaded.segs["ops"].tolist() == [3, 10, 7]
-        assert loaded.segs["start"].tolist() == [0, 5, 9]
+        lines = dumps_events(make_log()).splitlines()
+        assert lines[:4] == [
+            "# sigil-events 1",
+            "seg 0 0 0 0 3 0",
+            "seg 1 1 1 5 10 0",
+            "seg 2 2 2 9 7 0",
+        ]
 
     def test_edges_preserved(self):
-        loaded = loads_events(dumps_events(make_log()))
-        assert loaded == make_log()
-        assert loaded.ordercall["kind"].tolist() == [
-            OC_KIND_CALL, OC_KIND_ORDER
-        ]
-        assert loaded.data.tolist() == [(1, 2, 64)]
+        """Order/call edges keep their interleaving, then data edges."""
+        lines = dumps_events(make_log()).splitlines()
+        assert lines[4:] == ["edge call 0 1", "edge order 0 2", "edge data 1 2 64"]
 
     def test_critical_path_identical_after_roundtrip(self, toy_profiles):
         sigil, _ = toy_profiles
-        loaded = loads_events(dumps_events(sigil.events))
+        loaded = via_v2(sigil.events)
         live = analyze_critical_path(sigil.events)
         offline = analyze_critical_path(loaded)
         assert offline.critical_length == live.critical_length
         assert offline.serial_length == live.serial_length
+        assert dumps_events(loaded) == dumps_events(sigil.events)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "events.txt"
         dump_events(make_log(), path)
-        assert load_event_arrays(path) == make_log()
+        assert path.read_text() == dumps_events(make_log())
+
+
+def _arrays(segs=(), ordercall=(), data=()) -> EventArrays:
+    return EventArrays(
+        segs=np.array(list(segs), dtype=SEG_DTYPE),
+        ordercall=np.array(list(ordercall), dtype=OC_EDGE_DTYPE),
+        data=np.array(list(data), dtype=DATA_EDGE_DTYPE),
+    )
+
+
+def _load_bad(arrays: EventArrays) -> str:
+    """The loader's message for ``arrays`` written one row per chunk."""
+    with pytest.raises(ValueError) as exc:
+        via_v2(arrays, compression=None, chunk_rows=1)
+    return str(exc.value)
+
+
+TWO_SEGS = [(0, 0, 0, 1, 0), (1, 1, 1, 1, 0)]
 
 
 class TestValidation:
     def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            loads_events("garbage\n")
-
-    def test_out_of_order_segments_rejected(self):
-        with pytest.raises(ValueError):
-            loads_events("# sigil-events 1\nseg 5 0 0 0 0\n")
+        with pytest.raises(ValueError, match="bad magic"):
+            load_event_arrays(io.BytesIO(b"garbage\n"))
 
     def test_unknown_edge_kind(self):
-        with pytest.raises(ValueError):
-            loads_events("# sigil-events 1\nseg 0 0 0 0 0\nedge warp 0 0\n")
-
-    def test_errors_carry_line_number_and_text(self):
-        with pytest.raises(ValueError) as exc:
-            loads_events("# sigil-events 1\nseg 0 0 0 0 0\nseg x y z 0 0\n")
-        assert "line 3" in str(exc.value)
-        assert "seg x y z 0 0" in str(exc.value)
-
-    def test_out_of_order_error_names_the_line(self):
-        with pytest.raises(ValueError, match=r"line 2"):
-            loads_events("# sigil-events 1\nseg 5 0 0 0 0\n")
-
-    def test_wrong_field_count_reported(self):
-        with pytest.raises(ValueError, match=r"5 or 6 fields.*line 2"):
-            loads_events("# sigil-events 1\nseg 0 0\n")
-
-    def test_data_edge_operand_count(self):
-        with pytest.raises(ValueError, match=r"data edges take 3 operands"):
-            loads_events("# sigil-events 1\nseg 0 0 0 0 0\nedge data 0 0\n")
-
-    def test_malformed_edge_bytes(self):
-        with pytest.raises(ValueError) as exc:
-            loads_events(
-                "# sigil-events 1\nseg 0 0 0 0 0\nedge data 0 0 lots\n"
-            )
-        assert "malformed edge record" in str(exc.value)
-        assert "line 3" in str(exc.value)
-
-    def test_blank_and_comment_lines_skipped(self):
-        loaded = loads_events(
-            "# sigil-events 1\n\n# a comment\nseg 0 0 0 0 0\n"
-        )
-        assert loaded.n_segments == 1
+        """Regression: an order/call row of any other kind loaded, and the
+        text writer then failed on it with a bare KeyError."""
+        message = _load_bad(_arrays(TWO_SEGS, [(7, 0, 1)]))
+        assert "unknown order/call edge kind 7" in message
+        assert "oced row 0" in message
 
     def test_negative_ops_rejected(self):
         """Regression: negative ops used to load silently and corrupt every
         downstream cost sum."""
-        with pytest.raises(
-            ValueError, match=r"ops must be non-negative.*line 2"
-        ):
-            loads_events("# sigil-events 1\nseg 0 0 0 0 -3 0\n")
+        message = _load_bad(_arrays([(0, 0, 0, -3, 0)]))
+        assert "ops must be non-negative" in message
+        assert "(segs row 0, in chunk 1 at byte " in message
 
     def test_negative_thread_rejected(self):
-        with pytest.raises(
-            ValueError, match=r"thread must be non-negative.*line 2"
-        ):
-            loads_events("# sigil-events 1\nseg 0 0 0 0 5 -1\n")
+        message = _load_bad(_arrays([(0, 0, 0, 5, 0), (0, 0, 0, 5, -1)]))
+        assert "thread must be non-negative" in message
+        assert "(segs row 1, in chunk 2 at byte " in message
 
     def test_negative_data_bytes_rejected(self):
         """Regression: negative data-edge bytes used to load silently."""
-        with pytest.raises(
-            ValueError, match=r"bytes must be non-negative.*line 4"
-        ):
-            loads_events(
-                "# sigil-events 1\n"
-                "seg 0 0 0 0 1 0\n"
-                "seg 1 1 1 1 1 0\n"
-                "edge data 0 1 -64\n"
-            )
-
-
-    TWO_SEGS = "# sigil-events 1\nseg 0 0 0 0 1 0\nseg 1 1 1 1 1 0\n"
+        message = _load_bad(_arrays(TWO_SEGS, data=[(0, 1, -64)]))
+        assert "bytes must be non-negative" in message
+        assert "(data row 0, in chunk 3 at byte " in message
 
     @pytest.mark.parametrize(
-        "edge, message",
+        "table, edge, message",
         [
-            ("edge order 0 9", "order/call edge endpoints out of range"),
-            ("edge call -1 1", "order/call edge endpoints out of range"),
-            ("edge data 0 9 8", "data edge endpoints out of range"),
-            ("edge order 1 0", "must point forward in time"),
-            ("edge call 1 1", "must point forward in time"),
+            ("oced", (0, 0, 9), "order/call edge endpoints out of range"),
+            ("oced", (1, -1, 1), "order/call edge endpoints out of range"),
+            ("data", (0, 9, 8), "data edge endpoints out of range"),
+            ("oced", (0, 1, 0), "must point forward in time"),
+            ("oced", (1, 1, 1), "must point forward in time"),
         ],
         ids=["order-past-end", "call-negative", "data-past-end",
              "order-backward", "call-self-loop"],
     )
-    def test_bad_edges_rejected_with_their_line(self, edge, message):
-        """Regression: these loaded silently, though the v2 loader rejects
-        the same rows."""
-        with pytest.raises(ValueError) as exc:
-            loads_events(self.TWO_SEGS + "edge call 0 1\n" + edge + "\n")
-        assert message in str(exc.value)
-        assert f"(line 5: {edge!r})" in str(exc.value)
+    def test_bad_edges_rejected_with_their_line(self, table, edge, message):
+        """A bad edge names its row and the chunk holding it: here the
+        edge after one good call edge, each row in a chunk of its own."""
+        good_call = [(1, 0, 1)]
+        if table == "oced":
+            arrays = _arrays(TWO_SEGS, good_call + [edge])
+            where = "(oced row 1, in chunk 4 at byte "
+        else:
+            arrays = _arrays(TWO_SEGS, good_call, [edge])
+            where = "(data row 0, in chunk 4 at byte "
+        text = _load_bad(arrays)
+        assert message in text
+        assert where in text
 
 
 class TestThreadField:
@@ -162,9 +160,48 @@ class TestThreadField:
         s0.ops = 4
         text = dumps_events(log.to_arrays())
         assert "seg 0 0 0 0 4 2" in text
-        assert loads_events(text).segs["thread"][0] == 2
+        loaded = via_v2(log.to_arrays())
+        assert loaded.segs["thread"][0] == 2
+        assert dumps_events(loaded) == text
 
-    def test_legacy_five_field_seg_defaults_thread_zero(self):
-        loaded = loads_events("# sigil-events 1\nseg 0 0 0 0 7\n")
-        assert loaded.segs["thread"][0] == 0
-        assert loaded.segs["ops"][0] == 7
+
+def _critpath(path):
+    return main(["critpath", str(path)])
+
+
+def _timeline(path):
+    return main(["timeline", str(path), "-o", str(path) + ".trace.json"])
+
+
+def _trace(path):
+    return main(["trace", str(path), "-o", str(path) + ".trace.json"])
+
+
+READERS = {
+    "load_event_arrays": load_event_arrays,
+    "ChunkSource-path": lambda path: list(ChunkSource(path).chunks()),
+    "ChunkSource-bytes": lambda path: list(
+        ChunkSource(path.read_bytes()).chunks()
+    ),
+    "repro-critpath": _critpath,
+    "repro-timeline": _timeline,
+    "repro-trace": _trace,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_rejects_v1_as_write_only(reader, tmp_path, capsys):
+    """v1 is for people: each reader names the format instead of parsing."""
+    path = tmp_path / "log.events"
+    dump_events(make_log(), path)
+    read = READERS[reader]
+    if reader.startswith("repro-"):
+        assert read(path) == 2
+        message = capsys.readouterr().err
+        assert not (tmp_path / "log.events.trace.json").exists()
+    else:
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        message = str(exc.value)
+    assert "v1 text event log" in message
+    assert "write-only" in message

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from collections import defaultdict
 
@@ -10,9 +11,9 @@ import pytest
 from repro.core.segments import EventLog
 from repro.io import (
     dumps_chrome,
-    dumps_events,
+    dumps_events_bin,
     events_to_chrome,
-    loads_events,
+    load_event_arrays,
     manifest_to_chrome,
     spans_to_chrome,
 )
@@ -107,7 +108,7 @@ class TestEventTimeline:
 
     def test_without_tree_tracks_use_ctx_ids(self, toy_profiles):
         sigil, _ = toy_profiles
-        reloaded = loads_events(dumps_events(sigil.events))
+        reloaded = load_event_arrays(io.BytesIO(dumps_events_bin(sigil.events)))
         names = {e["name"] for e in slices(events_to_chrome(reloaded))}
         assert all(name.startswith("ctx") for name in names)
 

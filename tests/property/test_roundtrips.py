@@ -3,6 +3,7 @@ profiler runs."""
 
 from __future__ import annotations
 
+import io
 from typing import List
 
 from hypothesis import given, settings
@@ -10,7 +11,18 @@ from hypothesis import strategies as st
 
 from repro.analysis import analyze_critical_path, schedule_events
 from repro.core import SigilConfig, SigilProfiler
-from repro.io import dumps_events, dumps_profile, loads_events, loads_profile
+from repro.io import (
+    dumps_events,
+    dumps_events_bin,
+    dumps_profile,
+    load_event_arrays,
+    loads_profile,
+)
+
+
+def via_v2(events, **dump_kwargs):
+    """``events`` written as v2 and read back by the one loader."""
+    return load_event_arrays(io.BytesIO(dumps_events_bin(events, **dump_kwargs)))
 
 
 _FN_NAMES = ("alpha", "beta", "gamma", "fn with spaces", "std::weird<T>")
@@ -87,9 +99,11 @@ def test_profile_roundtrip_on_random_traces(steps):
 @given(trace_steps())
 @settings(max_examples=80, deadline=None)
 def test_eventfile_roundtrip_on_random_traces(steps):
+    """The write-only text of a log read back from v2 is byte-identical
+    to the text of the log itself."""
     profile = run_profiler(steps, event_mode=True).profile()
     text = dumps_events(profile.events)
-    loaded = loads_events(text)
+    loaded = via_v2(profile.events)
     assert dumps_events(loaded) == text
     live = analyze_critical_path(profile.events)
     offline = analyze_critical_path(loaded)
@@ -99,8 +113,20 @@ def test_eventfile_roundtrip_on_random_traces(steps):
 @given(trace_steps())
 @settings(max_examples=80, deadline=None)
 def test_text_roundtrip_preserves_eventlog_equality(steps):
+    """The text holds every row of the log: one line per segment and per
+    edge, in table order, so equal text means equal logs."""
     events = run_profiler(steps, event_mode=True).profile().events
-    assert loads_events(dumps_events(events)) == events
+    lines = dumps_events(events).splitlines()
+    assert lines[0] == "# sigil-events 1"
+    n_segs, n_oc = len(events.segs), len(events.ordercall)
+    assert len(lines) == 1 + n_segs + n_oc + len(events.data)
+    assert [int(line.split()[1]) for line in lines[1 : 1 + n_segs]] == list(
+        range(n_segs)
+    )
+    assert [line.split()[1:] for line in lines[1 + n_segs + n_oc :]] == [
+        ["data", str(src), str(dst), str(count)]
+        for src, dst, count in events.data.tolist()
+    ]
 
 
 @given(
@@ -112,24 +138,17 @@ def test_text_roundtrip_preserves_eventlog_equality(steps):
 def test_binary_roundtrip_preserves_eventlog_equality(
     steps, compression, chunk_rows
 ):
-    import io
-
-    from repro.io import dumps_events_bin, load_event_arrays_bin
-
     events = run_profiler(steps, event_mode=True).profile().events
-    blob = dumps_events_bin(
-        events, compression=compression, chunk_rows=chunk_rows
-    )
-    loaded = load_event_arrays_bin(io.BytesIO(blob))
+    loaded = via_v2(events, compression=compression, chunk_rows=chunk_rows)
     assert loaded == events
-    # v1 -> v2 -> v1 is byte-identical, not merely equal.
+    # Its text equals the direct text dump, byte for byte.
     assert dumps_events(loaded) == dumps_events(events)
 
 
 @given(trace_steps())
 @settings(max_examples=60, deadline=None)
 def test_critical_path_identical_on_both_representations(steps):
-    """The in-memory log and its v1 text reload both reproduce the naive
+    """The in-memory log and its v2 reload both reproduce the naive
     model exactly, including tie-breaking on the reported chain."""
     from tests.property.oracles import (
         assert_matches_oracle,
@@ -140,7 +159,7 @@ def test_critical_path_identical_on_both_representations(steps):
     expected = naive_critical_path(events)
     assert_matches_oracle(analyze_critical_path(events), expected)
     assert_matches_oracle(
-        analyze_critical_path(loads_events(dumps_events(events))), expected
+        analyze_critical_path(via_v2(events)), expected
     )
 
 

@@ -34,10 +34,9 @@ def _cli(*argv):
 
 
 def _line_reuse(tmp_path):
-    telemetry = Telemetry()
-    line_reuse_run("blackscholes", "simsmall", telemetry=telemetry)
-    snap = telemetry.snapshot()
-    return snap["phases"], snap["metrics"]
+    profiler = line_reuse_run("blackscholes", "simsmall", telemetry=Telemetry())
+    manifest = profiler.manifest
+    return manifest.phases, manifest.metrics
 
 
 ENTRY_POINTS = {

@@ -65,7 +65,9 @@ class TestProfile:
         assert events.read_text().startswith("# sigil-events 1")
 
     def test_binary_and_text_events_analyze_identically(self, capsys, tmp_path):
-        from repro.io import load_event_arrays
+        """Both formats hold the same log: the text file is the text of
+        the binary file's log, byte for byte."""
+        from repro.io import dumps_events, load_event_arrays
 
         text_path = tmp_path / "t.events"
         bin_path = tmp_path / "b.events"
@@ -75,7 +77,9 @@ class TestProfile:
                 "--events-format", fmt,
             )
             assert code == 0
-        assert load_event_arrays(text_path) == load_event_arrays(bin_path)
+        assert text_path.read_text() == dumps_events(
+            load_event_arrays(bin_path)
+        )
 
     def test_trace_out_writes_combined_chrome_trace(self, capsys, tmp_path):
         trace = tmp_path / "run.trace.json"
@@ -262,26 +266,23 @@ class TestCritpath:
 
     def test_every_input_form_renders_the_same_log(self, capsys, tmp_path):
         """`critpath --dot` and `trace --format chrome` give the same text
-        for the v1 file, the v2 file and a live run of the same workload.
-        Event files carry no function names, so file labels read ``ctxN``
-        where the live run names the function."""
+        for the v2 file and a live run of the same workload.  Event files
+        carry no function names, so file labels read ``ctxN`` where the
+        live run names the function."""
         import re
 
         from repro import SigilConfig, profile_workload
         from repro.io import dumps_chrome, events_to_chrome, load_profile
 
         prof = tmp_path / "bs.profile"
-        files = {"v1": tmp_path / "bs.events", "v2": tmp_path / "bs.bin"}
-        for fmt, form in (("text", "v1"), ("bin", "v2")):
-            code, _, _ = run_cli(
-                capsys, "profile", "blackscholes", "--size", "simsmall",
-                "-o", str(prof), "--events-out", str(files[form]),
-                "--events-format", fmt,
-            )
-            assert code == 0
-        dots, traces = {}, {}
-        targets = dict(files, run="blackscholes")
-        for form, target in targets.items():
+        events = tmp_path / "bs.bin"
+        code, _, _ = run_cli(
+            capsys, "profile", "blackscholes", "--size", "simsmall",
+            "-o", str(prof), "--events-out", str(events),
+        )
+        assert code == 0
+        dots = {}
+        for form, target in (("v2", events), ("run", "blackscholes")):
             dot = tmp_path / f"{form}.dot"
             code, _, _ = run_cli(
                 capsys, "critpath", str(target), "--size", "simsmall",
@@ -289,26 +290,22 @@ class TestCritpath:
             )
             assert code == 0
             dots[form] = dot.read_text()
-        for form, path in files.items():
-            code, traces[form], _ = run_cli(
-                capsys, "trace", str(path), "--format", "chrome", "-o", "-"
-            )
-            assert code == 0
-        assert dots["v1"] == dots["v2"]
+        code, trace, _ = run_cli(
+            capsys, "trace", str(events), "--format", "chrome", "-o", "-"
+        )
+        assert code == 0
         tree = load_profile(prof).tree
         named = re.sub(
             r'label="ctx(\d+)\\n',
             lambda m: f'label="{tree.node(int(m[1])).name}\\n',
-            dots["v1"],
+            dots["v2"],
         )
-        assert named == dots["run"] != dots["v1"]
+        assert named == dots["run"] != dots["v2"]
         live = profile_workload(
             "blackscholes", "simsmall", config=SigilConfig(event_mode=True),
             with_callgrind=False,
         )
-        assert traces["v1"] == traces["v2"] == dumps_chrome(
-            events_to_chrome(live.sigil.events)
-        )
+        assert trace == dumps_chrome(events_to_chrome(live.sigil.events))
 
 
 class TestTrace:
@@ -425,20 +422,32 @@ class TestTrace:
         assert code == 2
 
     def test_bad_edge_fails_with_its_line(self, capsys, tmp_path):
-        """Regression: an out-of-range edge in a v1 file loaded silently
-        and still produced a trace."""
-        events = tmp_path / "bad.events"
-        events.write_text(
-            "# sigil-events 1\nseg 0 0 0 0 1 0\nseg 1 1 1 1 1 0\n"
-            "edge order 0 9\n"
+        """Regression: an out-of-range edge loaded silently and still
+        produced a trace.  The error names the edge's row and chunk."""
+        import numpy as np
+
+        from repro.core.segments import (
+            DATA_EDGE_DTYPE,
+            OC_EDGE_DTYPE,
+            SEG_DTYPE,
+            EventArrays,
         )
+        from repro.io import dump_events_bin
+
+        events = tmp_path / "bad.events"
+        dump_events_bin(EventArrays(
+            segs=np.array([(0, 0, 0, 1, 0), (1, 1, 1, 1, 0)], dtype=SEG_DTYPE),
+            ordercall=np.array([(0, 0, 9)], dtype=OC_EDGE_DTYPE),
+            data=np.empty(0, dtype=DATA_EDGE_DTYPE),
+        ), events)
         target = tmp_path / "bad.trace.json"
         code, _, err = run_cli(
             capsys, "trace", str(events), "--format", "chrome",
             "-o", str(target),
         )
         assert code == 2
-        assert "endpoints out of range" in err and "line 4" in err
+        assert "endpoints out of range" in err
+        assert "oced row 0, in chunk 2 at byte" in err
         assert not target.exists()
 
     def test_empty_event_log_renders_empty_trace(self, capsys, tmp_path):

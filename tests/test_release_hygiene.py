@@ -204,12 +204,11 @@ class TestRepoHygiene:
 def test_event_log_builder_stays_inside_the_profiler():
     """``EventArrays`` is the one in-memory event log outside the profiler.
 
-    The object-form ``EventLog`` is only the builder the profiler fills
-    (and the v1 parser merges data edges with); any other module naming it
-    is a second in-memory form creeping back in.
+    The object-form ``EventLog`` is only the builder the profiler fills;
+    any other module naming it is a second in-memory form creeping back in.
     """
     src = REPO / "src" / "repro"
-    allowed = {"core/segments.py", "core/profiler.py", "io/eventfile.py"}
+    allowed = {"core/segments.py", "core/profiler.py"}
     naming = sorted(
         path.relative_to(src).as_posix()
         for path in src.rglob("*.py")
