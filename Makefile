@@ -105,9 +105,9 @@ bench-throughput:
 		--check callgrind --check line-reuse
 
 # Publish event-log I/O throughput (text v1 vs binary v2 dumps of a
-# 1M-segment log, and the v2 load+critical-path) into the event_io section
-# of BENCH_throughput.json, and fail if the binary file is not smaller than
-# the text file.
+# 1M-segment log, and the v2 load+critical-path and load+schedule) into the
+# event_io section of BENCH_throughput.json, and fail if the binary file is
+# not smaller than the text file.
 bench-event-io:
 	PYTHONPATH=src python benchmarks/bench_event_io.py --check
 

@@ -5,7 +5,9 @@ dump--load--analyze path.  The workload is a synthetic ≥1M-segment event
 log with the shape a long profiled run produces (a long order/call chain
 with periodic data edges).  Both formats are dumped; only v2 has a reader,
 so the v2 file alone is loaded back and run through the longest-path
-critical-path analysis, whose result must equal the in-memory log's.
+critical-path analysis, and streamed through the section IV-C list
+scheduler at 1, 2, 4 and 8 cores; both results must equal the in-memory
+log's.
 
 Run directly to publish machine-readable numbers::
 
@@ -15,7 +17,7 @@ merges an ``event_io`` section into ``BENCH_throughput.json`` at the repo
 root (preserving the observer-throughput numbers published by
 ``bench_tool_throughput.py``).  ``--check`` exits non-zero unless the
 binary file is smaller than the text file (the CI regression smoke); the
-dump times are reported, not gated.
+dump, load and schedule times are reported, not gated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import analyze_critical_path
+from repro.analysis import analyze_critical_path, speedup_curve
 from repro.core.segments import (
     DATA_EDGE_DTYPE,
     OC_EDGE_DTYPE,
@@ -40,6 +42,7 @@ from repro.io import dump_events, dump_events_bin, load_event_arrays
 N_SEGMENTS = 1_000_000
 DATA_EDGE_STRIDE = 16  # one data edge per this many segments
 DATA_EDGE_SPAN = 64  # producer runs this far behind its consumer
+SCHEDULE_CORES = [1, 2, 4, 8]
 
 
 def synth_log(n_segments: int = N_SEGMENTS) -> EventArrays:
@@ -102,6 +105,17 @@ def measure(n_segments: int = N_SEGMENTS, workdir: Path = Path(".")) -> dict:
             f"{bin_result.critical_length}/{bin_result.serial_length}"
         )
 
+    bin_schedule_s, bin_curve = _timed(
+        lambda: speedup_curve(bin_path, SCHEDULE_CORES)
+    )
+    live_spans = [r.makespan for r in speedup_curve(arrays, SCHEDULE_CORES)]
+    bin_spans = [r.makespan for r in bin_curve]
+    if live_spans != bin_spans:
+        raise AssertionError(
+            "the v2 reload scheduled differently from the in-memory log: "
+            f"makespans {live_spans} vs {bin_spans}"
+        )
+
     report = {
         "n_segments": n_segments,
         "n_edges": int(len(arrays.ordercall) + len(arrays.data)),
@@ -112,6 +126,7 @@ def measure(n_segments: int = N_SEGMENTS, workdir: Path = Path(".")) -> dict:
         "binary": {
             "dump_s": round(bin_dump_s, 3),
             "load_critpath_s": round(bin_load_s, 3),
+            "load_schedule_s": round(bin_schedule_s, 3),
             "file_bytes": bin_path.stat().st_size,
         },
         "dump_speedup": round(text_dump_s / bin_dump_s, 2),
@@ -158,7 +173,9 @@ def main(argv=None) -> int:
           f"  {text['file_bytes']:>12,} bytes")
     print(f"binary  dump {binary['dump_s']:>7.3f}s"
           f"  {binary['file_bytes']:>12,} bytes"
-          f"  load+critpath {binary['load_critpath_s']:>7.3f}s")
+          f"  load+critpath {binary['load_critpath_s']:>7.3f}s"
+          f"  load+schedule x{len(SCHEDULE_CORES)}"
+          f" {binary['load_schedule_s']:>7.3f}s")
     print(f"binary over text: dump x{report['dump_speedup']}, "
           f"file x{text['file_bytes'] / binary['file_bytes']:.2f} smaller")
     print(f"wrote {out}")

@@ -46,6 +46,7 @@ from repro.analysis.streaming import (
     GrowingColumn,
     UnsortedEdges,
     as_chunk_source,
+    check_chunk,
 )
 
 __all__ = ["CriticalPathResult", "analyze_critical_path", "events_to_dot"]
@@ -244,6 +245,11 @@ def _dst_sorted(
 ) -> Iterator[Tuple[str, np.ndarray]]:
     """One edge table, loaded whole and stable-sorted by destination."""
     parts = [rows for _table, rows in source.chunks(tables=(table,))]
+    # Check before sorting, while a row's index is still its table row.
+    first_row = 0
+    for rows in parts:
+        check_chunk(source, table, rows, first_row)
+        first_row += len(rows)
     if parts:
         rows = np.concatenate(parts)
         yield table, rows[np.argsort(rows["dst"], kind="stable")]
@@ -268,8 +274,8 @@ def _longest_paths(
     """
     inclusive = GrowingColumn()
     best_pred = GrowingColumn()
-    oced = EdgeCursor(edge_chunks("oced"), "oced")
-    data = EdgeCursor(edge_chunks("data"), "data")
+    oced = EdgeCursor(edge_chunks("oced"), "oced", source)
+    data = EdgeCursor(edge_chunks("data"), "data", source)
     serial = 0
     done = 0
     for _table, segs in source.chunks(tables=("segs",)):
@@ -278,9 +284,8 @@ def _longest_paths(
             continue
         if gauge is not None:
             gauge.set_max(int(segs.nbytes))
+        check_chunk(source, "segs", segs, done)
         ops_col = segs["ops"]
-        if int(ops_col.min()) < 0:
-            raise ValueError("segment ops must be non-negative")
         serial += int(ops_col.sum())
         hi = done + m
         o_src, o_dst = oced.take_below(hi)

@@ -15,17 +15,21 @@ makespan interpolates between the serial length (1 core) and the critical
 path (unbounded cores), giving the *achievable* speedup curve below
 Figure 13's theoretical limit.
 
-Every event-log form takes the same path into the scheduler: the log is
-wrapped as a :class:`~repro.analysis.streaming.ChunkSource`, and one
-:func:`~repro.analysis.streaming.stream_resolved` pass fills the
-scheduler's adjacency lists.
+Every event-log form takes the same path into the scheduler: one
+:func:`~repro.analysis.streaming.stream_resolved` pass over the log's
+chunks yields the DAG's successor lists in CSR form, ranked once, in
+reverse topological order (data edges of threaded logs may point from a
+younger segment to an older one, so ids are not a topological order);
+every core count reuses both.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.streaming import (
     EventSource,
@@ -33,6 +37,7 @@ from repro.analysis.streaming import (
     as_chunk_source,
     stream_resolved,
 )
+from repro.core.segments import DATA_EDGE_DTYPE
 
 __all__ = ["ScheduleResult", "schedule_events", "speedup_curve"]
 
@@ -61,126 +66,121 @@ class ScheduleResult:
         return self.speedup / self.n_cores if self.n_cores else 0.0
 
 
-def _bottom_levels(ops: List[int], succs: List[List[int]]) -> List[int]:
-    """Critical-path-to-exit length per segment (the HLFET priority)."""
-    n = len(ops)
-    levels = [0] * n
-    for i in range(n - 1, -1, -1):
-        tail = max((levels[s] for s in succs[i]), default=0)
-        levels[i] = ops[i] + tail
-    return levels
-
-
 class _SegmentDag:
-    """Python-list DAG (ops, adjacency, data edges) ready for scheduling.
+    """The segment DAG, ranked, in the form the dispatch loop walks.
 
-    The list scheduler is inherently O(n + E) in Python state (adjacency
-    lists, a heap), so the DAG is built in that form straight from one
-    resolved pass over the event log's chunks, without the columnar
-    tables in between.
+    Segment ``i``'s successors are ``succ[ptr[i]:ptr[i + 1]]`` (one entry
+    per edge, so parallel edges repeat); ``priority`` holds the HLFET
+    bottom levels; ``data`` keeps the data-edge rows for the cross-core
+    byte count.
     """
 
-    __slots__ = ("ops", "preds", "succs", "data_edges", "serial_length")
+    __slots__ = ("ops", "ptr", "succ", "in_degree", "priority", "data",
+                 "serial_length")
 
-    def __init__(self) -> None:
-        self.ops: List[int] = []
-        self.preds: List[List[int]] = []
-        self.succs: List[List[int]] = []
-        self.data_edges: List[Tuple[int, int, int]] = []
-        self.serial_length = 0
+    def __init__(self, events: EventSource):
+        ops, src, dst = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+        data = [np.empty(0, dtype=DATA_EDGE_DTYPE)]
+        source = as_chunk_source(events)
+        for table, rows in stream_resolved(source, SegmentColumns(())):
+            if table == "segs":
+                ops.append(rows["ops"])
+                continue
+            src.append(rows["src"])
+            dst.append(rows["dst"])
+            if table == "data":
+                data.append(rows)
+        ops, src, dst = map(np.concatenate, (ops, src, dst))
+        n = len(ops)
+        self.ops: List[int] = ops.tolist()
+        self.serial_length = int(ops.sum())
+        self.ptr: List[int] = np.concatenate(
+            ([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
+        self.succ: List[int] = dst[np.argsort(src, kind="stable")].tolist()
+        self.in_degree = np.bincount(dst, minlength=n)
+        self.data = np.concatenate(data)
+        self.priority = self._bottom_levels()
 
+    def _bottom_levels(self) -> List[int]:
+        """Critical-path-to-exit length per segment (the HLFET priority).
 
-def _build_dag(events: EventSource) -> _SegmentDag:
-    dag = _SegmentDag()
-    source = as_chunk_source(events)
-    for table, rows in stream_resolved(source, SegmentColumns(())):
-        if table == "segs":
-            chunk_ops = rows["ops"].tolist()
-            dag.ops.extend(chunk_ops)
-            dag.serial_length += int(rows["ops"].sum())
-            dag.preds.extend([] for _ in range(len(chunk_ops)))
-            dag.succs.extend([] for _ in range(len(chunk_ops)))
-        elif table == "oced":
-            for src, dst in zip(rows["src"].tolist(), rows["dst"].tolist()):
-                dag.preds[dst].append(src)
-                dag.succs[src].append(dst)
-        else:
-            edges = [tuple(row) for row in rows.tolist()]
-            dag.data_edges.extend(edges)
-            for src, dst, _ in edges:
-                dag.preds[dst].append(src)
-                dag.succs[src].append(dst)
-    return dag
+        Kahn's algorithm gives a topological order; the levels are then
+        settled in its reverse, each from its successors' final levels.
+        """
+        ops, ptr, succ = self.ops, self.ptr, self.succ
+        pending = self.in_degree.tolist()
+        order = np.flatnonzero(self.in_degree == 0).tolist()
+        for i in order:  # grows while it is walked
+            for s in succ[ptr[i]:ptr[i + 1]]:
+                pending[s] -= 1
+                if not pending[s]:
+                    order.append(s)
+        if len(order) != len(ops):
+            raise ValueError("event log contains a dependency cycle")
+        levels = [0] * len(ops)
+        for i in reversed(order):
+            tail = 0
+            for s in succ[ptr[i]:ptr[i + 1]]:
+                if levels[s] > tail:
+                    tail = levels[s]
+            levels[i] = ops[i] + tail
+        return levels
 
 
 def schedule_events(events: EventSource, n_cores: int) -> ScheduleResult:
     """List-schedule the segment DAG onto ``n_cores`` identical cores.
 
     ``events`` is any form :func:`~repro.analysis.streaming.as_chunk_source`
-    accepts; its chunks stream straight into the scheduler's adjacency
-    lists.  The ready heap orders by (priority, segment id), a total
-    order, so neither chunking nor edge arrival order can change the
-    schedule.
+    accepts.  The ready heap orders by (priority, segment id) and the core
+    heap by (free time, core index), both total orders, so neither
+    chunking nor edge arrival order can change the schedule.  Raises
+    :class:`ValueError` if the log's edges close a dependency cycle.
     """
-    return _schedule_dag(_build_dag(events), n_cores)
+    return _schedule_dag(_SegmentDag(events), n_cores)
 
 
 def _schedule_dag(dag: _SegmentDag, n_cores: int) -> ScheduleResult:
     if n_cores <= 0:
         raise ValueError("n_cores must be positive")
-    n = len(dag.ops)
-    if n == 0:
-        return ScheduleResult(n_cores, 0, 0, {}, 0)
-
-    ops = dag.ops
-    preds = dag.preds
-    succs = dag.succs
-    data_edges = dag.data_edges
-
-    priority = _bottom_levels(ops, succs)
-    in_degree = [len(p) for p in preds]
-    finish = [0] * n
-    placement: Dict[int, Tuple[int, int]] = {}
-    core_free = [0] * n_cores
-
-    # Ready heap: (-priority, seg_id); earliest data-ready time per segment.
-    ready: List[Tuple[int, int]] = []
+    ops, ptr, succ, priority = dag.ops, dag.ptr, dag.succ, dag.priority
+    n = len(ops)
+    in_degree = dag.in_degree.tolist()
     data_ready = [0] * n
-    for i in range(n):
-        if in_degree[i] == 0:
-            heapq.heappush(ready, (-priority[i], i))
-
-    scheduled = 0
+    core_of = [0] * n
+    placement: Dict[int, Tuple[int, int]] = {}
+    cores = [(0, c) for c in range(n_cores)]  # (free time, core): a heap
+    ready = [(-priority[i], i) for i in range(n) if not in_degree[i]]
+    heapq.heapify(ready)
+    pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
+    makespan = 0
     while ready:
-        _, i = heapq.heappop(ready)
-        # Pick the core that lets the segment start earliest.
-        core = min(range(n_cores), key=core_free.__getitem__)
-        start = max(core_free[core], data_ready[i])
+        _, i = pop(ready)
+        free, core = cores[0]
+        start = data_ready[i]
+        if free > start:
+            start = free
         end = start + ops[i]
-        core_free[core] = end
-        finish[i] = end
+        replace(cores, (end, core))
+        if end > makespan:
+            makespan = end
+        core_of[i] = core
         placement[i] = (core, start)
-        scheduled += 1
-        for s in succs[i]:
-            data_ready[s] = max(data_ready[s], end)
+        for s in succ[ptr[i]:ptr[i + 1]]:
+            if end > data_ready[s]:
+                data_ready[s] = end
             in_degree[s] -= 1
-            if in_degree[s] == 0:
-                heapq.heappush(ready, (-priority[s], s))
+            if not in_degree[s]:
+                push(ready, (-priority[s], s))
 
-    if scheduled != n:  # pragma: no cover - defensive (DAG guaranteed)
-        raise ValueError("event log contains a dependency cycle")
-
-    cross = sum(
-        nbytes
-        for src, dst, nbytes in data_edges
-        if placement[src][0] != placement[dst][0]
-    )
+    on_core = np.asarray(core_of, dtype=np.int64)
+    data = dag.data
+    split = on_core[data["src"]] != on_core[data["dst"]]
     return ScheduleResult(
         n_cores=n_cores,
-        makespan=max(finish),
+        makespan=makespan,
         serial_length=dag.serial_length,
         placement=placement,
-        cross_core_bytes=cross,
+        cross_core_bytes=int(data["bytes"][split].sum()),
     )
 
 
@@ -189,10 +189,10 @@ def speedup_curve(
 ) -> List[ScheduleResult]:
     """Schedule for a range of core counts (default 1, 2, 4, ... 32).
 
-    The DAG is built once, in one pass over the log, and rescheduled per
-    core count.
+    The DAG is built and ranked once, in one pass over the log, and
+    dispatched per core count.
     """
     if cores is None:
         cores = [1, 2, 4, 8, 16, 32]
-    dag = _build_dag(events)
+    dag = _SegmentDag(events)
     return [_schedule_dag(dag, k) for k in cores]

@@ -20,7 +20,9 @@ tables, and an in-memory log takes the same code path.  The pieces:
 * :func:`stream_resolved` -- yields chunks with edge rows *held back* until
   the segment rows their endpoints reference have arrived (a streaming
   writer may flush an edge chunk before the segment chunk it points into),
-  validating each chunk with :func:`~repro.core.segments.check_rows`.
+  validating each chunk with :func:`~repro.core.segments.first_violation`;
+  a bad row is named by its table index and, for a file or byte source,
+  by the chunk and byte offset :meth:`ChunkSource.locate` finds for it.
 * :class:`EdgeCursor` -- one edge table consumed as a run sorted by
   destination, for the critical-path DP, which merges edges by
   destination.  Every writer in this codebase emits edges with
@@ -38,8 +40,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.segments import EventArrays, check_rows
-from repro.io.eventbin import DEFAULT_CHUNK_ROWS, iter_event_chunks
+from repro.core.segments import EventArrays, first_violation
+from repro.io.eventbin import DEFAULT_CHUNK_ROWS, iter_event_chunks, locate_row
 
 __all__ = [
     "ChunkSource",
@@ -48,6 +50,7 @@ __all__ = [
     "SegmentColumns",
     "UnsortedEdges",
     "as_chunk_source",
+    "check_chunk",
     "stream_resolved",
 ]
 
@@ -125,6 +128,38 @@ class ChunkSource:
                 continue
             for start in range(0, len(table), self.chunk_rows):
                 yield name, table[start : start + self.chunk_rows]
+
+    def locate(self, table: str, row: int) -> str:
+        """Name ``table``'s row ``row`` as ``load_event_arrays`` errors do.
+
+        ``"segs row 5, in chunk 2 at byte 86"`` for a file or byte source
+        (found by a second pass, so only a failed check pays for it);
+        just ``"segs row 5"`` for an in-memory log.
+        """
+        where = None
+        if self._bytes is not None:
+            where = locate_row(io.BytesIO(self._bytes), table, row)
+        elif self._path is not None:
+            where = locate_row(self._path, table, row)
+        return f"{table} row {row}" + (f", in {where}" if where else "")
+
+
+def check_chunk(source, table: str, rows: np.ndarray, first_row: int) -> None:
+    """:func:`~repro.core.segments.check_rows` for a streamed chunk.
+
+    ``first_row`` is the table index of ``rows[0]``; a bad row is named
+    through ``source.locate`` when ``source`` is a :class:`ChunkSource`.
+    """
+    bad = first_violation(table, rows)
+    if bad is not None:
+        row, message = bad
+        row += first_row
+        where = (
+            source.locate(table, row)
+            if isinstance(source, ChunkSource)
+            else f"{table} row {row}"
+        )
+        raise ValueError(f"{message} ({where})")
 
 
 def as_chunk_source(
@@ -219,7 +254,7 @@ def stream_resolved(
     endpoint arrives).  A streaming writer can flush an edge chunk up to
     one chunk ahead of the segment chunk it references, so the holding
     buffer is bounded by the writer's chunk size.  Every chunk passes
-    :func:`~repro.core.segments.check_rows`; the dangling-endpoint check
+    :func:`check_chunk`; the dangling-endpoint check
     happens at the end of the pass, and the forward rule for data edges,
     which only the critical path needs, in :class:`EdgeCursor`.
 
@@ -233,6 +268,7 @@ def stream_resolved(
         else None
     )
     pending: Dict[str, List[np.ndarray]] = {"oced": [], "data": []}
+    seen = {"segs": 0, "oced": 0, "data": 0}
 
     def split_ready(table: str, rows: np.ndarray):
         """Yield the resolvable prefix of ``rows``; buffer the rest."""
@@ -248,8 +284,9 @@ def stream_resolved(
             gauge.set_max(int(rows.nbytes))
         if not len(rows):
             continue
+        check_chunk(source, table, rows, seen[table])
+        seen[table] += len(rows)
         if table == "segs":
-            check_rows("segs", rows)
             cols.append(rows)
             yield "segs", rows
             for name in ("oced", "data"):
@@ -261,7 +298,6 @@ def stream_resolved(
                     if hold is not None and len(hold):
                         pending[name].append(hold)
         else:
-            check_rows(table, rows)
             ready, hold = split_ready(table, rows)
             if ready is not None and len(ready):
                 yield table, ready
@@ -284,12 +320,21 @@ class EdgeCursor:
     ``take_below(hi)`` hands back every remaining edge with ``dst < hi``
     in table order; successive calls with non-decreasing ``hi`` walk the
     table once in bounded memory.  Raises :class:`UnsortedEdges` when the
-    table violates the non-decreasing-``dst`` invariant.
+    table violates the non-decreasing-``dst`` invariant.  ``source``, the
+    :class:`ChunkSource` the chunks come from in table order, lets a bad
+    row's error name where it lies.
     """
 
-    def __init__(self, chunks: Iterator[Tuple[str, np.ndarray]], table: str):
+    def __init__(
+        self,
+        chunks: Iterator[Tuple[str, np.ndarray]],
+        table: str,
+        source: Optional[ChunkSource] = None,
+    ):
         self._chunks = chunks
         self._table = table
+        self._source = source
+        self._rows_seen = 0
         self._src = np.empty(0, dtype=np.int64)
         self._dst = np.empty(0, dtype=np.int64)
         self._pos = 0
@@ -303,7 +348,8 @@ class EdgeCursor:
         for _table, rows in self._chunks:
             if not len(rows):
                 continue
-            check_rows(self._table, rows)
+            check_chunk(self._source, self._table, rows, self._rows_seen)
+            self._rows_seen += len(rows)
             # The DP needs data edges forward too.
             forward = rows["src"] < rows["dst"]
             if not bool(forward.all()):

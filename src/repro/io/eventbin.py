@@ -66,6 +66,7 @@ __all__ = [
     "dumps_events_bin",
     "load_event_arrays",
     "iter_event_chunks",
+    "locate_row",
     "zstd_available",
     "TABLE_NAMES",
 ]
@@ -370,6 +371,23 @@ def iter_event_chunks(
     """
     for table, rows, _where in _located_chunks(source, tables):
         yield table, rows
+
+
+def locate_row(
+    source: Union[str, Path, BinaryIO], table: str, row: int
+) -> Optional[str]:
+    """Where ``table``'s row ``row`` was read from: ``"chunk C at byte B"``.
+
+    A second pass over ``source`` (decoding only ``table``'s chunks), for
+    naming a bad row once a streamed check has found one; None if the
+    table has fewer rows.
+    """
+    seen = 0
+    for _table, rows, where in _located_chunks(source, (table,)):
+        seen += len(rows)
+        if row < seen:
+            return where
+    return None
 
 
 def _located_chunks(

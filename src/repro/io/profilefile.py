@@ -123,7 +123,8 @@ def loads_profile(text: str) -> SigilProfile:
     Raises :class:`ValueError` naming the line number and text of the
     first malformed record.
     """
-    lines = text.splitlines()
+    # Only "\n" ends a line: names may hold any other line-break character.
+    lines = text.removesuffix("\n").split("\n")
     if not lines or lines[0] != _MAGIC:
         first = lines[0] if lines else ""
         raise ValueError(f"not a sigil profile file (bad magic) (line 1: {first!r})")

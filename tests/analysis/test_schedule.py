@@ -131,3 +131,16 @@ class TestAgainstTheoreticalLimit:
         r2 = schedule_events(log, 2)
         r16 = schedule_events(log, 16)
         assert r2.efficiency > r16.efficiency
+
+
+class TestMalformedLogs:
+    def test_dependency_cycle_rejected_by_the_priority_pass(self):
+        """A backward data edge may close a cycle (0 -> 1 -> 2 -> 0); no
+        segment on it can ever be ranked or become ready."""
+        log = chain_log(3)
+        log.add_data_bytes(2, 0, 8)
+        arrays = log.to_arrays()
+        with pytest.raises(ValueError, match="dependency cycle"):
+            schedule_events(arrays, 2)
+        with pytest.raises(ValueError, match="dependency cycle"):
+            speedup_curve(arrays, [1, 2])

@@ -13,7 +13,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_critical_path
+from repro.analysis import analyze_critical_path, speedup_curve
 from repro.analysis.streaming import ChunkSource
 from repro.cli import main
 from repro.core.segments import (
@@ -205,3 +205,56 @@ def test_every_reader_rejects_v1_as_write_only(reader, tmp_path, capsys):
         message = str(exc.value)
     assert "v1 text event log" in message
     assert "write-only" in message
+
+
+STREAMED = {
+    "repro-critpath": _critpath,
+    "repro-critpath-cores": lambda path: main(
+        ["critpath", str(path), "--cores", "2"]
+    ),
+    "repro-timeline": _timeline,
+    "speedup_curve": lambda path: speedup_curve(path, [2]),
+}
+
+BAD_LOGS = {
+    # Segment 2 of four, one row per chunk.
+    "ops": _arrays(
+        [(0, 0, 0, 1, 0), (1, 1, 1, 1, 0), (2, 2, 2, -3, 0), (3, 3, 3, 1, 0)],
+        [(0, 0, 1), (0, 1, 2), (0, 2, 3)],
+    ),
+    # The third data row, in a table that is not sorted by destination
+    # (the critical path sorts it before the bad row is reached).
+    "bytes": _arrays(
+        [(0, 0, 0, 1, 0), (1, 1, 1, 1, 0), (2, 2, 2, 1, 0), (3, 3, 3, 1, 0)],
+        [(0, 0, 1)],
+        [(0, 3, 8), (0, 1, 8), (1, 2, -8)],
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LOGS))
+@pytest.mark.parametrize("reader", sorted(STREAMED))
+def test_streamed_readers_name_the_bad_row(reader, bad, tmp_path, capsys):
+    """Streamed analyses locate a bad row as the loader does: its table
+    row, and the chunk and byte offset it was read from."""
+    path = tmp_path / "bad.bin"
+    dumps = dumps_events_bin(BAD_LOGS[bad], compression=None, chunk_rows=1)
+    path.write_bytes(dumps)
+    with pytest.raises(ValueError) as exc:
+        load_event_arrays(path)
+    expected = str(exc.value)
+    assert ", in chunk " in expected
+    read = STREAMED[reader]
+    if reader.startswith("repro-"):
+        assert read(path) == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        message = str(exc.value)
+    assert expected in message
+
+
+def test_in_memory_logs_name_the_bad_row():
+    with pytest.raises(ValueError, match=r"got -3 \(segs row 2\)$"):
+        speedup_curve(BAD_LOGS["ops"], [2])

@@ -77,3 +77,40 @@ class TestValidation:
                 dumps_profile(sigil)
         finally:
             node.name = original
+
+
+@pytest.mark.parametrize(
+    "brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+            "\u2029"],
+)
+def test_names_with_other_line_breaks_roundtrip(brk, tmp_path):
+    """Only "\\n" ends a line of a profile or a Callgrind file, the one
+    character the writers reject in a name; any other line break that
+    ``str.splitlines`` knows survives a dump and load through both tools."""
+    from repro.callgrind import CallgrindCollector
+    from repro.core import SigilConfig, SigilProfiler
+    from repro.io import dump_callgrind, dumps_callgrind, load_callgrind
+    from repro.trace.events import OpKind
+
+    name = f"odd{brk}name"
+    sigil = SigilProfiler(SigilConfig())
+    callgrind = CallgrindCollector()
+    for tool in (sigil, callgrind):
+        tool.on_run_begin()
+        tool.on_fn_enter("main")
+        tool.on_mem_write(64, 8)
+        tool.on_fn_enter(name)
+        tool.on_op(OpKind.INT, 3)
+        tool.on_mem_read(64, 8)
+        tool.on_fn_exit(name)
+        tool.on_fn_exit("main")
+        tool.on_run_end()
+
+    dump_profile(sigil.profile(), tmp_path / "p.sigil")
+    loaded = load_profile(tmp_path / "p.sigil")
+    assert name in {node.name for node in loaded.contexts()}
+    assert dumps_profile(loaded) == dumps_profile(sigil.profile())
+    dump_callgrind(callgrind.profile, tmp_path / "p.callgrind")
+    loaded_cg = load_callgrind(tmp_path / "p.callgrind")
+    assert name in {node.name for node in loaded_cg.tree.nodes}
+    assert dumps_callgrind(loaded_cg) == dumps_callgrind(callgrind.profile)

@@ -13,6 +13,11 @@ same inputs, so that a Hypothesis test can compare the two.
   *last* maximal one in edge order (order/call table order first, then data
   table order), and the path ends at the *first* segment with the maximal
   inclusive cost.
+* :func:`naive_schedule` -- the HLFET list schedule of section IV-C.
+  Bottom levels are computed by memoised recursion over successor lists,
+  so backward data edges (threaded logs) rank correctly; every step
+  rescans the whole ready set for the highest level (lowest id on ties)
+  and every core for the earliest free one (lowest index on ties).
 * :func:`naive_breakeven` -- Equation 1 for one merged sub-tree (Figure 2).
   Inclusive costs are recursive sums over the calling-context tree, the
   boundary bytes come from a scan of every communication edge, and the
@@ -22,7 +27,7 @@ same inputs, so that a Hypothesis test can compare the two.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Set
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 from repro.core.segments import EventArrays
 
@@ -82,6 +87,58 @@ def assert_matches_oracle(result, expected: NaivePath) -> None:
     assert result.critical_length == expected.critical_length
     assert [int(x) for x in result.inclusive] == expected.inclusive
     assert [s.seg_id for s in result.path] == expected.path
+
+
+# -- section IV-C list scheduling --------------------------------------------
+
+
+class NaiveSchedule(NamedTuple):
+    makespan: int
+    placement: Dict[int, Tuple[int, int]]
+    cross_core_bytes: int
+
+
+def naive_schedule(arrays: EventArrays, n_cores: int) -> NaiveSchedule:
+    """HLFET onto ``n_cores`` cores, by rescanning on every step."""
+    ops = [int(x) for x in arrays.segs["ops"]]
+    n = len(ops)
+    edges = [
+        (src, dst)
+        for table in (arrays.ordercall, arrays.data)
+        for src, dst in zip(table["src"].tolist(), table["dst"].tolist())
+    ]
+    succs: Dict[int, List[int]] = {v: [] for v in range(n)}
+    preds: Dict[int, List[int]] = {v: [] for v in range(n)}
+    for src, dst in edges:
+        succs[src].append(dst)
+        preds[dst].append(src)
+
+    levels: Dict[int, int] = {}
+
+    def level(v: int) -> int:
+        if v not in levels:
+            levels[v] = ops[v] + max((level(s) for s in succs[v]), default=0)
+        return levels[v]
+
+    free = [0] * n_cores
+    finish: Dict[int, int] = {}
+    placement: Dict[int, Tuple[int, int]] = {}
+    while len(placement) < n:
+        ready = [
+            v for v in range(n)
+            if v not in placement and all(p in placement for p in preds[v])
+        ]
+        v = min(ready, key=lambda u: (-level(u), u))
+        core = min(range(n_cores), key=lambda c: (free[c], c))
+        start = max([free[core]] + [finish[p] for p in preds[v]])
+        finish[v] = free[core] = start + ops[v]
+        placement[v] = (core, start)
+    cross = sum(
+        int(nbytes)
+        for src, dst, nbytes in arrays.data.tolist()
+        if placement[src][0] != placement[dst][0]
+    )
+    return NaiveSchedule(max(finish.values(), default=0), placement, cross)
 
 
 # -- Equation 1 --------------------------------------------------------------
