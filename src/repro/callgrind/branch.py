@@ -34,36 +34,6 @@ class BimodalPredictor:
         self._counters[site] = counter
         return mispredicted
 
-    def record_batch(self, sites, takens) -> int:
-        """Feed a batch of resolved branches, in order; returns miss count.
-
-        Exactly equivalent to calling :meth:`record` per element -- the
-        two-bit counters are updated in stream order -- but in one fused
-        loop over plain Python scalars, so the per-branch cost is a dict
-        get/set instead of a full method dispatch.
-        """
-        sites = sites.tolist() if hasattr(sites, "tolist") else sites
-        takens = takens.tolist() if hasattr(takens, "tolist") else takens
-        counters = self._counters
-        get = counters.get
-        missed = 0
-        for site, taken in zip(sites, takens):
-            counter = get(site, 1)
-            if (counter >= 2) != (taken != 0):
-                missed += 1
-            if taken:
-                if counter < 3:
-                    counters[site] = counter + 1
-                else:
-                    counters[site] = counter
-            elif counter > 0:
-                counters[site] = counter - 1
-            else:
-                counters[site] = counter
-        self.branches += len(sites)
-        self.mispredicts += missed
-        return missed
-
     @property
     def miss_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0

@@ -128,8 +128,8 @@ class CallgrindCollector(BaseObserver):
     miss counts).
     """
 
-    #: The cache and branch simulators have batch kernels, so the harness
-    #: puts the transport in front of this collector.
+    #: The cache simulator has a batch kernel, so the harness puts the
+    #: transport in front of this collector.
     batch_beneficial = True
 
     def __init__(
@@ -257,17 +257,6 @@ class CallgrindCollector(BaseObserver):
         costs.branches += 1
         if self.predictor is not None and self.predictor.record(site, taken):
             costs.branch_misses += 1
-
-    def on_branch_batch(self, sites, takens) -> None:
-        """Account a batch of branches; predictor state updates in order."""
-        n = len(sites)
-        if n == 0:
-            return
-        costs = self._cur_costs
-        costs.instructions += n
-        costs.branches += n
-        if self.predictor is not None:
-            costs.branch_misses += self.predictor.record_batch(sites, takens)
 
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:
         self._cur_costs.syscalls += 1

@@ -55,8 +55,8 @@ def dumps_callgrind(profile: CallgrindProfile) -> str:
 
 
 def dump_callgrind(profile: CallgrindProfile, path: Union[str, Path]) -> None:
-    """Write a Callgrind-equivalent profile to ``path``."""
-    Path(path).write_text(dumps_callgrind(profile))
+    """Write a Callgrind-equivalent profile to ``path`` as UTF-8 bytes."""
+    Path(path).write_bytes(dumps_callgrind(profile).encode("utf-8"))
 
 
 def loads_callgrind(text: str) -> CallgrindProfile:
@@ -114,4 +114,4 @@ def loads_callgrind(text: str) -> CallgrindProfile:
 
 def load_callgrind(path: Union[str, Path]) -> CallgrindProfile:
     """Read a profile previously written by :func:`dump_callgrind`."""
-    return loads_callgrind(Path(path).read_text())
+    return loads_callgrind(Path(path).read_bytes().decode("utf-8"))

@@ -107,8 +107,8 @@ def dumps_profile(profile: SigilProfile) -> str:
 
 
 def dump_profile(profile: SigilProfile, path: Union[str, Path]) -> None:
-    """Write a profile to ``path`` in the sigil-profile text format."""
-    Path(path).write_text(dumps_profile(profile))
+    """Write a profile to ``path`` as UTF-8, with no newline translation."""
+    Path(path).write_bytes(dumps_profile(profile).encode("utf-8"))
 
 
 def _located(exc: Exception, number: int, line: str) -> ValueError:
@@ -215,4 +215,4 @@ def loads_profile(text: str) -> SigilProfile:
 
 def load_profile(path: Union[str, Path]) -> SigilProfile:
     """Read a profile previously written by :func:`dump_profile`."""
-    return loads_profile(Path(path).read_text())
+    return loads_profile(Path(path).read_bytes().decode("utf-8"))

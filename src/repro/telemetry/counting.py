@@ -78,10 +78,6 @@ class EventCounter(BaseObserver):
     def on_branch(self, site: int, taken: bool) -> None:
         self.branches += 1
 
-    def on_branch_batch(self, sites, takens) -> None:
-        # As with memory batches: count the scalar equivalent.
-        self.branches += len(sites)
-
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:
         self.syscalls += 1
 

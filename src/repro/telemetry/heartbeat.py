@@ -100,9 +100,7 @@ class HeartbeatObserver(BaseObserver):
         self._tick()
 
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:
-        self._tick()
-
-    def on_syscall_exit(self, name: str, output_bytes: int) -> None:
+        # A syscall ticks once, at its enter, as ``events.total`` counts it.
         self._tick()
 
     def on_thread_switch(self, tid: int) -> None:

@@ -11,9 +11,10 @@ aggregation), and that is what this module does for the transport layer:
 stores memory accesses into a fixed ``array('q')`` address buffer plus a
 run-length side table (real access streams are long same-size, same-kind
 runs), and hands the downstream observer whole batches in that form through
-:meth:`~repro.trace.observer.BaseObserver.on_mem_batch_runs`.  Branches are
-buffered the same way for lenient downstreams and delivered through
-``on_branch_batch``.
+:meth:`~repro.trace.observer.BaseObserver.on_mem_batch_runs`.  Only memory
+is batched: the paper's tool cost is per access, while branches feed
+nothing but Callgrind's predictor and arrive too sparsely between flush
+boundaries to fill a batch, so they are forwarded scalar.
 
 Batching pays only when whatever consumes a batch has a batch kernel.  A
 downstream pipe with one scalar-only member (the Sigil profiler, a
@@ -26,9 +27,8 @@ dispatches scalar.
 
 Flush boundaries
 ----------------
-The buffers are flushed -- i.e. all pending accesses, then all pending
-branches, are delivered in program order *before* the boundary event is
-forwarded -- at:
+The buffer is flushed -- i.e. all pending accesses are delivered in program
+order *before* the boundary event is forwarded -- at:
 
 * function enter and exit (the attributing context must not change
   mid-batch),
@@ -37,19 +37,19 @@ forwarded -- at:
 * run end, and
 * buffer full (when the next access arrives).
 
-Plain op events (``on_op``) and branches do **not** flush by default: the
-instruction clock is a sum and predictor state depends only on the branch
-stream's own order, so deferring accesses past ops/branches (and branches
-past interleaved accesses) leaves every aggregate -- edges, byte
+Plain op events (``on_op``) and branches (``on_branch``) are forwarded at
+once and do **not** flush by default: the instruction clock is a sum and
+predictor state depends only on the branch stream's own order, so deferring
+accesses past ops and branches leaves every aggregate -- edges, byte
 classification, misprediction counts, segment start times, totals --
 byte-identical.  The one thing it would skew is *per-access timestamps*
 (re-use lifetime windows, exact event interleaving).  Observers whose output
 depends on those declare ``batch_time_strict = True`` and the transport then
-flushes pending accesses before every op and forwards every branch scalar,
-in exact stream order, trading batch occupancy for scalar-exact clocks.
-Order among memory accesses, and among branches, is always preserved.
+flushes pending accesses before every op and branch, in exact stream order,
+trading batch occupancy for scalar-exact clocks.  Order among memory
+accesses is always preserved.
 
-Flushes that collected only a handful of events (below
+Flushes that collected only a handful of accesses (below
 :data:`SCALAR_FLUSH_CUTOFF`) are replayed downstream as scalar calls:
 vectorisation below that occupancy costs more than it saves, and
 control-dense workloads spend most of their flushes there.
@@ -88,14 +88,14 @@ class BatchingTransport(BaseObserver):
         The observer (or :class:`~repro.trace.observer.ObserverPipe`) that
         receives the batches plus all non-memory events.
     batch_size:
-        Buffer capacity; the buffers flush when full and at the boundaries
+        Buffer capacity; the buffer flushes when full and at the boundaries
         documented in the module docstring.
     scalar_cutoff:
-        Flushes holding fewer events than this are replayed as scalar
+        Flushes holding fewer accesses than this are replayed as scalar
         calls (see :data:`SCALAR_FLUSH_CUTOFF`); ``0`` forces every flush
         through the batch hooks, which the kernel-semantics tests use.
 
-    The hot-path handlers (``on_mem_read``/``on_mem_write``/``on_branch``)
+    The hot-path handlers (``on_mem_read``/``on_mem_write``) and ``flush``
     are installed as per-instance closures so each buffered access costs
     one indexed store and one compare -- subclasses overriding them must
     rebuild the instance attributes, not just the class methods.  The
@@ -116,20 +116,15 @@ class BatchingTransport(BaseObserver):
         self.batch_size = batch_size
         self.scalar_cutoff = scalar_cutoff
         self.strict_time = bool(getattr(downstream, "batch_time_strict", False))
-        # -- downstream delivery hooks (resolved once) ---------------------
+        # -- downstream delivery hook (resolved once) ----------------------
         self._runs_hook = getattr(downstream, "on_mem_batch_runs", None)
-        self._branch_hook = getattr(downstream, "on_branch_batch", None)
-        # -- branch buffer (lenient downstreams only) ----------------------
-        self._bsites: list = []
-        self._btakens: list = []
         # -- transport telemetry (read by record_telemetry) ---------------
         self.flushes = 0
         self.batched_accesses = 0
-        self.batched_branches = 0
         self._install_hot_handlers()
 
     def _install_hot_handlers(self) -> None:
-        """Bind the per-access closures and the memory flush.
+        """Bind the per-access closures and the flush.
 
         The address buffer is a fixed ``array('q')`` of ``batch_size``
         slots written by index, and the fill count ``n`` lives in this
@@ -162,7 +157,13 @@ class BatchingTransport(BaseObserver):
                 rends.append(n - 1)
             rkeys.append((size << 1) | kind)
 
-        def flush_mem():
+        def flush():
+            """Deliver all pending accesses downstream, in program order.
+
+            Short flushes (< :data:`SCALAR_FLUSH_CUTOFF`) are replayed as
+            scalar calls -- identical semantics, none of the per-batch
+            kernel overhead.
+            """
             nonlocal n, rkeys, rends
             count = n
             if not count:
@@ -184,7 +185,7 @@ class BatchingTransport(BaseObserver):
             try:
                 buf[n] = addr
             except IndexError:
-                flush_mem()
+                flush()
                 buf[0] = addr
             n += 1
             if size != cell[0]:
@@ -195,72 +196,15 @@ class BatchingTransport(BaseObserver):
             try:
                 buf[n] = addr
             except IndexError:
-                flush_mem()
+                flush()
                 buf[0] = addr
             n += 1
             if size != cell[1]:
                 run_break(size, 1)
 
-        self._flush_mem = flush_mem
+        self.flush = flush
         self.on_mem_read = on_mem_read
         self.on_mem_write = on_mem_write
-
-        if self.strict_time:
-            down_branch = self.downstream.on_branch
-
-            def on_branch(site, taken, _flush=flush_mem, _down=down_branch):
-                _flush()
-                _down(site, taken)
-
-        else:
-            bsites = self._bsites
-            btakens = self._btakens
-            flush_branches = self._flush_branches
-
-            def on_branch(site, taken, _s=bsites.append, _t=btakens.append,
-                          _b=bsites, _cap=cap, _flush=flush_branches):
-                _s(site)
-                _t(taken)
-                if len(_b) >= _cap:
-                    _flush()
-
-        self.on_branch = on_branch
-
-    # -- buffering ---------------------------------------------------------
-
-    def flush(self) -> None:
-        """Deliver all pending events downstream, preserving order.
-
-        Pending memory accesses go first (they precede any buffered branch
-        in every state the buffers can reach), then pending branches.
-        Short flushes (< :data:`SCALAR_FLUSH_CUTOFF`) are replayed as
-        scalar calls -- identical semantics, none of the per-batch kernel
-        overhead.
-        """
-        self._flush_mem()
-        self._flush_branches()
-
-    def _flush_branches(self) -> None:
-        sites = self._bsites
-        n = len(sites)
-        if not n:
-            return
-        takens = self._btakens
-        self.batched_branches += n
-        if n < self.scalar_cutoff or self._branch_hook is None:
-            site_list = sites[:]
-            taken_list = takens[:]
-            del sites[:]
-            del takens[:]
-            branch = self.downstream.on_branch
-            for site, taken in zip(site_list, taken_list):
-                branch(site, taken)
-            return
-        site_arr = np.asarray(sites, dtype=np.int64)
-        taken_arr = np.asarray(takens, dtype=bool)
-        del sites[:]
-        del takens[:]
-        self._branch_hook(site_arr, taken_arr)
 
     # -- boundary events (flush, then forward) -----------------------------
 
@@ -274,8 +218,13 @@ class BatchingTransport(BaseObserver):
 
     def on_op(self, kind: OpKind, count: int) -> None:
         if self.strict_time:
-            self._flush_mem()
+            self.flush()
         self.downstream.on_op(kind, count)
+
+    def on_branch(self, site: int, taken: bool) -> None:
+        if self.strict_time:
+            self.flush()
+        self.downstream.on_branch(site, taken)
 
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:
         self.flush()
@@ -310,6 +259,5 @@ class BatchingTransport(BaseObserver):
         telemetry.gauge("batch.size").set(self.batch_size)
         telemetry.gauge("batch.flushes").set(self.flushes)
         telemetry.gauge("batch.accesses").set(self.batched_accesses)
-        telemetry.gauge("batch.branches").set(self.batched_branches)
         telemetry.gauge("batch.mean_occupancy").set(self.mean_occupancy)
         telemetry.gauge("batch.strict_time").set(int(self.strict_time))

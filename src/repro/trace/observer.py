@@ -89,15 +89,6 @@ def _expand_lines(addrs, sizes, shift: int):
     return offsets + np.arange(int(ends[-1]), dtype=np.int64), counts
 
 
-def _expand_branch_batch(observer, sites, takens) -> None:
-    """Replay a branch batch into scalar ``on_branch`` calls, in order."""
-    sites = sites.tolist() if hasattr(sites, "tolist") else sites
-    takens = takens.tolist() if hasattr(takens, "tolist") else takens
-    branch = observer.on_branch
-    for site, taken in zip(sites, takens):
-        branch(site, bool(taken))
-
-
 @runtime_checkable
 class TraceObserver(Protocol):
     """Anything that can watch a program execute.
@@ -121,8 +112,6 @@ class TraceObserver(Protocol):
 
     def on_branch(self, site: int, taken: bool) -> None: ...
 
-    def on_branch_batch(self, sites, takens) -> None: ...
-
     def on_syscall_enter(self, name: str, input_bytes: int) -> None: ...
 
     def on_syscall_exit(self, name: str, output_bytes: int) -> None: ...
@@ -141,7 +130,7 @@ class BaseObserver:
     #: accesses interleave with op/branch events on the instruction-count
     #: clock (e.g. re-use lifetime timestamps).  The batched transport
     #: (:class:`repro.trace.batch.BatchingTransport`) flushes its buffer
-    #: before every op when this is true, so per-access timestamps stay
+    #: before every op and branch when this is true, so per-access timestamps stay
     #: byte-identical to the scalar path.  Order *among* memory accesses is
     #: always preserved regardless of this flag.
     batch_time_strict: bool = False
@@ -188,18 +177,6 @@ class BaseObserver:
 
     def on_branch(self, site: int, taken: bool) -> None:
         pass
-
-    def on_branch_batch(self, sites, takens) -> None:
-        """A batch of branch events, in program order.
-
-        ``sites``/``takens`` are parallel sequences (int64 sites, bool
-        outcomes).  The default implementation expands back into scalar
-        ``on_branch`` calls; observers with a vectorised predictor override
-        it.  Only lenient (``batch_time_strict = False``) observers ever see
-        branch batches -- the transport forwards branches scalar, in exact
-        stream order, to strict ones.
-        """
-        _expand_branch_batch(self, sites, takens)
 
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:
         pass
@@ -264,14 +241,6 @@ class ObserverPipe(BaseObserver):
                 hook(addrs, rkeys, rends)
             else:  # bare TraceObserver without the batching mixin
                 _expand_runs(obs, addrs, rkeys, rends)
-
-    def on_branch_batch(self, sites, takens) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_branch_batch", None)
-            if hook is not None:
-                hook(sites, takens)
-            else:  # bare TraceObserver without the batching mixin
-                _expand_branch_batch(obs, sites, takens)
 
     def on_fn_enter(self, name: str) -> None:
         for obs in self.observers:

@@ -80,13 +80,15 @@ class TestValidation:
 
 
 @pytest.mark.parametrize(
-    "brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-            "\u2029"],
+    "brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+            "\u2028", "\u2029"],
 )
 def test_names_with_other_line_breaks_roundtrip(brk, tmp_path):
     """Only "\\n" ends a line of a profile or a Callgrind file, the one
     character the writers reject in a name; any other line break that
-    ``str.splitlines`` knows survives a dump and load through both tools."""
+    ``str.splitlines`` knows survives a dump and load through both tools.
+    Files are read and written with no newline translation, so a "\\r" in
+    a name is not read back as "\\n"."""
     from repro.callgrind import CallgrindCollector
     from repro.core import SigilConfig, SigilProfiler
     from repro.io import dump_callgrind, dumps_callgrind, load_callgrind

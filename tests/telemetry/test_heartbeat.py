@@ -6,7 +6,8 @@ import io
 
 import pytest
 
-from repro.telemetry import CLOCK_CHECK_INTERVAL, HeartbeatObserver
+from repro.harness import profile_workload
+from repro.telemetry import CLOCK_CHECK_INTERVAL, HeartbeatObserver, Telemetry
 
 
 def _drive(observer, events: int) -> None:
@@ -39,7 +40,18 @@ class TestEventBeats:
         hb.on_syscall_enter("read", 0)
         hb.on_syscall_exit("read", 0)
         hb.on_thread_switch(1)
-        assert hb.events == 9
+        assert hb.events == 8  # a syscall's enter and exit tick once
+
+    def test_final_beat_matches_the_manifest(self):
+        """The ``(done)`` line reports the run's ``events.total``, syscalls
+        (which blackscholes makes) counted once."""
+        out = io.StringIO()
+        telemetry = Telemetry(heartbeat_events=10**9, heartbeat_stream=out)
+        run = profile_workload("blackscholes", "simsmall", telemetry=telemetry)
+        assert run.manifest.metrics["events.syscall"] > 0
+        done = out.getvalue().strip().splitlines()[-1]
+        assert done.endswith("(done)")
+        assert f" {run.manifest.events_total:,} events," in done
 
 
 class TestTimeBeats:

@@ -267,3 +267,30 @@ def test_memory_batches_have_one_format():
         if name in retired
     )
     assert found == [], f"retired batch hooks defined: {found}"
+
+
+def test_observer_hooks_belong_to_the_protocol():
+    """Every ``on_*`` method a ``BaseObserver`` subclass defines is a
+    ``TraceObserver`` member, so a hook that nothing calls any more (a
+    tool's leftover batch hook after the transport stopped delivering it)
+    fails here by name instead of lingering as dead code.
+    """
+    from repro.trace.observer import BaseObserver, TraceObserver
+
+    protocol = {name for name in vars(TraceObserver) if name.startswith("on_")}
+    classes = {
+        obj
+        for module_name in all_modules()
+        for obj in vars(importlib.import_module(module_name)).values()
+        if isinstance(obj, type) and issubclass(obj, BaseObserver)
+        and obj.__module__.startswith("repro.")
+    }
+    assert len(classes) > 5
+    stray = sorted(
+        f"{cls.__module__}.{cls.__qualname__}.{name}"
+        for cls in classes
+        for name, value in vars(cls).items()
+        if name.startswith("on_") and callable(value)
+        and name not in protocol
+    )
+    assert stray == [], f"observer hooks outside TraceObserver: {stray}"

@@ -3,7 +3,8 @@
 These tests pin down the ordering contract: a batch is a faithful reordering
 of scalar observer calls whose *classification* is order-insensitive, and
 every event that could observe intermediate state (function boundaries,
-thread switches, branches, syscalls) forces a flush first.
+thread switches, syscalls, and ops and branches for time-strict observers)
+forces a flush first.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from repro.callgrind.collector import CallgrindCollector
 from repro.core import SigilConfig, SigilProfiler
 from repro.core.linegrain import LineReuseProfiler
 from repro.core.shadow import SHADOW_PAGE_SIZE
-from repro.harness import transport_for
+from repro.harness import run_tool, transport_for
 from repro.io.profilefile import dumps_profile
 from repro.trace.batch import (
     DEFAULT_BATCH_SIZE,
     SCALAR_FLUSH_CUTOFF,
     BatchingTransport,
 )
+from repro.telemetry import Telemetry
 from repro.telemetry.counting import EventCounter
 from repro.trace.events import OpKind
 from repro.trace.observer import (
@@ -237,107 +239,48 @@ class TestFlushBoundaries:
             BatchingTransport(RecordingObserver(), -1)
 
 
-class _LenientBranchObserver(BaseObserver):
-    """Lenient downstream that accepts both mem and branch batches."""
+class TestScalarBranches:
+    """Branches are never buffered: only memory accesses batch."""
 
-    batch_time_strict = False
+    def test_lenient_downstream_gets_branches_at_once(self):
+        """Like ops, a branch overtakes the accesses still pending for a
+        lenient downstream; they stay buffered until the next flush."""
 
-    def __init__(self):
-        self.order = []
+        class Lenient(BaseObserver):
+            def __init__(self):
+                self.order = []
 
-    def on_op(self, kind, count):
-        self.order.append("op")
+            def on_branch(self, site, taken):
+                self.order.append(("branch", site, taken))
 
-    def on_branch(self, site, taken):
-        self.order.append(("branch", site, taken))
+            def on_mem_batch_runs(self, addrs, rkeys, rends):
+                self.order.append(("mem", len(addrs)))
 
-    def on_branch_batch(self, sites, takens):
-        self.order.append(("branches", sites.tolist(), takens.tolist()))
-
-    def on_mem_batch_runs(self, addrs, rkeys, rends):
-        self.order.append(("mem", len(addrs)))
-
-
-class TestLenientBranchBuffering:
-    def test_branches_buffered_and_delivered_after_mem(self):
-        """For lenient downstreams branches do not flush the access buffer;
-        at a boundary the mem batch lands first, then one branch batch."""
-        obs = _LenientBranchObserver()
+        obs = Lenient()
         transport = BatchingTransport(obs, 64, scalar_cutoff=0)
         transport.on_mem_write(1, 1)
         transport.on_branch(7, True)
         transport.on_mem_read(1, 1)
         transport.on_branch(7, False)
-        transport.on_fn_exit("f")  # boundary: drains both buffers
-        assert obs.order == [
-            ("mem", 2),
-            ("branches", [7, 7], [True, False]),
-        ]
-        assert transport.batched_branches == 2
+        assert obs.order == [("branch", 7, True), ("branch", 7, False)]
+        assert transport.flushes == 0
+        transport.on_fn_exit("f")
+        assert obs.order[2:] == [("mem", 2)]
 
-    def test_ops_overtake_buffered_branches(self):
-        """Ops forward immediately; deferred branches are sums for lenient
-        tools, so the reordering is observable only as batching."""
-        obs = _LenientBranchObserver()
-        transport = BatchingTransport(obs, 64, scalar_cutoff=0)
-        transport.on_branch(3, True)
-        transport.on_op(OpKind.INT, 1)
-        transport.flush()
-        assert obs.order == ["op", ("branches", [3], [True])]
-
-    def test_branch_buffer_full_flushes(self):
-        obs = _LenientBranchObserver()
-        transport = BatchingTransport(obs, 2, scalar_cutoff=0)
-        for i in range(5):
-            transport.on_branch(i, bool(i % 2))
-        assert obs.order == [
-            ("branches", [0, 1], [False, True]),
-            ("branches", [2, 3], [False, True]),
-        ]
-        transport.flush()
-        assert obs.order[-1] == ("branches", [4], [False])
-
-    def test_short_branch_flushes_replay_as_scalar(self):
-        """Below the cutoff branches replay as scalar on_branch calls with
-        plain bools, preserving intra-stream order."""
-        obs = _LenientBranchObserver()
-        transport = BatchingTransport(obs, 64)  # default cutoff
-        transport.on_branch(1, True)
-        transport.on_branch(2, False)
-        transport.flush()
-        assert obs.order == [("branch", 1, True), ("branch", 2, False)]
-
-    def test_default_expansion_for_hookless_lenient_observer(self):
-        """A lenient observer without its own on_branch_batch gets the
-        BaseObserver expansion: scalar on_branch calls, plain bools."""
-
-        class NoHook(BaseObserver):
-            batch_time_strict = False
-
-            def __init__(self):
-                self.calls = []
-
-            def on_branch(self, site, taken):
-                assert isinstance(taken, bool)
-                self.calls.append((site, taken))
-
-        obs = NoHook()
-        transport = BatchingTransport(obs, 64, scalar_cutoff=0)
-        for site, taken in [(0, True), (1, False), (0, True)]:
-            transport.on_branch(site, taken)
-        transport.flush()
-        assert obs.calls == [(0, True), (1, False), (0, True)]
-
-    def test_strict_downstream_never_sees_branch_batches(self):
-        """Strict downstreams (the ordering oracle) keep exact scalar
-        interleaving: branch arrives after the flushed accesses."""
+    def test_strict_downstream_sees_write_then_branch(self):
         rec = RecordingObserver()
         transport = BatchingTransport(rec, 64, scalar_cutoff=0)
         transport.on_mem_write(1, 1)
         transport.on_branch(9, True)
         kinds = [type(e).__name__ for e in rec.events]
         assert kinds == ["MemWrite", "Branch"]
-        assert transport.batched_branches == 0
+
+    def test_callgrind_manifest_has_no_branch_gauge(self):
+        run = run_tool("facesim", "simsmall", "callgrind",
+                       telemetry=Telemetry())
+        metrics = run.manifest.metrics
+        assert metrics["batch.flushes"] > 0
+        assert "batch.branches" not in metrics
 
 
 class TestObserverPipeMixing:
