@@ -11,17 +11,18 @@ accumulated costs for a node the inclusive cost of communication and
 computation for the entire sub-tree." (section II-C1)
 
 Timing (the paper's :math:`t_{sw}`) comes from the Callgrind-equivalent
-profile; the two profiles observe the same run, so contexts are aligned by
-their call paths.
+profile, joined to Sigil's context by call path.  A paired run's two
+profiles share one tree, so the lookup returns the context itself; stored
+profiles load into two trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.callgrind.collector import CallgrindProfile
-from repro.common.cct import ContextNode
+from repro.common.cct import ContextCosts, ContextNode
 from repro.core.profiler import SigilProfile
 
 __all__ = ["InclusiveCosts", "MergedNode", "compute_inclusive", "subtree_has_syscall"]
@@ -62,13 +63,6 @@ class MergedNode:
         return self.node.name
 
 
-def _align_context(
-    callgrind: CallgrindProfile, node: ContextNode
-) -> Optional[ContextNode]:
-    """Find the Callgrind context matching a Sigil context by call path."""
-    return callgrind.tree.find(node.path)
-
-
 def compute_inclusive(
     sigil: SigilProfile,
     callgrind: Optional[CallgrindProfile],
@@ -80,28 +74,18 @@ def compute_inclusive(
     the boundary become the merged node's input/output communication.
     """
     subtree: Set[int] = sigil.comm.subtree_ids(node)
-    iops = 0
-    flops = 0
-    for ctx_id in subtree:
-        comm = sigil.functions.get(ctx_id)
-        if comm is not None:
-            iops += comm.iops
-            flops += comm.flops
+    iops = sum(sigil.fn_comm(ctx_id).iops for ctx_id in subtree)
+    flops = sum(sigil.fn_comm(ctx_id).flops for ctx_id in subtree)
     inp, out = sigil.comm.boundary_bytes(subtree)
 
+    cg = ContextCosts()
     est_cycles = 0.0
-    instructions = branch_misses = l1_misses = ll_misses = 0
-    if callgrind is not None:
-        cg_node = _align_context(callgrind, node)
-        if cg_node is not None:
-            cg_costs = callgrind.inclusive_costs(cg_node)
-            instructions = cg_costs.instructions
-            branch_misses = cg_costs.branch_misses
-            l1_misses = cg_costs.l1_misses
-            ll_misses = cg_costs.ll_misses
-            est_cycles = callgrind.cycle_model.estimate(
-                instructions, branch_misses, l1_misses, ll_misses
-            )
+    cg_node = callgrind.tree.find(node.path) if callgrind is not None else None
+    if cg_node is not None:
+        cg = callgrind.inclusive_costs(cg_node)
+        est_cycles = callgrind.cycle_model.estimate(
+            cg.instructions, cg.branch_misses, cg.l1_misses, cg.ll_misses
+        )
     return InclusiveCosts(
         ops=iops + flops,
         iops=iops,
@@ -110,10 +94,10 @@ def compute_inclusive(
         unique_output_bytes=out,
         est_cycles=est_cycles,
         calls=node.calls,
-        instructions=instructions,
-        branch_misses=branch_misses,
-        l1_misses=l1_misses,
-        ll_misses=ll_misses,
+        instructions=cg.instructions,
+        branch_misses=cg.branch_misses,
+        l1_misses=cg.l1_misses,
+        ll_misses=cg.ll_misses,
     )
 
 

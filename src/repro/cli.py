@@ -460,7 +460,7 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     program = assemble(Path(args.program).read_text(), entry=args.entry)
     sigil = SigilProfiler(config)
-    callgrind = CallgrindCollector()
+    callgrind = CallgrindCollector(contexts=sigil.contexts)
     result, profile, _, manifest = _drive(
         lambda obs: Machine(telemetry=tel).run(program, obs),
         [sigil, callgrind],
@@ -1314,7 +1314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-size", type=int, default=1,
                    help="shadow granularity in bytes (power of two)")
     p.add_argument("--max-shadow-pages", type=int, default=None,
-                   help="FIFO shadow-memory limit (pages)")
+                   help="shadow-memory limit (pages); evicts the least "
+                        "recently touched page")
     p.add_argument("-o", "--output", help="write the aggregate profile here")
     p.add_argument("--events-out", help="write the event file here")
     _add_events_format_arg(p)

@@ -14,30 +14,17 @@ Every communicated byte is classified on the two axes of section II-A:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Set, Tuple
 
-from repro.common.cct import INVALID_CTX, ContextNode, ContextTree
+from repro.common.cct import INVALID_CTX, ContextCosts, ContextNode, ContextTree
 
 __all__ = ["FnComm", "CommEdge", "CommMatrix"]
 
 
-@dataclass
-class FnComm:
-    """Self costs and raw traffic of one calling context."""
-
-    iops: int = 0
-    flops: int = 0
-    reads: int = 0
-    read_bytes: int = 0
-    writes: int = 0
-    write_bytes: int = 0
-    syscall_input_bytes: int = 0
-    syscall_output_bytes: int = 0
-
-    @property
-    def ops(self) -> int:
-        return self.iops + self.flops
+#: Self costs and raw traffic of one calling context: Sigil's name for the
+#: record both tools charge.
+FnComm = ContextCosts
 
 
 @dataclass

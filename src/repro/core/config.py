@@ -24,10 +24,11 @@ class SigilConfig:
         required for critical-path analysis (sections II-C2, IV-C).
     max_shadow_pages:
         The paper's memory-limit command-line option: bound the number of
-        live shadow pages, evicting the least recently touched page when the
-        bound is exceeded ("a simple FIFO mechanism to free up space from
-        shadow bytes of addresses that have been least recently touched").
-        ``None`` disables the limit.  The paper enables this only for dedup.
+        live shadow pages, evicting the least recently touched page (every
+        touch renews a page) when the bound is exceeded.  The paper calls it
+        "a simple FIFO mechanism to free up space from shadow bytes of
+        addresses that have been least recently touched".  ``None`` disables
+        the limit.  The paper enables this only for dedup.
     line_size:
         Granularity of shadowing in bytes.  1 is the paper's byte-level
         default; setting the cache line size (e.g. 64) gives the

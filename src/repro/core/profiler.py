@@ -39,11 +39,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.common.cct import ContextNode, ContextTree
-from repro.core.aggregate import CommEdge, CommMatrix, FnComm
+from repro.common.cct import ContextNode, ContextTracker, ContextTree
+from repro.core.aggregate import CommMatrix, FnComm
 from repro.core.config import SigilConfig
 from repro.core.reuse import ReuseStats
-from repro.core.segments import EventArrays, EventLog, Segment
+from repro.core.segments import EventArrays, EventLog
 from repro.core.shadow import (
     SHADOW_PAGE_SIZE,
     ShadowMemory,
@@ -142,42 +142,28 @@ class SigilProfile:
         out: Dict[str, FnComm] = {}
         for node in self.contexts():
             comm = self.functions.get(node.id)
-            if comm is None:
-                continue
-            agg = out.setdefault(node.name, FnComm())
-            agg.iops += comm.iops
-            agg.flops += comm.flops
-            agg.reads += comm.reads
-            agg.read_bytes += comm.read_bytes
-            agg.writes += comm.writes
-            agg.write_bytes += comm.write_bytes
-            agg.syscall_input_bytes += comm.syscall_input_bytes
-            agg.syscall_output_bytes += comm.syscall_output_bytes
+            if comm is not None:
+                out.setdefault(node.name, FnComm()).add(comm)
         return out
 
     def total_ops(self) -> int:
         return sum(fc.ops for fc in self.functions.values())
 
 
-class _Frame:
-    """Per-active-call bookkeeping."""
-
-    __slots__ = ("node", "call_id", "segment")
-
-    def __init__(self, node: ContextNode, call_id: int, segment: Optional[Segment]):
-        self.node = node
-        self.call_id = call_id
-        self.segment = segment
-
-
 class SigilProfiler(BaseObserver):
-    """Observer implementing Sigil's shadow-memory methodology."""
+    """Observer implementing Sigil's shadow-memory methodology.
+
+    Each event goes first to the profiler's own calling-context layer
+    (``contexts``, which a paired Callgrind collector follows), then to the
+    segments and shadow memory.
+    """
 
     def __init__(self, config: Optional[SigilConfig] = None):
         self.config = config if config is not None else SigilConfig()
-        self.tree = ContextTree()
+        self.contexts = ContextTracker()
+        self.tree = self.contexts.tree
         self.comm = CommMatrix()
-        self.functions: Dict[int, FnComm] = {}
+        self.functions: Dict[int, FnComm] = self.contexts.costs
         self.reuse: Optional[ReuseStats] = (
             ReuseStats() if self.config.reuse_mode else None
         )
@@ -199,101 +185,54 @@ class SigilProfiler(BaseObserver):
         self.shadow_runs = 0
 
         self.time = 0
-        self._call_counter = 0
         self._finalised = False
-        # Per-thread state: each (virtual) thread has its own call stack and
-        # pending-syscall stack; the shadow memory is shared, so cross-thread
-        # communication classifies exactly like any producer-consumer pair.
-        self._thread_stacks: Dict[int, List[_Frame]] = {}
-        self._thread_pending: Dict[int, List[ContextNode]] = {}
-        self._tid = 0
-        self._stack = self._new_thread_stack(0)
-        self._cur: _Frame = self._stack[0]
-        self._fn: FnComm = self._fn_for(self.tree.root.id)
-        self._pending_syscalls = self._thread_pending[0]
-
-    def _new_thread_stack(self, tid: int) -> List[_Frame]:
-        root_seg = (
-            self.events.new_segment(0, self._call_counter, self.time, thread=tid)
-            if self.events is not None
-            else None
-        )
-        stack = [_Frame(self.tree.root, self._call_counter, root_seg)]
-        self._thread_stacks[tid] = stack
-        self._thread_pending[tid] = []
-        return stack
+        self.on_thread_switch(0)
 
     def on_thread_switch(self, tid: int) -> None:
-        if tid == self._tid:
-            return
-        stack = self._thread_stacks.get(tid)
-        if stack is None:
-            self._call_counter += 1  # fresh root call id for the new thread
-            stack = self._new_thread_stack(tid)
-        self._tid = tid
-        self._stack = stack
-        self._cur = stack[-1]
-        self._fn = self._fn_for(self._cur.node.id)
-        self._pending_syscalls = self._thread_pending[tid]
-
-    # -- helpers ----------------------------------------------------------
-
-    def _fn_for(self, ctx_id: int) -> FnComm:
-        comm = self.functions.get(ctx_id)
-        if comm is None:
-            comm = FnComm()
-            self.functions[ctx_id] = comm
-        return comm
+        # Each (virtual) thread has its own call stack in the tracker; the
+        # shadow memory is shared, so cross-thread communication classifies
+        # exactly like any producer-consumer pair.  In event mode a new
+        # thread's root frame starts a segment.
+        self.contexts.on_thread_switch(tid)
+        frame = self.contexts.frame
+        if self.events is not None and frame.segment is None:
+            frame.segment = self.events.new_segment(
+                0, frame.call_id, self.time, thread=tid
+            )
 
     # -- function structure --------------------------------------------------
 
     def on_fn_enter(self, name: str) -> None:
-        parent = self._cur
-        node = self.tree.child(parent.node, name)
-        node.calls += 1
-        self._call_counter += 1
-        segment: Optional[Segment] = None
+        # In event mode every frame is running in a segment.
+        contexts = self.contexts
+        caller = contexts.frame
+        contexts.on_fn_enter(name)
         if self.events is not None:
-            segment = self.events.new_segment(
-                node.id, self._call_counter, self.time, thread=self._tid
+            frame = contexts.frame
+            frame.segment = self.events.new_segment(
+                frame.node.id, frame.call_id, self.time, thread=contexts.tid
             )
-            if parent.segment is not None:
-                self.events.add_call_edge(parent.segment.seg_id, segment.seg_id)
-        frame = _Frame(node, self._call_counter, segment)
-        self._stack.append(frame)
-        self._cur = frame
-        self._fn = self._fn_for(node.id)
+            self.events.add_call_edge(caller.segment.seg_id, frame.segment.seg_id)
 
     def on_fn_exit(self, name: str) -> None:
-        if len(self._stack) <= 1:
-            raise RuntimeError(
-                f"unbalanced trace: exit({name!r}) with no function open "
-                f"on thread {self._tid}"
-            )
-        self._stack.pop()
-        resumed = self._stack[-1]
+        contexts = self.contexts
+        contexts.on_fn_exit(name)
         if self.events is not None:
             # The resumed caller continues in a fresh segment, conservatively
             # ordered after its previous fragment (Figure 3).
+            resumed = contexts.frame
             prev = resumed.segment
-            segment = self.events.new_segment(
-                resumed.node.id, resumed.call_id, self.time, thread=self._tid
+            resumed.segment = self.events.new_segment(
+                resumed.node.id, resumed.call_id, self.time, thread=contexts.tid
             )
-            if prev is not None:
-                self.events.add_order_edge(prev.seg_id, segment.seg_id)
-            resumed.segment = segment
-        self._cur = resumed
-        self._fn = self._fn_for(resumed.node.id)
+            self.events.add_order_edge(prev.seg_id, resumed.segment.seg_id)
 
     # -- computation -----------------------------------------------------------
 
     def on_op(self, kind: OpKind, count: int) -> None:
         self.time += count
-        if kind is OpKind.FLOAT:
-            self._fn.flops += count
-        else:
-            self._fn.iops += count
-        seg = self._cur.segment
+        self.contexts.on_op(kind, count)
+        seg = self.contexts.frame.segment
         if seg is not None:
             seg.ops += count
 
@@ -355,16 +294,14 @@ class SigilProfiler(BaseObserver):
 
     def on_mem_write(self, addr: int, size: int) -> None:
         self.time += 1
-        fn = self._fn
-        fn.writes += 1
-        fn.write_bytes += size
+        self.contexts.on_mem_write(addr, size)
         if size <= 0:
             # A zero-byte store moves no data: it must touch no shadow
             # state.  (Without this guard the unit arithmetic below rounds
             # an unaligned empty range up to one unit and fabricates a
             # whole line of communication at line granularity.)
             return
-        cur = self._cur
+        cur = self.contexts.frame
         layout = self._layout
         # The written value replaces the whole record: new writer (and
         # segment), no reader, no re-use history.
@@ -385,12 +322,10 @@ class SigilProfiler(BaseObserver):
 
     def on_mem_read(self, addr: int, size: int) -> None:
         self.time += 1
-        fn = self._fn
-        fn.reads += 1
-        fn.read_bytes += size
+        self.contexts.on_mem_read(addr, size)
         if size <= 0:
             return  # zero-byte loads consume no data (see on_mem_write)
-        cur = self._cur
+        cur = self.contexts.frame
         ctx = cur.node.id
         call_id = cur.call_id
         scale = self._unit_size
@@ -486,19 +421,16 @@ class SigilProfiler(BaseObserver):
     # -- system calls ---------------------------------------------------------------
 
     def on_syscall_enter(self, name: str, input_bytes: int) -> None:
-        node = self.tree.child(self._cur.node, f"sys:{name}")
-        node.calls += 1
-        self._pending_syscalls.append(node)
-        sys_fn = self._fn_for(node.id)
+        node = self.contexts.on_syscall_enter(name, input_bytes)
         if input_bytes:
-            sys_fn.syscall_input_bytes += input_bytes
-            self.comm.add(self._cur.node.id, node.id, unique=input_bytes)
+            self.functions[node.id].syscall_input_bytes += input_bytes
+            self.comm.add(self.contexts.frame.node.id, node.id, unique=input_bytes)
 
     def on_syscall_exit(self, name: str, output_bytes: int) -> None:
-        node = self._pending_syscalls.pop()
+        node = self.contexts.on_syscall_exit(name, output_bytes)
         if output_bytes:
-            self._fn_for(node.id).syscall_output_bytes += output_bytes
-            self.comm.add(node.id, self._cur.node.id, unique=output_bytes)
+            self.functions[node.id].syscall_output_bytes += output_bytes
+            self.comm.add(node.id, self.contexts.frame.node.id, unique=output_bytes)
 
     # -- finalisation ------------------------------------------------------------------
 
@@ -562,9 +494,7 @@ class SigilProfiler(BaseObserver):
         telemetry.counter("sigil.bytes.nonunique").inc(nonunique)
         telemetry.counter("sigil.bytes.local_unique").inc(local)
         telemetry.gauge("sigil.comm_edges").set(len(self.comm))
-        telemetry.gauge("sigil.contexts").set(
-            sum(1 for n in self.tree.nodes if n.parent is not None)
-        )
+        telemetry.gauge("sigil.contexts").set(len(self.tree) - 1)
         telemetry.counter("sigil.instructions").inc(self.time)
 
     # -- results ------------------------------------------------------------------------

@@ -36,10 +36,11 @@ almost always uniform (the observation behind memcheck's distinguished
 secondary maps), so an access costs O(1) interpreter work, not per-unit
 array work.
 
-The optional memory limit implements the paper's FIFO eviction of the shadow
-pages whose addresses were least recently touched; before a page is dropped
-its open re-use state is handed to a finalisation callback so aggregate
-accuracy degrades gracefully (the paper reports the loss "negligible").
+The optional memory limit evicts the least recently touched shadow page
+(the paper's "simple FIFO mechanism", but every touch renews a page); before
+a page is dropped its open re-use state is handed to a finalisation callback
+so aggregate accuracy degrades gracefully (the paper reports the loss
+"negligible").
 """
 
 from __future__ import annotations

@@ -263,7 +263,10 @@ def _profile(name, size, config, with_sigil, with_callgrind, telemetry, extra):
     workload = get_workload(name, size)
     cfg = config if config is not None else SigilConfig()
     sigil = SigilProfiler(cfg) if with_sigil else None
-    callgrind = CallgrindCollector() if with_callgrind else None
+    # Paired, Callgrind follows the calling-context layer Sigil drives from
+    # the head of the pipe: each call and access is tracked once.
+    contexts = sigil.contexts if sigil is not None else None
+    callgrind = CallgrindCollector(contexts=contexts) if with_callgrind else None
     tools = [obs for obs in (sigil, callgrind, *extra) if obs is not None]
 
     def aggregate():

@@ -9,6 +9,10 @@ offline, matching the paper's release model.  Format
     ctx <id> <parent_id> <calls> <name>
     cost <ctx> <ir> <iops> <flops> <reads> <read_B> <writes> <write_B>
          <l1m> <llm> <br> <brm> <sys>
+
+Contexts are numbered densely as written, in tree order (root 0).  Nodes
+made by the system-call hook are Sigil's and not written.  ``ir`` is
+operations + accesses + branches, checked on load.
 """
 
 from __future__ import annotations
@@ -39,16 +43,20 @@ def dumps_callgrind(profile: CallgrindProfile) -> str:
         f"model {m.per_instruction} {m.per_branch_miss} "
         f"{m.per_l1_miss} {m.per_ll_miss}"
     )
+    ids = {0: 0}  # tree id -> file id, numbered as written
     for node in profile.tree.nodes:
-        if node.parent is None:
+        if node.parent is None or node.syscall:
             continue
         if "\n" in node.name:
             raise ValueError(f"function name contains newline: {node.name!r}")
-        lines.append(f"ctx {node.id} {node.parent.id} {node.calls} {node.name}")
+        ids[node.id] = file_id = len(ids)
+        lines.append(f"ctx {file_id} {ids[node.parent.id]} {node.calls} {node.name}")
     for ctx_id, c in sorted(profile.self_costs.items()):
+        if ctx_id not in ids:
+            continue
         lines.append(
-            f"cost {ctx_id} {c.instructions} {c.iops} {c.flops} {c.reads} "
-            f"{c.read_bytes} {c.writes} {c.write_bytes} {c.l1_misses} "
+            f"cost {ids[ctx_id]} {c.instructions} {c.iops} {c.flops} "
+            f"{c.reads} {c.read_bytes} {c.writes} {c.write_bytes} {c.l1_misses} "
             f"{c.ll_misses} {c.branches} {c.branch_misses} {c.syscalls}"
         )
     return "\n".join(lines) + "\n"
@@ -91,8 +99,7 @@ def loads_callgrind(text: str) -> CallgrindProfile:
                 id_map[file_id] = node.id
             elif kind == "cost":
                 parts = [int(x) for x in rest.split()]
-                profile.self_costs[id_map[parts[0]]] = CallgrindCosts(
-                    instructions=parts[1],
+                costs = CallgrindCosts(
                     iops=parts[2],
                     flops=parts[3],
                     reads=parts[4],
@@ -105,6 +112,10 @@ def loads_callgrind(text: str) -> CallgrindProfile:
                     branch_misses=parts[11],
                     syscalls=parts[12],
                 )
+                if costs.instructions != parts[1]:
+                    raise ValueError(f"ir {parts[1]} is not ops + accesses + "
+                                     f"branches ({costs.instructions})")
+                profile.self_costs[id_map[parts[0]]] = costs
             else:
                 raise ValueError(f"unknown callgrind line kind: {kind!r}")
         except (IndexError, KeyError, TypeError, ValueError) as exc:

@@ -25,15 +25,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from repro.callgrind.collector import CallgrindProfile
+from repro.callgrind.collector import CallgrindCosts, CallgrindProfile
 from repro.common.cct import ContextNode
 from repro.core.profiler import SigilProfile
 
 __all__ = ["export_callgrind", "export_sigil"]
-
-
-def _flat_name(node: ContextNode) -> str:
-    return node.name
 
 
 def _emit_header(events: str, command: str) -> List[str]:
@@ -49,33 +45,31 @@ def _emit_header(events: str, command: str) -> List[str]:
     ]
 
 
+def _cost_line(c: CallgrindCosts) -> str:
+    return (
+        f"0 {c.instructions} {c.reads} {c.writes} {c.l1_misses} "
+        f"{c.ll_misses} {c.branches} {c.branch_misses}"
+    )
+
+
 def export_callgrind(
     profile: CallgrindProfile, path: Union[str, Path], *, command: str = "repro"
 ) -> None:
     """Write a CallgrindProfile as a callgrind-format file."""
     lines = _emit_header("Ir Dr Dw L1m LLm Bc Bm", command)
+    # System-call boundary nodes are Sigil's; Callgrind charges the call's
+    # count to the caller and writes no such function.
     for node in profile.tree.nodes:
-        if node.parent is None:
+        if node.parent is None or node.syscall:
             continue
-        costs = profile.self_costs.get(node.id)
-        lines.append(f"fn={_flat_name(node)}")
-        if costs is not None:
-            lines.append(
-                f"0 {costs.instructions} {costs.reads} {costs.writes} "
-                f"{costs.l1_misses} {costs.ll_misses} {costs.branches} "
-                f"{costs.branch_misses}"
-            )
-        else:
-            lines.append("0 0 0 0 0 0 0 0")
+        lines.append(f"fn={node.name}")
+        lines.append(_cost_line(profile.costs_of(node.id)))
         for child in node.children.values():
-            inc = profile.inclusive_costs(child)
-            lines.append(f"cfn={_flat_name(child)}")
+            if child.syscall:
+                continue
+            lines.append(f"cfn={child.name}")
             lines.append(f"calls={max(child.calls, 1)} 0")
-            lines.append(
-                f"0 {inc.instructions} {inc.reads} {inc.writes} "
-                f"{inc.l1_misses} {inc.ll_misses} {inc.branches} "
-                f"{inc.branch_misses}"
-            )
+            lines.append(_cost_line(profile.inclusive_costs(child)))
         lines.append("")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -117,10 +111,10 @@ def export_sigil(
         if node.parent is None:
             continue
         vector = _sigil_cost_vector(profile, node.id)
-        lines.append(f"fn={_flat_name(node)}")
+        lines.append(f"fn={node.name}")
         lines.append("0 " + " ".join(str(v) for v in vector))
         for child in node.children.values():
-            lines.append(f"cfn={_flat_name(child)}")
+            lines.append(f"cfn={child.name}")
             lines.append(f"calls={max(child.calls, 1)} 0")
             lines.append("0 " + " ".join(str(v) for v in inclusive(child)))
         lines.append("")

@@ -190,7 +190,7 @@ class Dedup(Workload):
             fragment_refine(rt, env, stream, start, chunk_size, digest)
             if not deduplicate(rt, env, stream, start, chunk_size, digest, table):
                 # Fresh output buffer per unique chunk: the growing address
-                # footprint that motivates the shadow-memory FIFO limit.
+                # footprint that motivates the shadow-memory page limit.
                 out = rt.arena.alloc_u8(f"dedup.out{i}", chunk_size)
                 n_out = compress(rt, env, stream, start, chunk_size, out)
                 pos = write_file(rt, env, out, n_out, archive, stream_state)

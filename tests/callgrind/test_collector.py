@@ -148,9 +148,24 @@ class TestCycleModel:
         assert cg.profile.total_cycles() == 211
 
     def test_costs_add_and_copy(self):
-        a = CallgrindCosts(instructions=1, iops=1)
+        a = CallgrindCosts(iops=1)
         b = a.copy()
-        b.add(CallgrindCosts(instructions=2, flops=3))
-        assert (b.instructions, b.iops, b.flops) == (3, 1, 3)
+        b.add(CallgrindCosts(flops=3, branches=1))
+        # Instructions are derived: operations + accesses + branches.
+        assert (b.instructions, b.iops, b.flops) == (5, 1, 3)
         assert a.instructions == 1
         assert b.ops == 4
+
+
+class TestUnbalancedTrace:
+    def test_unbalanced_exit_raises_the_same_error_as_sigil(self):
+        cg = CallgrindCollector()
+        with pytest.raises(RuntimeError, match=r"unbalanced trace: exit\('main'\) "
+                           r"with no function open on thread 0"):
+            cg.on_fn_exit("main")
+
+    def test_open_frames_at_run_end_are_not_an_error(self):
+        cg = CallgrindCollector()
+        cg.on_fn_enter("main")
+        cg.on_run_end()
+        assert cg.tree.find(("main",)).calls == 1
