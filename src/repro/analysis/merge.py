@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.callgrind.collector import CallgrindProfile
-from repro.common.cct import ContextCosts, ContextNode
+from repro.common.cct import SYSCALL_PREFIX, ContextCosts, ContextNode
 from repro.core.profiler import SigilProfile
 
 __all__ = ["InclusiveCosts", "MergedNode", "compute_inclusive", "subtree_has_syscall"]
@@ -103,7 +103,7 @@ def compute_inclusive(
 
 def subtree_has_syscall(node: ContextNode) -> bool:
     """True if any context in the sub-tree is a system-call pseudo-node."""
-    return any(sub.name.startswith("sys:") for sub in node.walk())
+    return any(sub.name.startswith(SYSCALL_PREFIX) for sub in node.walk())
 
 
 def inclusive_cost_table(

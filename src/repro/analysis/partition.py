@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.callgrind.collector import CallgrindProfile
 from repro.callgrind.cycles import CycleModel
-from repro.common.cct import ContextNode
+from repro.common.cct import SYSCALL_PREFIX, ContextNode
 from repro.core.profiler import SigilProfile
 from repro.analysis.merge import InclusiveCosts, compute_inclusive
 
@@ -189,12 +189,12 @@ def trim_calltree(
         stack: List[Tuple[ContextNode, bool]] = [(root, False)]
         while stack:
             node, children_resolved = stack.pop()
-            if node.name.startswith("sys:"):
+            if node.name.startswith(SYSCALL_PREFIX):
                 done[node.id] = (math.inf, [], [])
                 continue
             children = [
                 c for c in node.children.values()
-                if not c.name.startswith("sys:")
+                if not c.name.startswith(SYSCALL_PREFIX)
             ]
             if not children_resolved and children:
                 stack.append((node, True))
@@ -202,7 +202,7 @@ def trim_calltree(
                 continue
             child_flags = [has_sys.pop(child.id) for child in children]
             has_sys[node.id] = any(child_flags) or any(
-                c.name.startswith("sys:") for c in node.children.values()
+                c.name.startswith(SYSCALL_PREFIX) for c in node.children.values()
             )
             mergeable = node.name not in policy.never_merge and not (
                 policy.forbid_syscalls and has_sys[node.id]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.cct import ContextNode
+from repro.common.cct import SYSCALL_PREFIX, ContextNode
 from repro.core.profiler import SigilProfile
 from repro.core.reuse import REUSE_BUCKET_LABELS
 
@@ -127,7 +127,7 @@ def top_unique_contributors(
     totals = [
         (node, profile.unique_bytes_processed(node.id))
         for node in profile.contexts()
-        if not node.name.startswith("sys:")  # syscalls are not functions
+        if not node.name.startswith(SYSCALL_PREFIX)  # syscalls are not functions
     ]
     grand_total = sum(v for _, v in totals)
     totals.sort(key=lambda item: item[1], reverse=True)

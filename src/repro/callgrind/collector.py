@@ -28,8 +28,14 @@ import numpy as np
 from repro.callgrind.branch import BimodalPredictor
 from repro.callgrind.cache import CacheConfig, CacheHierarchy
 from repro.callgrind.cycles import DEFAULT_CYCLE_MODEL, CycleModel
-from repro.common.cct import ContextCosts, ContextNode, ContextTracker, ContextTree
-from repro.trace.observer import BaseObserver, _expand_lines
+from repro.common.cct import (
+    SYSCALL_PREFIX,
+    ContextCosts,
+    ContextNode,
+    ContextTracker,
+    ContextTree,
+)
+from repro.trace.observer import BaseObserver, _expand_lines, fan_out
 
 __all__ = ["CallgrindCosts", "CallgrindProfile", "CallgrindCollector"]
 
@@ -104,7 +110,9 @@ class CallgrindCollector(BaseObserver):
                 setattr(self, hook, getattr(contexts, hook))
             for hook in ("on_mem_read", "on_mem_write", "on_mem_batch_runs",
                          "on_syscall_enter"):
-                setattr(self, hook, _then(getattr(contexts, hook), getattr(self, hook)))
+                # The layer first, then this collector's kernel.
+                both = (getattr(contexts, hook), getattr(self, hook))
+                setattr(self, hook, fan_out(hook, both))
         self.contexts = contexts
         self.tree = contexts.tree
         self.profile = CallgrindProfile(self.tree, contexts.costs, cycle_model)
@@ -165,8 +173,8 @@ class CallgrindCollector(BaseObserver):
             total.add(costs)
         calls = sum(
             node.calls
-            for node in self.tree.nodes
-            if node.parent is not None and not node.syscall
+            for node in self.tree.nodes[1:]  # past the root
+            if not node.name.startswith(SYSCALL_PREFIX)
         )
         telemetry.counter("callgrind.calls").inc(calls)
         telemetry.counter("callgrind.instructions").inc(total.instructions)
@@ -176,12 +184,3 @@ class CallgrindCollector(BaseObserver):
         telemetry.counter("callgrind.branch_misses").inc(total.branch_misses)
         telemetry.counter("callgrind.syscalls").inc(total.syscalls)
 
-
-def _then(first, second):
-    """One hook that runs ``first`` and then ``second`` on the same event."""
-
-    def hook(*args):
-        first(*args)
-        second(*args)
-
-    return hook

@@ -149,8 +149,8 @@ def _telemetry_from(args) -> Optional[Telemetry]:
     """Build this invocation's telemetry session (None when disabled).
 
     Telemetry is on by default -- the run measures itself -- and disabled
-    with ``--no-telemetry``, which restores the seed observer fan-out with
-    zero additional Python-level calls per event.
+    with ``--no-telemetry``, which leaves the event counter out of the
+    observer pipe: zero additional Python-level calls per event.
     """
     if getattr(args, "no_telemetry", False):
         return None

@@ -31,9 +31,15 @@ __all__ = [
     "Frame",
     "ROOT_NAME",
     "INVALID_CTX",
+    "SYSCALL_PREFIX",
 ]
 
 ROOT_NAME = "<root>"
+
+#: Name prefix of a system-call boundary node (``sys:read``).  Reserved: a
+#: program function may not take it, so the name alone tells a system call
+#: from a function, in a live tree and in a loaded profile alike.
+SYSCALL_PREFIX = "sys:"
 
 #: Shadow-memory value meaning "no recorded function" (Table I: entries are
 #: initialised to *invalid* until the corresponding byte is used).
@@ -43,7 +49,7 @@ INVALID_CTX = -1
 class ContextNode:
     """One calling context: a function name plus the chain of its callers."""
 
-    __slots__ = ("id", "name", "parent", "children", "calls", "depth", "syscall")
+    __slots__ = ("id", "name", "parent", "children", "calls", "depth")
 
     def __init__(self, node_id: int, name: str, parent: Optional["ContextNode"]):
         self.id = node_id
@@ -52,8 +58,6 @@ class ContextNode:
         self.children: Dict[str, ContextNode] = {}
         self.calls = 0
         self.depth = 0 if parent is None else parent.depth + 1
-        #: Made by the system-call hook and never entered as a function.
-        self.syscall = False
 
     @property
     def path(self) -> Tuple[str, ...]:
@@ -209,8 +213,13 @@ class ContextTracker:
         self.cur = self.frame.costs
 
     def on_fn_enter(self, name: str) -> None:
+        if name.startswith(SYSCALL_PREFIX):
+            raise RuntimeError(
+                f"reserved name: enter({name!r}) on thread {self.tid} under "
+                f"{'/'.join(self.frame.node.path) or ROOT_NAME}; the "
+                f"{SYSCALL_PREFIX!r} prefix marks system calls"
+            )
         node = self.tree.child(self.frame.node, name)
-        node.syscall = False  # a function named ``sys:x`` shares the node
         node.calls += 1
         self.calls += 1
         self.frame = Frame(node, self.calls, self._costs_for(node))
@@ -262,9 +271,7 @@ class ContextTracker:
         The calling context stays current: the system call's own work is
         not traced.  Returns the node.
         """
-        node = self.tree.child(self.frame.node, f"sys:{name}")
-        if not node.calls:
-            node.syscall = True
+        node = self.tree.child(self.frame.node, SYSCALL_PREFIX + name)
         node.calls += 1
         self._costs_for(node)
         self._syscalls.append(node)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.common.cct import ContextNode, ContextTracker, ContextTree
+from repro.common.cct import SYSCALL_PREFIX, ContextNode, ContextTracker, ContextTree
 from repro.core.aggregate import CommMatrix, FnComm
 from repro.core.config import SigilConfig
 from repro.core.reuse import ReuseStats
@@ -130,7 +130,7 @@ class SigilProfile:
         """
         total = self.unique_local_bytes(ctx_id)
         for writer, edge in self.comm.input_edges(ctx_id).items():
-            if writer >= 0 and self.tree.node(writer).name.startswith("sys:"):
+            if writer >= 0 and self.tree.node(writer).name.startswith(SYSCALL_PREFIX):
                 continue
             total += edge.unique_bytes
         return total

@@ -1,8 +1,8 @@
 """A byte-at-a-time reference model of Sigil's shadow-memory methodology.
 
 :class:`ReferenceSigil` is deliberately naive: one Python object per
-shadowed unit in a dict, no NumPy, no paging, no runs.  It serves two
-purposes:
+shadowed unit in a dict, no NumPy, no runs, pages only under the memory
+limit.  It serves two purposes:
 
 * **Oracle.**  The differential property tests drive it and
   :class:`~repro.core.profiler.SigilProfiler` with the same event stream
@@ -16,17 +16,18 @@ purposes:
   the Figure 4/5 benches time this model as the byte-granular Sigil.
 
 It is an observer, so a workload can run under it directly.  It models
-function structure, threads, the instruction clock, memory accesses and
-all of Table I; system calls are not modelled.
+function structure, threads, the instruction clock, memory accesses, all
+of Table I and the memory limit; system calls are not modelled.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.reuse import REUSE_BUCKET_BOUNDS, REUSE_BUCKET_LABELS
+from repro.core.shadow import SHADOW_PAGE_SIZE
 from repro.trace.events import OpKind
 from repro.trace.observer import BaseObserver
 
@@ -70,9 +71,13 @@ class ReferenceSigil(BaseObserver):
     the unit, when it is overwritten and at run end; a closed window whose
     last read came after its first contributes its lifetime.  Each thread
     has its own call and segment stacks; the shadow units are shared.
+
+    ``max_pages`` is the memory limit: past it, the least recently touched
+    page's units die as at run end and are forgotten.
     """
 
-    def __init__(self, line_size: int = 1, bin_size: int = 1000) -> None:
+    def __init__(self, line_size: int = 1, bin_size: int = 1000,
+                 max_pages: Optional[int] = None) -> None:
         self.stack: List[Path] = [()]
         self.call_stack: List[int] = [0]
         self.seg_stack: List[int] = [0]
@@ -95,6 +100,9 @@ class ReferenceSigil(BaseObserver):
         self.retired: Counter = Counter()
         self._threads = {0: (self.stack, self.call_stack, self.seg_stack)}
         self._tid = 0
+        self.max_pages = max_pages
+        # Page numbers, least recently touched first.
+        self._pages: "OrderedDict[int, None]" = OrderedDict()
 
     def _new_segment(self) -> int:
         self.n_segments += 1
@@ -176,11 +184,26 @@ class ReferenceSigil(BaseObserver):
 
     # -- helpers ----------------------------------------------------------
 
-    def _units(self, addr: int, size: int) -> range:
+    def _units(self, addr: int, size: int):
         if size <= 0:
             # A zero-byte access moves no data and touches no shadow state.
             return range(0)
-        return range(addr >> self._shift, ((addr + size - 1) >> self._shift) + 1)
+        units = range(addr >> self._shift, ((addr + size - 1) >> self._shift) + 1)
+        return units if self.max_pages is None else self._paged(units)
+
+    def _paged(self, units: range) -> Iterator[int]:
+        """``units``, touching each unit's page as the access reaches it."""
+        pages = self._pages
+        for a in units:
+            if a == units.start or not a % SHADOW_PAGE_SIZE:
+                page = a // SHADOW_PAGE_SIZE
+                pages[page] = None
+                pages.move_to_end(page)
+                if len(pages) > self.max_pages:
+                    victim, _ = pages.popitem(last=False)
+                    for b in [b for b in self.units if b // SHADOW_PAGE_SIZE == victim]:
+                        self._retire(self.units.pop(b))
+            yield a
 
     def _close_window(self, shadow: _RefUnit) -> None:
         if shadow.reader is not None and shadow.win_last > shadow.win_first:

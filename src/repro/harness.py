@@ -31,7 +31,7 @@ from repro.telemetry import (
     build_manifest,
 )
 from repro.trace.batch import BatchingTransport
-from repro.trace.observer import NullObserver, ObserverPipe, TraceObserver
+from repro.trace.observer import ObserverPipe, TraceObserver
 from repro.workloads.base import InputSize, Workload
 from repro.workloads.registry import get_workload
 
@@ -141,27 +141,20 @@ def _assemble_observer(
     telemetry: Telemetry,
     label: str,
 ) -> tuple:
-    """Build the observer fan-out for a run.
+    """Build the observer pipe for a run; returns ``(pipe, counter)``.
 
-    Returns ``(observer, counter)``.  With null telemetry the composition is
-    byte-for-byte what the seed code built -- a lone tool is attached
-    directly, several share one pipe -- so a telemetry-less run dispatches
-    zero additional Python-level calls per event.  With telemetry enabled,
-    an :class:`EventCounter` (and, if configured, a heartbeat) joins the
-    pipe.
+    With telemetry enabled, ``counter`` is an :class:`EventCounter` -- the
+    heartbeat, an event counter that beats, when one is configured -- at
+    the end of the pipe; else None.  The pipe calls only the hooks a member
+    implements, and a hook one member implements is that member's bound
+    method, so with null telemetry a run dispatches zero additional
+    Python-level calls per event.
     """
-    counter = None
     observers: List[TraceObserver] = list(tools)
+    counter = None
     if telemetry.enabled:
-        counter = EventCounter()
+        counter = telemetry.make_heartbeat(label) or EventCounter()
         observers.append(counter)
-        heartbeat = telemetry.make_heartbeat(label)
-        if heartbeat is not None:
-            observers.append(heartbeat)
-    if not observers:
-        return NullObserver(), counter
-    if len(observers) == 1:
-        return observers[0], counter
     return ObserverPipe(observers), counter
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Union
 
 from repro.callgrind.collector import CallgrindCosts, CallgrindProfile
 from repro.callgrind.cycles import CycleModel
-from repro.common.cct import ContextTree
+from repro.common.cct import SYSCALL_PREFIX, ContextTree
 from repro.io.profilefile import _located
 
 __all__ = [
@@ -45,7 +45,7 @@ def dumps_callgrind(profile: CallgrindProfile) -> str:
     )
     ids = {0: 0}  # tree id -> file id, numbered as written
     for node in profile.tree.nodes:
-        if node.parent is None or node.syscall:
+        if node.parent is None or node.name.startswith(SYSCALL_PREFIX):
             continue
         if "\n" in node.name:
             raise ValueError(f"function name contains newline: {node.name!r}")
@@ -94,6 +94,9 @@ def loads_callgrind(text: str) -> CallgrindProfile:
             elif kind == "ctx":
                 fields = rest.split(" ", 3)
                 file_id, parent_id, calls = int(fields[0]), int(fields[1]), int(fields[2])
+                if fields[3].startswith(SYSCALL_PREFIX):
+                    raise ValueError(f"function {fields[3]!r} takes the "
+                                     f"system-call prefix {SYSCALL_PREFIX!r}")
                 node = tree.child(tree.node(id_map[parent_id]), fields[3])
                 node.calls = calls
                 id_map[file_id] = node.id

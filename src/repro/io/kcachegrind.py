@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.callgrind.collector import CallgrindCosts, CallgrindProfile
-from repro.common.cct import ContextNode
+from repro.common.cct import SYSCALL_PREFIX, ContextNode
 from repro.core.profiler import SigilProfile
 
 __all__ = ["export_callgrind", "export_sigil"]
@@ -60,12 +60,12 @@ def export_callgrind(
     # System-call boundary nodes are Sigil's; Callgrind charges the call's
     # count to the caller and writes no such function.
     for node in profile.tree.nodes:
-        if node.parent is None or node.syscall:
+        if node.parent is None or node.name.startswith(SYSCALL_PREFIX):
             continue
         lines.append(f"fn={node.name}")
         lines.append(_cost_line(profile.costs_of(node.id)))
         for child in node.children.values():
-            if child.syscall:
+            if child.name.startswith(SYSCALL_PREFIX):
                 continue
             lines.append(f"cfn={child.name}")
             lines.append(f"calls={max(child.calls, 1)} 0")

@@ -9,7 +9,8 @@ event objects when a materialised trace is wanted.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Protocol, runtime_checkable
+from functools import partial
+from typing import Iterable, List, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -95,7 +96,9 @@ class TraceObserver(Protocol):
 
     The paper notes Sigil "can use any framework that identifies
     communicating entities, and exposes addresses and operations to the
-    tool"; this protocol is that contract.
+    tool"; this protocol is that contract.  It is the one list of hooks:
+    each does nothing, and :class:`BaseObserver` inherits them as its
+    no-ops.
     """
 
     def on_fn_enter(self, name: str) -> None: ...
@@ -123,7 +126,7 @@ class TraceObserver(Protocol):
     def on_run_end(self) -> None: ...
 
 
-class BaseObserver:
+class BaseObserver(TraceObserver):
     """No-op implementation of :class:`TraceObserver`; subclass and override."""
 
     #: Declares whether this observer's *output* depends on how memory
@@ -138,24 +141,12 @@ class BaseObserver:
     #: Whether this observer has a batch kernel that pays for buffering.
     #: Opt-in: Callgrind, the line re-use profiler and the telemetry event
     #: counter (whose run hook is O(runs)) set it.  Observers that replay a
-    #: batch through their scalar path (the Sigil profiler, heartbeats) do
-    #: not, and :class:`ObserverPipe` is beneficial only when every member
-    #: is, so the harness builds the transport only when every attached
-    #: tool has a batch kernel.  Output is byte-identical either way -- this
-    #: is purely a performance hint.
+    #: batch through their scalar path (the Sigil profiler) do not, nor
+    #: does the heartbeat, and :class:`ObserverPipe` is beneficial only
+    #: when every member is, so the harness builds the transport only when
+    #: every attached tool has a batch kernel.  Output is byte-identical
+    #: either way -- this is purely a performance hint.
     batch_beneficial: bool = False
-
-    def on_fn_enter(self, name: str) -> None:
-        pass
-
-    def on_fn_exit(self, name: str) -> None:
-        pass
-
-    def on_mem_read(self, addr: int, size: int) -> None:
-        pass
-
-    def on_mem_write(self, addr: int, size: int) -> None:
-        pass
 
     def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
         """A batch of memory accesses, in program order, as runs.
@@ -172,27 +163,6 @@ class BaseObserver:
         """
         _expand_runs(self, addrs, rkeys, rends)
 
-    def on_op(self, kind: OpKind, count: int) -> None:
-        pass
-
-    def on_branch(self, site: int, taken: bool) -> None:
-        pass
-
-    def on_syscall_enter(self, name: str, input_bytes: int) -> None:
-        pass
-
-    def on_syscall_exit(self, name: str, output_bytes: int) -> None:
-        pass
-
-    def on_thread_switch(self, tid: int) -> None:
-        pass
-
-    def on_run_begin(self) -> None:
-        pass
-
-    def on_run_end(self) -> None:
-        pass
-
 
 class NullObserver(BaseObserver):
     """Observer that ignores everything.
@@ -207,84 +177,88 @@ class ObserverPipe(BaseObserver):
     """Fan a single trace stream out to several observers, in order.
 
     This mirrors how Sigil runs *alongside* Callgrind in one process: one
-    instrumentation pass feeds both tools.
+    instrumentation pass feeds both tools.  Like a Valgrind tool, a member
+    is called only for the events it handles: each hook is bound once,
+    when the pipe is built, to the members that implement it.  A member's
+    inherited :class:`BaseObserver` no-op is left out; a hook one member
+    implements is that member's bound method, so the pipe adds no call; a
+    hook several implement runs them in order.  A member without a batch
+    hook gets each batch replayed as scalar calls.
     """
 
     def __init__(self, observers: Iterable[TraceObserver]):
-        self.observers: List[TraceObserver] = list(observers)
-
-    @property
-    def batch_time_strict(self) -> bool:  # type: ignore[override]
-        """Strict if any fan-out target needs scalar-exact clock ordering."""
-        return any(
+        self.observers: Tuple[TraceObserver, ...] = tuple(observers)
+        #: Strict if any member needs scalar-exact clock ordering.
+        self.batch_time_strict = any(
             getattr(obs, "batch_time_strict", False) for obs in self.observers
         )
-
-    @property
-    def batch_beneficial(self) -> bool:  # type: ignore[override]
-        """Batching pays off only if it pays off for every fan-out target.
-
-        One member without a batch kernel replays every batch access by
-        access, so the pipe pays the buffering and a second dispatch on
-        top of the scalar path it would have taken anyway.
-        """
-        return all(
+        #: Batching pays off only if it pays off for every member: one
+        #: member without a batch kernel replays every batch access by
+        #: access, so the pipe would pay the buffering on top of the
+        #: scalar path it would have taken anyway.
+        self.batch_beneficial = all(
             getattr(obs, "batch_beneficial", False) for obs in self.observers
         )
+        for name in _ARITY:
+            hooks = [
+                hook
+                for hook in (_member_hook(obs, name) for obs in self.observers)
+                if hook is not None
+            ]
+            if hooks:
+                setattr(self, name, fan_out(name, hooks))
 
-    def on_mem_batch_runs(self, addrs, rkeys, rends) -> None:
-        # Each observer receives the whole batch in order; observers without
-        # a batch kernel fall back to scalar expansion via BaseObserver.
-        for obs in self.observers:
-            hook = getattr(obs, "on_mem_batch_runs", None)
-            if hook is not None:
-                hook(addrs, rkeys, rends)
-            else:  # bare TraceObserver without the batching mixin
-                _expand_runs(obs, addrs, rkeys, rends)
 
-    def on_fn_enter(self, name: str) -> None:
-        for obs in self.observers:
-            obs.on_fn_enter(name)
+def _member_hook(observer, name: str):
+    """``observer``'s bound ``name`` hook, or None where it does nothing."""
+    if name == "on_mem_batch_runs":
+        hook = getattr(observer, name, None)
+        # A bare TraceObserver without the batch hook: replay scalar.
+        return hook if hook is not None else partial(_expand_runs, observer)
+    hook = getattr(observer, name)
+    return None if getattr(hook, "__func__", None) in _NO_OPS else hook
 
-    def on_fn_exit(self, name: str) -> None:
-        for obs in self.observers:
-            obs.on_fn_exit(name)
 
-    def on_mem_read(self, addr: int, size: int) -> None:
-        for obs in self.observers:
-            obs.on_mem_read(addr, size)
+def fan_out(name: str, hooks):
+    """One ``name`` hook that runs ``hooks`` in order: the lone hook itself,
+    or one loop over them that takes the hook's parameters explicitly (a
+    ``*args`` loop costs more per call)."""
+    hooks = tuple(hooks)
+    if len(hooks) == 1:
+        return hooks[0]
+    arity = _ARITY[name]
+    if arity == 0:
+        def call_each():
+            for hook in hooks:
+                hook()
+    elif arity == 1:
+        def call_each(a):
+            for hook in hooks:
+                hook(a)
+    elif arity == 2:
+        def call_each(a, b):
+            for hook in hooks:
+                hook(a, b)
+    else:
+        def call_each(a, b, c):
+            for hook in hooks:
+                hook(a, b, c)
+    return call_each
 
-    def on_mem_write(self, addr: int, size: int) -> None:
-        for obs in self.observers:
-            obs.on_mem_write(addr, size)
 
-    def on_op(self, kind: OpKind, count: int) -> None:
-        for obs in self.observers:
-            obs.on_op(kind, count)
+#: Each :class:`TraceObserver` hook's parameter count: the one list of
+#: hooks :class:`ObserverPipe` binds.
+_ARITY = {
+    name: func.__code__.co_argcount - 1
+    for name, func in vars(TraceObserver).items()
+    if name.startswith("on_")
+}
 
-    def on_branch(self, site: int, taken: bool) -> None:
-        for obs in self.observers:
-            obs.on_branch(site, taken)
-
-    def on_syscall_enter(self, name: str, input_bytes: int) -> None:
-        for obs in self.observers:
-            obs.on_syscall_enter(name, input_bytes)
-
-    def on_syscall_exit(self, name: str, output_bytes: int) -> None:
-        for obs in self.observers:
-            obs.on_syscall_exit(name, output_bytes)
-
-    def on_thread_switch(self, tid: int) -> None:
-        for obs in self.observers:
-            obs.on_thread_switch(tid)
-
-    def on_run_begin(self) -> None:
-        for obs in self.observers:
-            obs.on_run_begin()
-
-    def on_run_end(self) -> None:
-        for obs in self.observers:
-            obs.on_run_end()
+#: The no-op hooks :class:`BaseObserver` inherits (its batch hook is a
+#: scalar replay).
+_NO_OPS = frozenset(
+    vars(TraceObserver)[name] for name in _ARITY if name != "on_mem_batch_runs"
+)
 
 
 class RecordingObserver(BaseObserver):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.callgrind import CallgrindCollector
 from repro.common.cct import ROOT_NAME, ContextTracker, ContextTree
+from repro.core import SigilConfig, SigilProfiler
 from repro.trace.events import OpKind
 
 
@@ -102,33 +104,32 @@ class TestContextTracker:
         t = ContextTracker()
         t.on_fn_enter("main")
         node = t.on_syscall_enter("read", 16)
-        assert (node.name, node.syscall, node.calls) == ("sys:read", True, 1)
+        assert (node.name, node.calls) == ("sys:read", 1)
         assert t.frame.node.name == "main"
         assert t.on_syscall_exit("read", 0) is node
-        t.on_fn_enter("sys:x")  # a program function, not a system call
-        assert not t.frame.node.syscall
 
-    @pytest.mark.parametrize("syscall_first", [True, False])
-    def test_function_named_like_a_syscall_node_is_a_function(self, syscall_first):
-        """A program function ``sys:x`` and system call ``x`` under one
-        caller share one node, as they always have in Sigil's tree; the
-        node is a function, so Callgrind writes it and its callees."""
-        t = ContextTracker()
-
-        def syscall():
-            t.on_syscall_enter("x", 0)
-            t.on_syscall_exit("x", 0)
-
-        if syscall_first:
-            syscall()
-        t.on_fn_enter("sys:x")
-        t.on_fn_enter("leaf")
-        t.on_fn_exit("leaf")
-        t.on_fn_exit("sys:x")
-        if not syscall_first:
-            syscall()
-        node = t.tree.find(("sys:x",))
-        assert (node.syscall, node.calls) == (False, 2)
+    @pytest.mark.parametrize("tool", ["sigil", "callgrind"])
+    def test_function_may_not_take_the_syscall_prefix(self, tool):
+        """``sys:`` names system calls only, so both tools agree on what a
+        system call is: ``main -> sys:x`` writing bytes that ``main -> g``
+        reads would otherwise be a function on the Callgrind side and a
+        system call on the Sigil side."""
+        observer = (
+            SigilProfiler(SigilConfig()) if tool == "sigil"
+            else CallgrindCollector()
+        )
+        trace = [
+            ("on_fn_enter", "main"), ("on_fn_enter", "sys:x"),
+            ("on_mem_write", 0x100, 8), ("on_fn_exit", "sys:x"),
+            ("on_fn_enter", "g"), ("on_mem_read", 0x100, 8),
+            ("on_fn_exit", "g"), ("on_fn_exit", "main"),
+        ]
+        with pytest.raises(
+            RuntimeError,
+            match=r"enter\('sys:x'\) on thread 0 under main; the 'sys:' prefix",
+        ):
+            for hook, *args in trace:
+                getattr(observer, hook)(*args)
 
     def test_unbalanced_exits_raise_located_errors(self):
         t = ContextTracker()

@@ -15,60 +15,55 @@ from repro.io import (
 from repro.trace.events import OpKind
 
 
-def _syscall_and_sys_x():
+def _syscall_then_call():
     """A profile whose tree holds a syscall node (``sys:read``, tree id 2)
-    and a program function named ``sys:x`` (tree id 3)."""
+    and then a function ``f`` (tree id 3)."""
     cg = CallgrindCollector(simulate_cache=False)
     cg.on_fn_enter("main")
     cg.on_syscall_enter("read", 8)
     cg.on_syscall_exit("read", 0)
-    cg.on_fn_enter("sys:x")
+    cg.on_fn_enter("f")
     cg.on_op(OpKind.INT, 2)
-    cg.on_fn_exit("sys:x")
+    cg.on_fn_exit("f")
     cg.on_fn_exit("main")
     return cg.profile
 
 
 class TestDenseIds:
     def test_syscall_node_skipped_and_ids_dense_past_it(self):
-        profile = _syscall_and_sys_x()
+        profile = _syscall_then_call()
         assert [n.name for n in profile.tree.nodes] == [
-            "<root>", "main", "sys:read", "sys:x"
+            "<root>", "main", "sys:read", "f"
         ]
         lines = dumps_callgrind(profile).splitlines()[2:]
         assert lines == [
             "ctx 1 0 1 main",
-            "ctx 2 1 1 sys:x",
+            "ctx 2 1 1 f",
             "cost 0 0 0 0 0 0 0 0 0 0 0 0 0",
             "cost 1 0 0 0 0 0 0 0 0 0 0 0 1",
             "cost 2 2 2 0 0 0 0 0 0 0 0 0 0",
         ]
 
-    def test_function_sharing_a_syscall_node_is_written(self):
-        cg = CallgrindCollector(simulate_cache=False)
-        cg.on_syscall_enter("x", 0)
-        cg.on_syscall_exit("x", 0)
-        cg.on_fn_enter("sys:x")
-        cg.on_fn_enter("leaf")
-        cg.on_fn_exit("leaf")
-        cg.on_fn_exit("sys:x")
-        text = dumps_callgrind(cg.profile)
-        assert "ctx 1 0 2 sys:x" in text and "ctx 2 1 1 leaf" in text
-        assert dumps_callgrind(loads_callgrind(text)) == text
-
     def test_round_trips_through_loads(self):
-        text = dumps_callgrind(_syscall_and_sys_x())
+        text = dumps_callgrind(_syscall_then_call())
         loaded = loads_callgrind(text)
         assert dumps_callgrind(loaded) == text
         assert loaded.tree.find(("main", "sys:read")) is None
-        assert loaded.costs_of(loaded.tree.find(("main", "sys:x")).id).iops == 2
+        assert loaded.costs_of(loaded.tree.find(("main", "f")).id).iops == 2
 
-    def test_export_skips_syscall_node_keeps_sys_x(self, tmp_path):
+    def test_export_skips_syscall_node(self, tmp_path):
         path = tmp_path / "cg.out"
-        export_callgrind(_syscall_and_sys_x(), path)
+        export_callgrind(_syscall_then_call(), path)
         text = path.read_text()
-        assert "fn=sys:x" in text and "cfn=sys:x" in text
+        assert "fn=f" in text and "cfn=f" in text
         assert "sys:read" not in text
+
+    def test_loads_rejects_a_function_with_the_syscall_prefix(self):
+        text = dumps_callgrind(_syscall_then_call()).replace(" f\n", " sys:f\n")
+        with pytest.raises(
+            ValueError, match=r"'sys:f' takes the system-call .* \(line 4: 'ctx 2 1 1 sys:f'\)"
+        ):
+            loads_callgrind(text)
 
 
 class TestRoundTrip:
@@ -125,7 +120,7 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_ir_must_be_ops_accesses_and_branches(self):
-        text = dumps_callgrind(_syscall_and_sys_x())
+        text = dumps_callgrind(_syscall_then_call())
         with pytest.raises(ValueError, match=r"ir 3 .*\(2\) \(line 7: 'cost 2 3 2"):
             loads_callgrind(text.replace("cost 2 2 2", "cost 2 3 2"))
 

@@ -569,3 +569,66 @@ def test_fully_fragmented_page_matches_reference():
     assert profiler.shadow_chunks == 8192 + 2
     assert profiler.shadow_runs == 8192 + 2 * 4096
 
+
+
+# -- the memory limit ---------------------------------------------------------
+#
+# Under ``max_shadow_pages`` the profiler evicts the least recently touched
+# shadow page, and the evicted units' values die: their re-use windows close
+# and their re-use counts retire, and a later access finds them unwritten.
+# The reference model keeps its units in pages under the same limit.
+
+
+@st.composite
+def three_page_traces(draw):
+    """Rich traces whose accesses straddle the boundaries of pages 0-2."""
+    n_steps = draw(st.integers(min_value=1, max_value=50))
+    steps = []
+    depth = 0
+    for _ in range(n_steps):
+        kinds = ["read", "write", "enter", "op", "branch"]
+        if depth > 0:
+            kinds.append("exit")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "enter":
+            steps.append(("enter", draw(st.sampled_from(_FN_NAMES))))
+            depth += 1
+        elif kind == "exit":
+            steps.append(("exit",))
+            depth -= 1
+        elif kind == "op":
+            steps.append(("op", draw(st.integers(min_value=1, max_value=4))))
+        elif kind == "branch":
+            steps.append(("branch", 0, draw(st.booleans())))
+        else:
+            boundary = draw(st.sampled_from([4096, 8192]))
+            addr = draw(st.integers(min_value=boundary - 16, max_value=boundary + 16))
+            size = draw(st.integers(min_value=0, max_value=24))
+            steps.append((kind, addr, size))
+    steps.extend([("exit",)] * depth)
+    return steps
+
+
+_LIMITED_TRACES = {
+    "page-straddling": page_boundary_traces(),
+    "rich": rich_traces(),
+    "three-page": three_page_traces(),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_LIMITED_TRACES))
+@pytest.mark.parametrize("max_pages", [1, 2])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_memory_limit_matches_reference(max_pages, strategy, data):
+    """Evictions change edges, windows, histograms, retired counts and
+    data edges exactly as the paged reference model says."""
+    steps = data.draw(_LIMITED_TRACES[strategy])
+    profiler = SigilProfiler(SigilConfig(
+        reuse_mode=True, event_mode=True, max_shadow_pages=max_pages
+    ))
+    profiler.reuse = ReuseStats(histogram_bin_size=REUSE_BIN)
+    _drive(steps, profiler)
+    ref = ReferenceSigil(bin_size=REUSE_BIN, max_pages=max_pages)
+    _drive(steps, ref)
+    assert_reuse_matches(profiler.profile(), ref)

@@ -21,7 +21,7 @@ class TestEventBeats:
         hb = HeartbeatObserver("vips/simsmall", every_events=10, stream=out)
         _drive(hb, 35)
         hb.on_run_end()
-        assert hb.events == 35
+        assert hb.total == 35
         assert hb.beats == 4  # at 10, 20, 30, and the final beat
         lines = out.getvalue().strip().splitlines()
         assert len(lines) == 4
@@ -40,7 +40,7 @@ class TestEventBeats:
         hb.on_syscall_enter("read", 0)
         hb.on_syscall_exit("read", 0)
         hb.on_thread_switch(1)
-        assert hb.events == 8  # a syscall's enter and exit tick once
+        assert hb.total == 8  # a syscall's enter and exit tick once
 
     def test_final_beat_matches_the_manifest(self):
         """The ``(done)`` line reports the run's ``events.total``, syscalls

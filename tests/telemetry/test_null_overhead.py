@@ -3,13 +3,34 @@
 from __future__ import annotations
 
 import gc
+import io
 import sys
 
+from repro.callgrind import CallgrindCollector
 from repro.core.config import SigilConfig
 from repro.core.profiler import SigilProfiler
 from repro.harness import _assemble_observer, profile_workload
-from repro.telemetry import NULL_TELEMETRY, EventCounter, NullTelemetry, Telemetry
-from repro.trace.observer import NullObserver, ObserverPipe
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    EventCounter,
+    HeartbeatObserver,
+    NullTelemetry,
+    Telemetry,
+)
+from repro.trace.events import OpKind
+from repro.trace.observer import (
+    BaseObserver,
+    NullObserver,
+    ObserverPipe,
+    TraceObserver,
+)
+
+#: The observer protocol's hooks.
+HOOK_NAMES = [name for name in vars(TraceObserver) if name.startswith("on_")]
+#: BaseObserver's no-op hooks (its batch hook replays scalar calls).
+NO_OPS = {getattr(BaseObserver, name) for name in HOOK_NAMES} - {
+    BaseObserver.on_mem_batch_runs
+}
 
 
 class TestNullTelemetrySingletons:
@@ -43,15 +64,25 @@ class TestNullTelemetrySingletons:
 
 class TestObserverAssembly:
     def test_lone_tool_attaches_directly_with_null_telemetry(self):
+        """A one-member pipe's hooks are the tool's own bound methods, so
+        the pipe adds no call; a hook the tool leaves to BaseObserver stays
+        the pipe's no-op."""
         profiler = SigilProfiler(SigilConfig())
         observer, counter = _assemble_observer([profiler], NULL_TELEMETRY, "x")
-        assert observer is profiler
         assert counter is None
+        for name in HOOK_NAMES:
+            hook, own = getattr(observer, name), getattr(profiler, name)
+            if own.__func__ in NO_OPS:
+                assert hook.__func__ is own.__func__, name
+            else:
+                assert hook == own, name
 
     def test_no_tools_yield_null_observer(self):
+        """With no member, the pipe dispatches exactly as a NullObserver."""
         observer, counter = _assemble_observer([], NULL_TELEMETRY, "x")
-        assert isinstance(observer, NullObserver)
         assert counter is None
+        for name in HOOK_NAMES:
+            assert getattr(observer, name).__func__ is getattr(NullObserver, name)
 
     def test_enabled_telemetry_adds_event_counter_to_pipe(self):
         profiler = SigilProfiler(SigilConfig())
@@ -98,6 +129,50 @@ class TestObserverAssembly:
             [SigilProfiler(SigilConfig())], NULL_TELEMETRY, "x"
         )
         assert count_calls(assembled) == baseline
+
+
+    def test_paired_pipe_calls_no_inherited_no_op(self):
+        """The paired Sigil+Callgrind+counter pipe skips the hooks a member
+        leaves to BaseObserver: the following Callgrind collector's
+        enter/exit/op, the counter's syscall exit.  (A hook no member
+        implements is the pipe's own no-op, called by the substrate.)"""
+        sigil = SigilProfiler(SigilConfig(reuse_mode=True, event_mode=True))
+        callgrind = CallgrindCollector(contexts=sigil.contexts)
+        observer, _ = _assemble_observer([sigil, callgrind], Telemetry(), "x")
+        no_op_codes = {func.__code__ for func in NO_OPS}
+        landed = []
+
+        def tracer(frame, event, arg):
+            if event == "call" and frame.f_code in no_op_codes:
+                member = frame.f_locals["self"]
+                if member is not observer:
+                    landed.append((type(member).__name__, frame.f_code.co_name))
+
+        sys.setprofile(tracer)
+        try:
+            observer.on_run_begin()
+            observer.on_fn_enter("main")
+            observer.on_op(OpKind.INT, 2)
+            observer.on_mem_write(0x1000, 8)
+            observer.on_mem_read(0x1000, 8)
+            observer.on_branch(1, True)
+            observer.on_syscall_enter("write", 8)
+            observer.on_syscall_exit("write", 0)
+            observer.on_thread_switch(1)
+            observer.on_thread_switch(0)
+            observer.on_fn_exit("main")
+            observer.on_run_end()
+        finally:
+            sys.setprofile(None)
+        assert landed == []
+
+    def test_heartbeat_run_has_one_counting_member(self):
+        """The heartbeat is the run's event counter, not a second one."""
+        profiler = SigilProfiler(SigilConfig())
+        telemetry = Telemetry(heartbeat_events=10, heartbeat_stream=io.StringIO())
+        observer, counter = _assemble_observer([profiler], telemetry, "x")
+        assert isinstance(counter, HeartbeatObserver)
+        assert observer.observers == (profiler, counter)
 
 
 class TestManifestProduction:
