@@ -73,8 +73,10 @@ serve-smoke:
 
 # Prove the time-resolved observability path end to end: synthesise a
 # 1M-segment binary event log (written chunk-by-chunk), stream it through
-# `repro timeline`, and validate that the output is a Chrome/Perfetto trace
-# carrying the counter tracks.  The trap drops the scratch dir either way.
+# `repro timeline` to a file and to stdout, check that both routes write the
+# same bytes, and validate that the output is a Chrome/Perfetto trace
+# carrying six counter tracks of one sample per window.  The trap drops the
+# scratch dir either way.
 timeline-smoke:
 	@set -e; \
 	trap 'rm -rf .timeline-smoke' EXIT; \
@@ -83,15 +85,23 @@ timeline-smoke:
 		from repro.io import dump_events_bin; \
 		dump_events_bin(synth_log(1_000_000), '.timeline-smoke/ev.bin')"; \
 	PYTHONPATH=src python -m repro timeline .timeline-smoke/ev.bin \
-		-o .timeline-smoke/ev.trace.json | grep -q "timeline written"; \
+		-o .timeline-smoke/ev.trace.json \
+		--curves-out .timeline-smoke/ev.curves.json \
+		| grep -q "timeline written"; \
+	PYTHONPATH=src python -m repro timeline .timeline-smoke/ev.bin -o - \
+		> .timeline-smoke/stdout.trace.json; \
+	cmp .timeline-smoke/ev.trace.json .timeline-smoke/stdout.trace.json; \
 	PYTHONPATH=src python -c "import json; \
 		t = json.load(open('.timeline-smoke/ev.trace.json')); \
+		n = json.load(open('.timeline-smoke/ev.curves.json'))['n_windows']; \
 		names = {e['name'] for e in t if e['ph'] == 'C'}; \
 		assert {'WS(t) bytes', 'comm bytes/window', 'ops/window', \
 			'mean reuse lifetime (ops)'} <= names, names; \
 		assert all(e['ph'] in ('C', 'M') for e in t); \
-		assert all(e['args'] is not None for e in t)"; \
-	echo "timeline-smoke: 1M-segment log renders valid counter tracks"
+		assert all(e['args'] is not None for e in t); \
+		samples = sum(e['ph'] == 'C' for e in t); \
+		assert n > 1 and samples == 6 * n, (samples, n)"; \
+	echo "timeline-smoke: 1M-segment log renders the same counter tracks to a file and to stdout"
 
 property:
 	PYTHONPATH=src python -m pytest tests/property/ -q

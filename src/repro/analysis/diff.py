@@ -42,10 +42,6 @@ class ContextDelta:
         return self.ops[1] / self.ops[0] if self.ops[0] else float("inf")
 
     @property
-    def unique_input_delta(self) -> int:
-        return self.unique_input[1] - self.unique_input[0]
-
-    @property
     def only_in_baseline(self) -> bool:
         return self.calls[1] == 0 and self.calls[0] > 0
 

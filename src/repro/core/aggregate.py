@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Set, Tuple
 
-from repro.common.cct import INVALID_CTX, ContextCosts, ContextNode, ContextTree
+from repro.common.cct import INVALID_CTX, ContextCosts, ContextNode
 
 __all__ = ["FnComm", "CommEdge", "CommMatrix"]
 
@@ -126,8 +126,3 @@ class CommMatrix:
     def subtree_ids(self, node: ContextNode) -> Set[int]:
         """Context ids of ``node`` and its whole calltree subtree."""
         return {sub.id for sub in node.walk()}
-
-
-def total_unique_bytes(matrix: CommMatrix, tree: ContextTree) -> int:
-    """Unique bytes transferred program-wide (every first-time read)."""
-    return sum(edge.unique_bytes for _, edge in matrix.items())

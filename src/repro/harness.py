@@ -84,7 +84,13 @@ class ProfiledRun:
     # -- trace export -----------------------------------------------------
 
     def chrome_trace(self) -> list:
-        """This run as Chrome trace events: workload timeline + pipeline.
+        """This run as Chrome trace parts: workload timeline + pipeline.
+
+        The parts are event dicts and
+        :class:`~repro.io.tracefmt.CounterTrack` columns, as the
+        :mod:`repro.io.tracefmt.chrome` builders return them; pass the list
+        to ``dumps_chrome``/``dump_chrome`` (or :meth:`write_trace`) for
+        the JSON.
 
         The workload's segments/data-flows appear when the run collected an
         event log, together with the time-resolved WS(t)/communication

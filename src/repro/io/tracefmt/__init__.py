@@ -8,8 +8,10 @@ telemetry) in formats existing tools open unmodified:
 * :mod:`repro.io.tracefmt.chrome` -- Chrome trace-event JSON, loadable in
   Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``: compute
   segments as duration events on per-context tracks, ``data`` edges as flow
-  arrows carrying byte counts, counter tracks for cumulative traffic, and
-  pipeline phase spans from :mod:`repro.telemetry`.
+  arrows carrying byte counts, counter tracks for cumulative traffic and
+  the windowed curves (kept as columns until the one encoder,
+  ``dumps_chrome``, writes them), and pipeline phase spans from
+  :mod:`repro.telemetry`.
 * :mod:`repro.io.tracefmt.collapsed` -- collapsed-stack flamegraphs
   (speedscope / Brendan Gregg's ``flamegraph.pl``) from a
   :class:`~repro.core.profiler.SigilProfile` calling-context tree, weighted
@@ -18,6 +20,7 @@ telemetry) in formats existing tools open unmodified:
 
 from repro.io.tracefmt.chrome import (
     PIPELINE_PID,
+    CounterTrack,
     curves_to_chrome,
     dump_chrome,
     dumps_chrome,
@@ -35,6 +38,7 @@ from repro.io.tracefmt.collapsed import (
 
 __all__ = [
     "PIPELINE_PID",
+    "CounterTrack",
     "curves_to_chrome",
     "dump_chrome",
     "dumps_chrome",

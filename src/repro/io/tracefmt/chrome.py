@@ -1,7 +1,12 @@
 """Chrome trace-event JSON export (Perfetto / ``chrome://tracing``).
 
-One JSON array of ``ph``-keyed event dicts, per the trace-event format
-(https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
+One JSON array of ``ph``-keyed events, per the trace-event format
+(https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
+The builders below return a list of *parts*: event dicts for metadata,
+slice, flow and phase events, and a :class:`CounterTrack` of two columns for
+each counter track.  :func:`dumps_chrome` is the one encoder of both; a
+counter track's samples are written straight from its columns, so no dict
+is built per sample.
 
 * every compute segment of an :class:`~repro.core.segments.EventArrays`
   log becomes a complete duration event (``ph: "X"``) on a per-context
@@ -29,14 +34,20 @@ dependency, so the event log records only unique transfers (section II-B).
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.common.cct import ContextTree
 from repro.core.segments import EventArrays
 
 __all__ = [
     "PIPELINE_PID",
+    "CounterTrack",
     "events_to_chrome",
     "curves_to_chrome",
     "spans_to_chrome",
@@ -52,6 +63,26 @@ PIPELINE_PID = 0
 Span = Tuple[str, float, float]
 
 
+@dataclass(frozen=True)
+class CounterTrack:
+    """One counter track (``ph: "C"``, ``tid`` 0) as two columns.
+
+    Sample ``k`` is the event ``{"ph": "C", "name": name, "pid": pid,
+    "tid": 0, "ts": ts[k], "args": {name: values[k]}}``.  Both columns hold
+    plain finite ``int``/``float`` values (``.tolist()`` of a NumPy array,
+    not the array); :func:`dumps_chrome` rejects anything else.
+    """
+
+    name: str
+    pid: int
+    ts: Sequence[Union[int, float]]
+    values: Sequence[Union[int, float]]
+
+
+#: One trace part: an event dict, or a counter track's columns.
+Part = Union[Dict[str, Any], CounterTrack]
+
+
 def _ctx_label(tree: Optional[ContextTree], ctx_id: int) -> str:
     if tree is not None and 0 <= ctx_id < len(tree.nodes):
         node = tree.node(ctx_id)
@@ -64,8 +95,8 @@ def events_to_chrome(
     tree: Optional[ContextTree] = None,
     *,
     pid_base: int = 1,
-) -> List[Dict[str, Any]]:
-    """Render an event log as a list of Chrome trace events.
+) -> List[Part]:
+    """Render an event log as a list of Chrome trace parts.
 
     Pass the run's :class:`~repro.common.cct.ContextTree` to label tracks
     with function names; without it tracks are named by context id (event
@@ -73,7 +104,7 @@ def events_to_chrome(
     (``[]`` is valid Chrome trace JSON) rather than zero-sample counter
     tracks with no process metadata.
     """
-    out: List[Dict[str, Any]] = []
+    out: List[Part] = []
     if not events.n_segments:
         return out
     # One (ctx, call, start, ops, thread) tuple per segment id.
@@ -114,34 +145,28 @@ def events_to_chrome(
             "ph": "f", "bp": "e", "ts": d_start,
             "pid": pid_base + d_thread, "tid": d_ctx, **common,
         })
-    out.extend(_counter_events(segs, data_edges, pid_base=pid_base))
+    out.extend(_counter_tracks(segs, data_edges, pid_base=pid_base))
     return out
 
 
-def _counter_events(
+def _counter_tracks(
     segs: List[tuple], data_edges: List[tuple], *, pid_base: int
-) -> List[Dict[str, Any]]:
+) -> List[CounterTrack]:
     """Cumulative unique-byte and ops counter tracks over segment time."""
-    out: List[Dict[str, Any]] = []
-
-    def sample(name: str, ts: int, value: int) -> Dict[str, Any]:
-        return {"ph": "C", "name": name, "pid": pid_base, "tid": 0,
-                "ts": ts, "args": {name: value}}
-
-    total = 0
-    out.append(sample("unique bytes (cum)", 0, 0))
-    for _src, dst, nbytes in sorted(data_edges, key=lambda e: segs[e[1]][2]):
-        total += nbytes
-        out.append(sample("unique bytes (cum)", segs[dst][2], total))
-    ops_total = 0
-    out.append(sample("ops (cum)", 0, 0))
-    for _ctx, _call, start, ops, _thread in sorted(
-        segs, key=lambda s: s[2] + s[3]
-    ):
-        if ops:
-            ops_total += ops
-            out.append(sample("ops (cum)", start + ops, ops_total))
-    return out
+    edges = sorted(data_edges, key=lambda e: segs[e[1]][2])
+    done = sorted((s for s in segs if s[3]), key=lambda s: s[2] + s[3])
+    return [
+        CounterTrack(
+            "unique bytes (cum)", pid_base,
+            [0] + [segs[dst][2] for _src, dst, _nbytes in edges],
+            list(accumulate((e[2] for e in edges), initial=0)),
+        ),
+        CounterTrack(
+            "ops (cum)", pid_base,
+            [0] + [start + ops for _c, _k, start, ops, _t in done],
+            list(accumulate((s[3] for s in done), initial=0)),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -155,55 +180,45 @@ def curves_to_chrome(
     pid: int = 1,
     include_cumulative: bool = True,
     process_name: Optional[str] = "workload timeline",
-) -> List[Dict[str, Any]]:
+) -> List[Part]:
     """Counter tracks for :class:`~repro.analysis.windowed.WindowedCurves`.
 
-    One sample per window at the window's start timestamp (the paper's
-    retired-ops clock): ``WS(t) bytes`` (live communicated bytes),
-    ``comm bytes/window``, ``ops/window`` and ``mean reuse lifetime (ops)``.
-    With ``include_cumulative`` the running integrals ``unique bytes (cum)``
-    and ``ops (cum)`` ride along too, so a timeline-only trace still carries
-    the tracks :func:`events_to_chrome` draws; pass ``False`` when combining
-    with a full event trace to avoid near-duplicate tracks (and
-    ``process_name=None`` to keep the event view's process labels).  An
-    empty curve set renders as an empty trace.
+    Returns the optional ``process_name`` metadata event followed by one
+    :class:`CounterTrack` per curve, each with one sample per window at the
+    window's start timestamp (the paper's retired-ops clock): ``WS(t)
+    bytes`` (live communicated bytes), ``comm bytes/window``,
+    ``ops/window`` and ``mean reuse lifetime (ops)`` (rounded to 3
+    places).  With ``include_cumulative`` the running integrals ``unique
+    bytes (cum)`` and ``ops (cum)`` ride along too, so a timeline-only trace
+    still carries the tracks :func:`events_to_chrome` draws; pass ``False``
+    when combining with a full event trace to avoid near-duplicate tracks
+    (and ``process_name=None`` to keep the event view's process labels).
+    An empty curve set renders as an empty trace.
     """
     n = curves.n_windows
     if n == 0:
         return []
-    out: List[Dict[str, Any]] = []
+    out: List[Part] = []
     if process_name is not None:
         out.append(
             {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
              "args": {"name": process_name}}
         )
-
-    def track(name: str, values) -> None:
-        for k, value in enumerate(values):
-            out.append({
-                "ph": "C", "name": name, "pid": pid, "tid": 0,
-                "ts": k * curves.window, "args": {name: value},
-            })
-
-    ws = curves.ws_bytes.tolist()
+    ts = list(range(0, n * curves.window, curves.window))
     comm = curves.comm_bytes.tolist()
     ops = curves.ops.tolist()
-    life = [round(float(v), 3) for v in curves.mean_lifetime.tolist()]
-    track("WS(t) bytes", ws)
-    track("comm bytes/window", comm)
-    track("ops/window", ops)
-    track("mean reuse lifetime (ops)", life)
+    tracks = [
+        ("WS(t) bytes", curves.ws_bytes.tolist()),
+        ("comm bytes/window", comm),
+        ("ops/window", ops),
+        ("mean reuse lifetime (ops)",
+         [round(v, 3) for v in curves.mean_lifetime.tolist()]),
+    ]
     if include_cumulative:
-        track("unique bytes (cum)", list(_running_sum(comm)))
-        track("ops (cum)", list(_running_sum(ops)))
+        tracks.append(("unique bytes (cum)", list(accumulate(comm))))
+        tracks.append(("ops (cum)", list(accumulate(ops))))
+    out.extend(CounterTrack(name, pid, ts, values) for name, values in tracks)
     return out
-
-
-def _running_sum(values):
-    total = 0
-    for v in values:
-        total += v
-        yield total
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +287,77 @@ def manifest_to_chrome(manifest) -> List[Dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def dumps_chrome(trace_events: List[Dict[str, Any]]) -> str:
-    """Serialise trace events as the JSON array form of the format."""
-    return json.dumps(trace_events, separators=(",", ":")) + "\n"
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def dump_chrome(
-    trace_events: List[Dict[str, Any]], path: Union[str, Path]
-) -> None:
-    """Write trace events to ``path`` (open the file in ui.perfetto.dev)."""
-    Path(path).write_text(dumps_chrome(trace_events))
+def dumps_chrome(parts: Iterable[Part]) -> str:
+    """Serialise trace parts as the JSON array form of the format.
+
+    The one Chrome-trace encoder.  Runs of event dicts go through
+    :mod:`json` as they are; a :class:`CounterTrack` is written sample by
+    sample from its columns, byte-for-byte what :mod:`json` writes for the
+    same samples as dicts.  Raises :class:`ValueError` naming the track
+    and sample when a column holds anything but a finite ``int`` or
+    ``float`` (``NaN`` and ``Infinity`` are not JSON).
+    """
+    pieces: List[str] = []
+    run: List[Dict[str, Any]] = []
+    for part in parts:
+        if not isinstance(part, CounterTrack):
+            run.append(part)
+            continue
+        if run:
+            pieces.append(_ENCODER.encode(run)[1:-1])
+            run = []
+        samples = _encode_track(part)
+        if samples:
+            pieces.append(samples)
+    if run:
+        pieces.append(_ENCODER.encode(run)[1:-1])
+    return "[" + ",".join(pieces) + "]\n"
+
+
+def _encode_track(track: CounterTrack) -> str:
+    if len(track.ts) != len(track.values):
+        raise ValueError(
+            f"counter track {track.name!r}: {len(track.ts)} timestamps but "
+            f"{len(track.values)} values"
+        )
+    _check_column(track, "ts", track.ts)
+    _check_column(track, "value", track.values)
+    name = _ENCODER.encode(track.name)
+    pid = _ENCODER.encode(track.pid)
+    head = f'{{"ph":"C","name":{name},"pid":{pid},"tid":0,"ts":'
+    mid = f',"args":{{{name}:'
+    return ",".join([
+        f"{head}{ts!r}{mid}{value!r}}}}}"
+        for ts, value in zip(track.ts, track.values)
+    ])
+
+
+def _check_column(track: CounterTrack, what: str, column) -> None:
+    """Raise unless every entry of ``column`` is a finite int or float."""
+    kinds = set(map(type, column))
+    if kinds <= {int}:
+        return
+    if kinds <= {int, float}:
+        try:
+            if all(map(math.isfinite, column)):
+                return
+        except OverflowError:  # an int beyond float range; look one by one
+            pass
+    for k, value in enumerate(column):
+        if type(value) is int or (
+            type(value) is float and math.isfinite(value)
+        ):
+            continue
+        raise ValueError(
+            f"counter track {track.name!r}: sample {k} {what} is "
+            f"{value!r}, not a finite int or float"
+        )
+
+
+def dump_chrome(parts: Iterable[Part], path: Union[str, Path]) -> None:
+    """Write :func:`dumps_chrome` of ``parts`` to ``path`` (open the file
+    in ui.perfetto.dev)."""
+    Path(path).write_text(dumps_chrome(parts))

@@ -115,11 +115,6 @@ class ServeJob:
     error: str = ""
     finished: threading.Event = field(default_factory=threading.Event, repr=False)
 
-    @property
-    def is_terminal(self) -> bool:
-        """Whether the job has reached a final state."""
-        return self.state in ("done", "failed", "error")
-
     def to_dict(self) -> Dict[str, Any]:
         """The JSON shape ``GET /jobs`` lists."""
         entry: Dict[str, Any] = {
