@@ -6,8 +6,12 @@ log with the shape a long profiled run produces (a long order/call chain
 with periodic data edges).  Both formats are dumped; only v2 has a reader,
 so the v2 file alone is loaded back and run through the longest-path
 critical-path analysis, and streamed through the section IV-C list
-scheduler at 1, 2, 4 and 8 cores; both results must equal the in-memory
-log's.
+scheduler at 1, 2, 4 and 8 cores.  A chain has at most one segment ready
+at a time, so a second, wide log -- a root fanning out to many independent
+chains (:func:`wide_log`) -- is also scheduled from its v2 file.  Every
+result must equal the in-memory log's: the critical and serial lengths,
+and for each schedule the makespan, the cross-core bytes and the
+placement of every segment.
 
 Run directly to publish machine-readable numbers::
 
@@ -34,6 +38,8 @@ from repro.analysis import analyze_critical_path, speedup_curve
 from repro.core.segments import (
     DATA_EDGE_DTYPE,
     OC_EDGE_DTYPE,
+    OC_KIND_CALL,
+    OC_KIND_ORDER,
     SEG_DTYPE,
     EventArrays,
 )
@@ -43,6 +49,8 @@ N_SEGMENTS = 1_000_000
 DATA_EDGE_STRIDE = 16  # one data edge per this many segments
 DATA_EDGE_SPAN = 64  # producer runs this far behind its consumer
 SCHEDULE_CORES = [1, 2, 4, 8]
+WIDE_CHAINS = 128  # independent chains under the wide log's root
+WIDE_CHAIN_LENGTH = 1000  # segments per chain
 
 
 def synth_log(n_segments: int = N_SEGMENTS) -> EventArrays:
@@ -70,6 +78,44 @@ def synth_log(n_segments: int = N_SEGMENTS) -> EventArrays:
     dst = np.arange(DATA_EDGE_SPAN, n_segments, DATA_EDGE_STRIDE, dtype=np.int64)
     data = np.empty(len(dst), dtype=DATA_EDGE_DTYPE)
     data["src"] = dst - DATA_EDGE_SPAN
+    data["dst"] = dst
+    data["bytes"] = (dst % 512) + 8
+
+    return EventArrays(segs=segs, ordercall=oc, data=data)
+
+
+def wide_log(chains: int = WIDE_CHAINS,
+             length: int = WIDE_CHAIN_LENGTH) -> EventArrays:
+    """A deterministic fan of ``chains`` order chains under one root.
+
+    Segment 0 calls the first segment of every chain; chain ``c``'s step
+    ``j`` is segment ``1 + j * chains + c``, so the chains interleave in id
+    order as round-robin tasks do.  Every ``DATA_EDGE_STRIDE``-th step also
+    sends bytes to the next step of the neighbouring chain, so placements
+    that split the two cost cross-core bytes.
+    """
+    n = 1 + chains * length
+    ids = np.arange(n, dtype=np.int64)
+    segs = np.empty(n, dtype=SEG_DTYPE)
+    segs["ctx"] = ids % 997
+    segs["call"] = ids
+    segs["start"] = ids * 3
+    segs["ops"] = (ids * 7) % 100 + 1
+    segs["thread"] = 0
+
+    steps = ids[1:].reshape(length, chains)
+    oc = np.empty(chains + (length - 1) * chains, dtype=OC_EDGE_DTYPE)
+    oc["kind"][:chains] = OC_KIND_CALL
+    oc["src"][:chains] = 0
+    oc["dst"][:chains] = steps[0]
+    oc["kind"][chains:] = OC_KIND_ORDER
+    oc["src"][chains:] = steps[:-1].ravel()
+    oc["dst"][chains:] = steps[1:].ravel()
+
+    src = steps[:-1:DATA_EDGE_STRIDE].ravel()
+    dst = np.roll(steps[1::DATA_EDGE_STRIDE], -1, axis=1).ravel()
+    data = np.empty(len(src), dtype=DATA_EDGE_DTYPE)
+    data["src"] = src
     data["dst"] = dst
     data["bytes"] = (dst % 512) + 8
 
@@ -108,13 +154,17 @@ def measure(n_segments: int = N_SEGMENTS, workdir: Path = Path(".")) -> dict:
     bin_schedule_s, bin_curve = _timed(
         lambda: speedup_curve(bin_path, SCHEDULE_CORES)
     )
-    live_spans = [r.makespan for r in speedup_curve(arrays, SCHEDULE_CORES)]
-    bin_spans = [r.makespan for r in bin_curve]
-    if live_spans != bin_spans:
-        raise AssertionError(
-            "the v2 reload scheduled differently from the in-memory log: "
-            f"makespans {live_spans} vs {bin_spans}"
-        )
+    _check_schedules("chain", speedup_curve(arrays, SCHEDULE_CORES),
+                     bin_curve)
+    del bin_curve
+
+    wide = wide_log()
+    wide_path = workdir / "bench_events_wide.v2.events"
+    dump_events_bin(wide, wide_path)
+    wide_schedule_s, wide_curve = _timed(
+        lambda: speedup_curve(wide_path, SCHEDULE_CORES)
+    )
+    _check_schedules("wide", speedup_curve(wide, SCHEDULE_CORES), wide_curve)
 
     report = {
         "n_segments": n_segments,
@@ -127,13 +177,30 @@ def measure(n_segments: int = N_SEGMENTS, workdir: Path = Path(".")) -> dict:
             "dump_s": round(bin_dump_s, 3),
             "load_critpath_s": round(bin_load_s, 3),
             "load_schedule_s": round(bin_schedule_s, 3),
+            "load_schedule_wide_s": round(wide_schedule_s, 3),
             "file_bytes": bin_path.stat().st_size,
         },
+        "wide_segments": len(wide.segs),
         "dump_speedup": round(text_dump_s / bin_dump_s, 2),
     }
     text_path.unlink()
     bin_path.unlink()
+    wide_path.unlink()
     return report
+
+
+def _check_schedules(name: str, live, loaded) -> None:
+    """Raise unless the v2 reload scheduled exactly as the in-memory log:
+    same makespan, cross-core bytes and placement at every core count."""
+    for want, got in zip(live, loaded):
+        if want != got:
+            raise AssertionError(
+                f"the v2 reload of the {name} log scheduled differently "
+                f"from the in-memory log at {want.n_cores} cores: makespan "
+                f"{want.makespan} vs {got.makespan}, cross-core bytes "
+                f"{want.cross_core_bytes} vs {got.cross_core_bytes}, "
+                f"placement equal: {want.placement == got.placement}"
+            )
 
 
 def main(argv=None) -> int:
@@ -176,6 +243,9 @@ def main(argv=None) -> int:
           f"  load+critpath {binary['load_critpath_s']:>7.3f}s"
           f"  load+schedule x{len(SCHEDULE_CORES)}"
           f" {binary['load_schedule_s']:>7.3f}s")
+    print(f"wide    {report['wide_segments']:,} segments"
+          f"  load+schedule x{len(SCHEDULE_CORES)}"
+          f" {binary['load_schedule_wide_s']:>7.3f}s")
     print(f"binary over text: dump x{report['dump_speedup']}, "
           f"file x{text['file_bytes'] / binary['file_bytes']:.2f} smaller")
     print(f"wrote {out}")

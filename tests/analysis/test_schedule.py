@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_critical_path, schedule_events, speedup_curve
-from repro.core.segments import EventLog
+from repro.core.segments import (
+    DATA_EDGE_DTYPE,
+    OC_EDGE_DTYPE,
+    SEG_DTYPE,
+    EventArrays,
+    EventLog,
+)
 
 
 def chain_log(n: int, ops: int = 10) -> EventLog:
@@ -56,6 +65,17 @@ class TestScheduleBasics:
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):
             schedule_events(fan_log(2).to_arrays(), 0)
+
+    def test_bad_core_count_named_before_the_log_is_read(self, tmp_path):
+        """A log that cannot be read shows that the check comes first."""
+        missing = tmp_path / "missing.events"
+        with pytest.raises(ValueError, match="got -1"):
+            schedule_events(missing, -1)
+
+    def test_bad_core_in_a_curve_named_before_the_log_is_read(self, tmp_path):
+        missing = tmp_path / "missing.events"
+        with pytest.raises(ValueError, match="got 0"):
+            speedup_curve(missing, [2, 0])
 
     def test_placement_respects_dependencies(self):
         log = chain_log(6).to_arrays()
@@ -144,3 +164,55 @@ class TestMalformedLogs:
             schedule_events(arrays, 2)
         with pytest.raises(ValueError, match="dependency cycle"):
             speedup_curve(arrays, [1, 2])
+
+
+def seeded_dag(n: int = 4000, n_edges: int = 12000,
+               seed: int = 29) -> EventArrays:
+    """A seeded random DAG of ``n`` segments.
+
+    Every edge follows a random topological rank, so about half the data
+    edges point from a younger segment to an older one, as threaded logs'
+    do; order/call edges only point forward in id.  Op counts of 0-9 make
+    equal HLFET levels common, so the segment-id tie-break decides much
+    of the dispatch order.
+    """
+    rng = np.random.default_rng(seed)
+    rank = rng.permutation(n)
+    a = rng.integers(0, n - 1, n_edges)
+    b = np.minimum(a + rng.integers(1, 64, n_edges), n - 1)
+    forward = rank[a] < rank[b]
+    src, dst = np.where(forward, a, b), np.where(forward, b, a)
+    is_data = (src > dst) | (rng.random(n_edges) < 0.5)
+
+    ids = np.arange(n, dtype=np.int64)
+    segs = np.zeros(n, dtype=SEG_DTYPE)
+    segs["ctx"] = ids % 37
+    segs["call"] = ids
+    segs["start"] = ids
+    segs["ops"] = rng.integers(0, 10, n)
+    segs["thread"] = ids % 4
+    oc = np.zeros(int((~is_data).sum()), dtype=OC_EDGE_DTYPE)
+    oc["kind"] = rng.integers(0, 2, len(oc))
+    oc["src"], oc["dst"] = src[~is_data], dst[~is_data]
+    data = np.zeros(int(is_data.sum()), dtype=DATA_EDGE_DTYPE)
+    data["src"], data["dst"] = src[is_data], dst[is_data]
+    data["bytes"] = rng.integers(1, 513, len(data))
+    return EventArrays(segs=segs, ordercall=oc, data=data)
+
+
+def test_large_log_schedule_is_pinned():
+    """A log too large for the naive oracle: the whole curve -- makespan,
+    cross-core bytes and every segment's core and start (int64) -- hashes
+    to the digest of the scheduler that reran the ready heap for every
+    core count."""
+    log = seeded_dag()
+    assert bool((log.data["src"] > log.data["dst"]).any())
+    digest = hashlib.sha256()
+    for result in speedup_curve(log, [1, 2, 3, 8]):
+        digest.update(np.array([result.makespan, result.cross_core_bytes],
+                               dtype=np.int64).tobytes())
+        digest.update(result.core.tobytes())
+        digest.update(result.start.tobytes())
+    assert digest.hexdigest() == (
+        "49b87056909f11ac06c4911971018f409ee8e499ed7626bc0d6c5c935c1cc650"
+    )

@@ -6,7 +6,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import schedule_events, speedup_curve
+from repro.analysis import (
+    analyze_critical_path,
+    schedule_events,
+    speedup_curve,
+)
 from repro.analysis.streaming import ChunkSource
 from repro.core.segments import EventLog
 from repro.io import dumps_events_bin
@@ -35,10 +39,26 @@ def test_profiled_logs_match_oracle(steps, n_cores):
         dumps_events_bin(events, chunk_rows=3),
     ):
         assert_matches_schedule(schedule_events(form, n_cores), expected)
-    cores = sorted({1, n_cores, 2 * n_cores})
-    assert speedup_curve(events, cores) == [
-        schedule_events(events, k) for k in cores
-    ]
+    # Unsorted, with a repeat: one dispatch order serves every count.
+    cores = [2 * n_cores, 1, n_cores, n_cores]
+    curve = speedup_curve(events, cores)
+    assert curve == [schedule_events(events, k) for k in cores]
+    for result, k in zip(curve, cores):
+        assert result.n_cores == k
+        assert_matches_schedule(result, naive_schedule(events, k))
+
+
+@given(trace_steps())
+@settings(max_examples=60, deadline=None)
+def test_curve_runs_from_serial_length_to_critical_path(steps):
+    """One core runs the serial length with no cross-core bytes; with a
+    core per segment, every segment starts once its predecessors finish,
+    so the makespan is the critical path."""
+    events = run_profiler(steps, event_mode=True).profile().events
+    one, unbounded = speedup_curve(events, [1, max(len(events.segs), 1)])
+    assert one.makespan == one.serial_length
+    assert one.cross_core_bytes == 0
+    assert unbounded.makespan == analyze_critical_path(events).critical_length
 
 
 @st.composite
