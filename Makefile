@@ -1,6 +1,6 @@
 # Convenience targets for the Sigil reproduction.
 
-.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-pipeline regen-golden clean
+.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-campaign bench-pipeline regen-golden clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -30,11 +30,12 @@ telemetry-smoke:
 
 # Prove the campaign engine end to end: a 2-worker mini-campaign over two
 # small workloads, then the same campaign again -- the warm run must report
-# every job as a cache hit (zero re-executions).  The trap drops the scratch
-# store whether the steps pass or fail.
+# every job as a cache hit (zero re-executions) -- then a cold one-worker
+# run with a timeout into a fresh store, the serial hand-off path.  The trap
+# drops the scratch stores whether the steps pass or fail.
 campaign-smoke:
 	@set -e; \
-	trap 'rm -rf .campaign-smoke' EXIT; \
+	trap 'rm -rf .campaign-smoke .campaign-smoke-serial' EXIT; \
 	PYTHONPATH=src python -m repro campaign run --name smoke \
 		--workloads blackscholes,streamcluster --sizes simsmall \
 		--tools sigil -j 2 --store .campaign-smoke \
@@ -43,7 +44,11 @@ campaign-smoke:
 		--workloads blackscholes,streamcluster --sizes simsmall \
 		--tools sigil -j 2 --store .campaign-smoke \
 		| grep -q "2 done (2 cached, 0 executed, 0 failed, 0 timeout)"; \
-	echo "campaign-smoke: warm re-run was 100% cache hits"
+	PYTHONPATH=src python -m repro campaign run --name smoke \
+		--workloads blackscholes,streamcluster --sizes simsmall \
+		--tools sigil -j 1 --timeout 60 --store .campaign-smoke-serial \
+		| grep -q "2 done (0 cached, 2 executed, 0 failed, 0 timeout)"; \
+	echo "campaign-smoke: warm re-run was 100% cache hits; serial run executed both"
 
 # Prove the serve daemon end to end: start it on an ephemeral port, submit
 # a job over HTTP, watch its trace to completion, re-submit the same cell
@@ -128,6 +133,14 @@ bench-event-io:
 bench-windowed:
 	PYTHONPATH=src python benchmarks/bench_windowed.py --check
 
+# Publish the campaign executor's overhead into the campaign section of
+# BENCH_throughput.json: medians over five cold serial 13-cell simsmall
+# sigil+callgrind campaigns of wall, summed job and profiling-phase seconds,
+# coordinator idle (wall minus job seconds) and per-job overhead (job minus
+# phase seconds).  Gates nothing.  About ten seconds.
+bench-campaign:
+	PYTHONPATH=src python benchmarks/bench_campaign.py
+
 # Publish the paper pipe's cost into BENCH_pipeline.json: cold `repro
 # profile --reuse --events --callgrind-out` processes for streamcluster,
 # facesim and raytrace at simlarge, end to end (median and quartiles) and
@@ -160,6 +173,6 @@ examples:
 
 clean:
 	rm -rf benchmarks/results .pytest_cache .benchmarks
-	rm -rf .campaign-smoke .serve-smoke .repro-campaigns
+	rm -rf .campaign-smoke .campaign-smoke-serial .serve-smoke .repro-campaigns
 	rm -f .telemetry-smoke*.manifest.json *.trace.json *.collapsed
 	find . -name __pycache__ -type d -exec rm -rf {} +

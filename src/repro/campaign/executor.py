@@ -14,7 +14,10 @@ next to an actual profiling run.  Concurrency stays bounded: at most
 
 Results never travel over pipes: a worker publishes its profile into the
 shared :class:`~repro.campaign.store.ResultStore` (atomic rename) and its
-exit code is the only signal the parent needs.  Failed jobs are retried
+exit code is the only signal the parent needs.  The coordinator waits on
+the workers' exit sentinels rather than on a clock: it wakes when a worker
+exits, a deadline passes, a backoff ends or a heartbeat is due, so a
+finished job's slot is refilled at once.  Failed jobs are retried
 with exponential backoff up to ``retries`` times; every transition is
 journaled through :class:`~repro.campaign.state.CampaignState`, so a
 campaign killed mid-flight resumes exactly where it stopped.
@@ -24,10 +27,12 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,9 +56,12 @@ __all__ = [
 
 log = logging.getLogger("repro.campaign.executor")
 
-#: Seconds between scheduler polls; small enough that short jobs do not
-#: serialise on the poll, large enough to stay invisible in `top`.
-_POLL_SECONDS = 0.02
+#: Serialises worker launches across coordinators in one process (``repro
+#: serve`` runs one per thread).  ``Process.start`` opens the sentinel pipe,
+#: forks, then closes the pipe's write end; a sibling's fork in between
+#: would hand its worker that write end, and the sentinel would not turn
+#: ready until the sibling's job ended too.
+_LAUNCH_LOCK = threading.Lock()
 
 #: Default jitter fraction on retry backoff.  A failed shared resource (a
 #: full disk, a saturated store host) fails many workers in the same
@@ -228,6 +236,15 @@ def _terminate(slot: _Slot) -> None:
         slot.proc.join(timeout=1.0)
 
 
+def _wait_for_exit(sentinels: List[int], timeout: Optional[float]) -> List[int]:
+    """Block until a worker exits or ``timeout`` seconds pass (``None``: no
+    limit); return the sentinels that became ready.
+
+    A process's sentinel becomes readable when the process exits.
+    """
+    return multiprocessing.connection.wait(sentinels, timeout)
+
+
 def _read_error(path: str, exitcode: Optional[int]) -> str:
     try:
         text = Path(path).read_text().strip()
@@ -267,7 +284,30 @@ def run_campaign(
     ``heartbeat`` callback; the default keeps the historical behaviour of a
     line on stderr, while a daemon embedding this executor captures the
     beats into its own per-job trace instead of losing them to the tty.
+
+    The coordinator never polls.  It blocks on the live workers' exit
+    sentinels until one exits or the next thing it must do itself falls
+    due -- the earliest job deadline, the earliest backoff end while a slot
+    is free, the next heartbeat -- and sleeps only when no worker runs and
+    every pending attempt is in backoff.  A finished job's slot is refilled
+    as soon as its exit is seen, and ``JobRecord.seconds`` runs from the
+    worker's launch to its reap with no poll slack.
+
+    Raises ``ValueError``, before any worker forks, for ``workers < 1``,
+    ``timeout <= 0``, ``retries < 0``, ``backoff < 0`` or
+    ``heartbeat_seconds <= 0`` (``None`` disables the timeout and the
+    heartbeat).
     """
+    for name, value, ok in (
+        ("workers", workers, workers >= 1),
+        ("timeout", timeout, timeout is None or timeout > 0),
+        ("retries", retries, retries >= 0),
+        ("backoff", backoff, backoff >= 0),
+        ("heartbeat_seconds", heartbeat_seconds,
+         heartbeat_seconds is None or heartbeat_seconds > 0),
+    ):
+        if not ok:
+            raise ValueError(f"run_campaign: invalid {name}={value!r}")
     t0 = time.monotonic()
     notify = progress if progress is not None else (lambda line: None)
     beat = heartbeat if heartbeat is not None else (
@@ -334,78 +374,96 @@ def run_campaign(
         else:
             notify(f"{kind:8s} {att.job.label}: {error}")
 
+    def _reap(slot: _Slot) -> None:
+        slot.proc.join()
+        running.remove(slot)
+        key = slot.attempt.job.key
+        if slot.proc.exitcode == 0 and store.has(key):
+            _finish(slot, "done", cached=False)
+            notify(f"done     {slot.attempt.job.label} "
+                   f"({result.records[key].seconds:.2f}s)")
+        else:
+            error = _read_error(slot.error_path, slot.proc.exitcode)
+            _maybe_retry(slot, "failed", error)
+        Path(slot.error_path).unlink(missing_ok=True)
+
+    def _launch(att: _Attempt) -> None:
+        fd, error_path = tempfile.mkstemp(prefix="repro-job-", suffix=".err")
+        os.close(fd)
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(att.job.to_dict(), str(store.root), error_path),
+            daemon=True,
+        )
+        now = time.monotonic()
+        with _LAUNCH_LOCK:
+            proc.start()
+        running.append(_Slot(
+            proc=proc,
+            attempt=att,
+            started=now,
+            error_path=error_path,
+            deadline=(now + timeout) if timeout is not None else None,
+        ))
+        if state is not None:
+            state.append("started", att.job, attempt=att.attempt)
+        notify(f"start    {att.job.label} "
+               f"(attempt {att.attempt}, pid {proc.pid})")
+
+    # Sentinels the last wait returned ready.  A worker closes its files, so
+    # its sentinel turns ready, a moment before a non-blocking poll can reap
+    # it; such a worker is joined rather than taken for still running.
+    exited: List[int] = []
     try:
         while pending or running:
             now = time.monotonic()
 
-            # Launch every eligible attempt while worker slots are free.
-            launched = True
-            while launched and len(running) < max(1, workers):
-                launched = False
-                for i, att in enumerate(pending):
-                    if att.not_before > now:
-                        continue
-                    pending.pop(i)
-                    fd, error_path = tempfile.mkstemp(
-                        prefix="repro-job-", suffix=".err"
-                    )
-                    os.close(fd)
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(att.job.to_dict(), str(store.root), error_path),
-                        daemon=True,
-                    )
-                    proc.start()
-                    running.append(_Slot(
-                        proc=proc,
-                        attempt=att,
-                        started=now,
-                        error_path=error_path,
-                        deadline=(now + timeout) if timeout else None,
-                    ))
-                    if state is not None:
-                        state.append("started", att.job, attempt=att.attempt)
-                    notify(f"start    {att.job.label} "
-                           f"(attempt {att.attempt}, pid {proc.pid})")
-                    launched = True
-                    break
-
-            # Reap finished and overdue workers.
+            # Reap exited workers first, so their slots free up for this
+            # pass's launches, and kill the ones past their deadline.
             for slot in list(running):
-                if slot.proc.is_alive():
-                    if slot.deadline is not None and now > slot.deadline:
-                        _terminate(slot)
-                        running.remove(slot)
-                        Path(slot.error_path).unlink(missing_ok=True)
-                        _maybe_retry(
-                            slot, "timeout",
-                            f"exceeded {timeout:.1f}s timeout",
-                        )
-                    continue
-                slot.proc.join()
-                running.remove(slot)
-                key = slot.attempt.job.key
-                if slot.proc.exitcode == 0 and store.has(key):
-                    _finish(slot, "done", cached=False)
-                    notify(f"done     {slot.attempt.job.label} "
-                           f"({result.records[key].seconds:.2f}s)")
-                else:
-                    error = _read_error(slot.error_path, slot.proc.exitcode)
-                    _maybe_retry(slot, "failed", error)
-                Path(slot.error_path).unlink(missing_ok=True)
+                if slot.proc.sentinel in exited or not slot.proc.is_alive():
+                    _reap(slot)
+                elif slot.deadline is not None and now >= slot.deadline:
+                    _terminate(slot)
+                    running.remove(slot)
+                    Path(slot.error_path).unlink(missing_ok=True)
+                    _maybe_retry(
+                        slot, "timeout", f"exceeded {timeout:.1f}s timeout"
+                    )
+
+            # Launch eligible attempts, in queue order, while slots are free.
+            for att in [a for a in pending if a.not_before <= now]:
+                if len(running) >= workers:
+                    break
+                pending.remove(att)
+                _launch(att)
 
             if heartbeat_seconds and now - last_beat >= heartbeat_seconds:
                 last_beat = now
-                done = result.done
                 beat(
                     f"campaign{identity_suffix()}: "
-                    f"{done}/{result.total} done "
+                    f"{result.done}/{result.total} done "
                     f"({result.cached} cached) · {len(running)} running · "
                     f"{len(pending)} pending · {now - t0:.1f}s"
                 )
 
-            if pending or running:
-                time.sleep(_POLL_SECONDS)
+            # Block until a worker exits or the next thing the loop must do
+            # itself falls due: a deadline, a backoff ending while a slot is
+            # free, or a heartbeat.  No wake-up is due -> wait on exits only.
+            wakes = [s.deadline for s in running if s.deadline is not None]
+            if pending and len(running) < workers:
+                wakes.append(min(a.not_before for a in pending))
+            if heartbeat_seconds:
+                wakes.append(last_beat + heartbeat_seconds)
+            delay = (max(0.0, min(wakes) - time.monotonic())
+                     if wakes else None)
+            exited = []
+            if running:
+                exited = _wait_for_exit(
+                    [s.proc.sentinel for s in running], delay
+                )
+            elif pending:
+                time.sleep(delay)
     except KeyboardInterrupt:
         for slot in running:
             _terminate(slot)

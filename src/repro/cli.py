@@ -1217,6 +1217,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer that is zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _core_counts(text: str) -> List[int]:
     """argparse type: comma-separated positive core counts (``1,2,4``)."""
     try:
@@ -1448,7 +1456,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--timeout", type=_positive_float, metavar="S",
                         default=None,
                         help="kill any job running longer than S seconds")
-        cp.add_argument("--retries", type=int, default=1, metavar="N",
+        cp.add_argument("--retries", type=_nonnegative_int, default=1,
+                        metavar="N",
                         help="re-attempts per failed/timed-out job "
                              "(default 1)")
         cp.add_argument("--backoff", type=_positive_float, default=0.5,
@@ -1530,7 +1539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=_positive_float, metavar="S",
                    default=None,
                    help="kill any cell running longer than S seconds")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
+    p.add_argument("--retries", type=_nonnegative_int, default=1,
+                   metavar="N",
                    help="re-attempts per failed cell (default 1)")
     p.add_argument("--no-resume", action="store_true",
                    help="do not re-queue journaled jobs from a previous run")

@@ -101,6 +101,16 @@ class TestCampaignRun:
         assert "Traceback" not in err
 
 
+    def test_negative_retries_is_a_usage_error(self, capsys, store_root):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--name", "neg", "--workloads",
+                  "blackscholes", "--retries", "-1", "--store", store_root])
+        assert exc.value.code == 2
+        assert "--retries: must be non-negative, got -1" in (
+            capsys.readouterr().err)
+        assert not ResultStore(store_root).campaign_dir("neg").exists()
+
+
 class TestCampaignStatusResumeClean:
     def test_status_table_and_json(self, capsys, store_root):
         _run_small(capsys, store_root, name="st")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from repro.campaign import (
     retry_delay,
     run_campaign,
 )
+from repro.campaign import executor
 from repro.campaign.executor import RUNNERS
 from repro.campaign.identity import WORKER_ID_ENV, hostname
 from repro.harness import ProfiledRun
@@ -47,6 +49,32 @@ def runners():
     yield _register
     for tool in added:
         RUNNERS.pop(tool, None)
+
+
+@pytest.fixture()
+def blocking(monkeypatch):
+    """Record the coordinator's blocking calls as ``(kind, timeout, at)``.
+
+    ``kind`` is ``"sleep"`` or ``"wait"`` (the sentinel wait), ``at`` the
+    monotonic time of the call.  Workers inherit the patched ``time.sleep``
+    through fork, so only the coordinator's own process is recorded.
+    """
+    calls = []
+    coordinator = os.getpid()
+    real_sleep, real_wait = time.sleep, executor._wait_for_exit
+
+    def sleep(seconds):
+        if os.getpid() == coordinator:
+            calls.append(("sleep", seconds, time.monotonic()))
+        real_sleep(seconds)
+
+    def wait(sentinels, timeout):
+        calls.append(("wait", timeout, time.monotonic()))
+        return real_wait(sentinels, timeout)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    monkeypatch.setattr(executor, "_wait_for_exit", wait)
+    return calls
 
 
 def _cheap_run(job):
@@ -205,6 +233,158 @@ class TestFailureModes:
         result = run_campaign([job], store, workers=1, retries=0)
         assert result.failed == 1
         assert "no runner registered" in result.records[job.key].error
+
+
+class TestWakeUps:
+    """The coordinator blocks on worker exits and on what falls due next,
+    never on a fixed clock."""
+
+    def test_serial_hand_off_never_sleeps(self, tmp_path, runners, blocking):
+        runners("cheap", lambda job, telemetry: _cheap_run(job))
+        result = run_campaign(_jobs("cheap"), ResultStore(tmp_path),
+                              workers=1, retries=0)
+        assert result.executed == 4
+        assert [c for c in blocking if c[0] == "sleep"] == []
+        assert all(timeout is None for _, timeout, _ in blocking)
+        assert 1 <= len(blocking) <= 4  # at most one wait per job
+
+    def test_waits_never_outlast_the_deadline(self, tmp_path, runners,
+                                              blocking):
+        def stuck(job, telemetry):
+            time.sleep(60)
+            return _cheap_run(job)
+
+        runners("stuck", stuck)
+        store = ResultStore(tmp_path)
+        state = CampaignState(store.campaign_dir("t"))
+        job = Job(workload="vips", tool="stuck")
+        result = run_campaign([job], store, state, workers=1,
+                              timeout=0.3, retries=0)
+
+        assert result.timed_out == 1
+        assert state.replay()[job.key].state == "timeout"
+        waits = [c for c in blocking if c[0] == "wait"]
+        assert waits, "the coordinator never waited on the worker"
+        # The worker launched before the first wait, so its deadline is at
+        # most 0.3 s after it; no blocking call may run past that.
+        deadline = waits[0][2] + 0.3
+        for _, timeout, at in blocking:
+            assert timeout is not None and timeout <= 0.3
+            assert at + timeout <= deadline + 0.01
+
+    def test_retry_waits_out_its_backoff_in_one_block(
+        self, tmp_path, runners, blocking
+    ):
+        starts = tmp_path / "starts.jsonl"
+
+        def flaky_once(job, telemetry):
+            append_jsonl(starts, {"at": time.monotonic()})
+            if len(read_jsonl(starts)) == 1:
+                raise RuntimeError("transient flake")
+            return _cheap_run(job)
+
+        runners("flaky-once", flaky_once)
+        job = Job(workload="vips", tool="flaky-once")
+        result = run_campaign(
+            [job], ResultStore(tmp_path / "store"), workers=1,
+            retries=1, backoff=0.2, jitter=0,
+            progress=lambda line: blocking.append(("progress", line, 0.0)),
+        )
+
+        assert result.ok and result.records[job.key].attempts == 2
+        first, second = (row["at"] for row in read_jsonl(starts))
+        # not_before is 0.2 s after the first attempt's reap, which follows
+        # its start; the retry may not start before it.
+        assert second - first >= 0.2
+        retry = next(i for i, c in enumerate(blocking)
+                     if c[0] == "progress" and c[1].startswith("retry"))
+        relaunch = next(i for i, c in enumerate(blocking)
+                        if c[0] == "progress" and c[1].startswith("start")
+                        and "attempt 2" in c[1])
+        backoff_blocks = [c for c in blocking[retry:relaunch]
+                          if c[0] in ("sleep", "wait")]
+        assert 1 <= len(backoff_blocks) <= 2, blocking
+
+    def test_concurrent_campaigns_hand_off_promptly(
+        self, tmp_path, runners, monkeypatch
+    ):
+        """Two coordinators in one process (as under ``repro serve``): a
+        sibling's worker must not inherit the write end of another worker's
+        sentinel pipe, or that worker's exit goes unseen until the
+        sibling's job ends."""
+        def slow(job, telemetry):
+            time.sleep(3.0)
+            return _cheap_run(job)
+
+        runners("cheap", lambda job, telemetry: _cheap_run(job))
+        runners("slow", slow)
+
+        # Hold the first launch between fork and closing the pipe's write
+        # end long enough for the slow campaign to fork inside that window.
+        real_fork, forked = os.fork, threading.Event()
+
+        def fork():
+            pid = real_fork()
+            if pid and not forked.is_set():
+                forked.set()
+                time.sleep(0.2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        results = {}
+
+        def campaign(name, jobs, after=None):
+            if after is not None:
+                after.wait(10)
+            results[name] = run_campaign(
+                jobs, ResultStore(tmp_path / name), workers=1, retries=0
+            )
+
+        threads = [
+            threading.Thread(target=campaign, args=("cheap", _jobs("cheap"))),
+            threading.Thread(
+                target=campaign,
+                args=("slow", [Job(workload="vips", tool="slow")], forked),
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+
+        cheap = results["cheap"]
+        assert cheap.executed == 4 and results["slow"].executed == 1
+        # Each cheap job is seen done when its own worker exits, long
+        # before the 3 s slow job ends.
+        assert max(r.seconds for r in cheap.records.values()) < 1.5
+        assert cheap.wall_seconds < 2.0
+
+
+class TestArguments:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"workers": 0}, "workers"),
+        ({"timeout": 0}, "timeout"),
+        ({"timeout": -1.0}, "timeout"),
+        ({"retries": -1}, "retries"),
+        ({"backoff": -0.5}, "backoff"),
+        ({"heartbeat_seconds": 0}, "heartbeat_seconds"),
+    ])
+    def test_bad_argument_raises_before_any_worker(
+        self, tmp_path, runners, kwargs, name
+    ):
+        counts = tmp_path / "attempts.jsonl"
+
+        def counting(job, telemetry):
+            append_jsonl(counts, {"label": job.label})
+            return _cheap_run(job)
+
+        runners("counted", counting)
+        store = ResultStore(tmp_path / "store")
+        state = CampaignState(store.campaign_dir("t"))
+        with pytest.raises(ValueError, match=f"invalid {name}="):
+            run_campaign(_jobs("counted")[:1], store, state, **kwargs)
+        assert not counts.exists()
+        assert state.replay() == {}
 
 
 class TestResume:
