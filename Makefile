@@ -1,6 +1,6 @@
 # Convenience targets for the Sigil reproduction.
 
-.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-campaign bench-pipeline regen-golden clean
+.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-campaign bench-shadow bench-pipeline regen-golden clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -141,10 +141,19 @@ bench-windowed:
 bench-campaign:
 	PYTHONPATH=src python benchmarks/bench_campaign.py
 
+# Publish Sigil's shadow-memory cost on a fragmenting workload into the
+# shadow section of BENCH_throughput.json: re-use and event mode, four
+# pages fragmented by single-byte writes from two functions in turn, then
+# page-wide reads and page-wide writes (seconds per phase, events/s), and
+# the tracemalloc bytes one fully fragmented page holds against 4,096
+# records.  Gates nothing.  About ten seconds.
+bench-shadow:
+	PYTHONPATH=src python benchmarks/bench_shadow.py
+
 # Publish the paper pipe's cost into BENCH_pipeline.json: cold `repro
 # profile --reuse --events --callgrind-out` processes for streamcluster,
-# facesim and raytrace at simlarge, end to end (median and quartiles) and
-# per phase, next to the same runs with every pipe behind the batched
+# facesim and raytrace at simlarge, end to end (median and quartiles), peak
+# RSS and per phase, next to the same runs with every pipe behind the batched
 # transport.  Fails only if the two sides write different bytes; it gates
 # no speed yet.  About three minutes.
 bench-pipeline:

@@ -4,7 +4,12 @@ Paper: "Figure 6 shows the memory usage of Sigil for workloads as we
 increase the datasize.  The memory increase also remains consistent for
 increased datasize.  facesim and raytrace are intensive benchmarks that use
 larger amounts of memory."  We report the shadow-memory footprint (the
-component Sigil adds over Callgrind) at simsmall and simmedium.
+component Sigil adds over Callgrind) at simsmall and simmedium, in the
+paper's per-byte model: ``shadow_bytes`` is live pages x 4,096 units x the
+record size, one shadow object per unit.  The profiler's pages store one
+record per run of identical objects, so the bytes it actually holds are
+smaller (``sigil.shadow.live_runs`` counts the runs); that is not Figure
+6's quantity.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ from launch to exit, alternating two sides run by run:
 
 Both sides must write byte-identical profile, event and Callgrind files;
 the bench exits non-zero if they differ.  It writes, per program and side,
-the median and quartiles of the process wall seconds and the median of the
-manifest's setup/execute/aggregate seconds (plus the transport's flush
-count and occupancy), into ``BENCH_pipeline.json`` at the repo root.  It
-gates no speed yet: a bound goes in once the file has a trajectory.
+the median and quartiles of the process wall seconds, the median of the
+child's peak resident set size (``ru_maxrss`` from :func:`os.wait4`) and
+the median of the manifest's setup/execute/aggregate seconds (plus the
+transport's flush count and occupancy), into ``BENCH_pipeline.json`` at the
+repo root.  It gates no speed yet: a bound goes in once the file has a
+trajectory.
 
 Run::
 
@@ -70,15 +72,19 @@ def _run_once(side: str, program: str, size: str, stem: Path) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    command = _command(side, _profile_args(program, size, stem))
     start = time.perf_counter()
-    subprocess.run(
-        _command(side, _profile_args(program, size, stem)),
-        check=True, env=env, stdout=subprocess.DEVNULL,
-    )
+    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, command)
     manifest = json.loads(Path(f"{stem}.manifest.json").read_text())
     return {
         "wall_s": wall,
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": usage.ru_maxrss / 1024,
         "phases": {p: manifest["phases"].get(p, 0.0) for p in PHASES},
         "flushes": manifest["metrics"].get("batch.flushes", 0),
         "mean_occupancy": manifest["metrics"].get("batch.mean_occupancy", 0.0),
@@ -101,6 +107,7 @@ def _spread(values: list) -> dict:
 def _summary(runs: list) -> dict:
     row = {
         "wall_s": _spread([r["wall_s"] for r in runs]),
+        "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "phases_s": {
             p: round(statistics.median(r["phases"][p] for r in runs), 3)
             for p in PHASES
@@ -195,7 +202,8 @@ def main(argv=None) -> int:
     for program, row in report.items():
         cells = "  ".join(
             f"{side} {row[side]['wall_s']['median']:.2f}s "
-            f"[{row[side]['wall_s']['q1']:.2f}-{row[side]['wall_s']['q3']:.2f}]"
+            f"[{row[side]['wall_s']['q1']:.2f}-{row[side]['wall_s']['q3']:.2f}] "
+            f"{row[side]['peak_rss_mb']:.0f} MB"
             for side in SIDES
         )
         print(f"{program:<14} {cells}")

@@ -23,9 +23,10 @@ data byte generated by a program":
     Bytes whose shadow entry is still invalid have no recorded producer --
     they are program input staged outside the program's own stores.
 
-The classification is per byte, but the work is per run: the memory kernel
-cuts each access into runs of identical shadow records (see
-:mod:`repro.core.shadow`) and classifies each run once.
+The classification is per byte, but the work is per run: a shadow page
+stores its runs of identical records (see :mod:`repro.core.shadow`), and
+the memory kernel bisects to the runs an access covers, classifies each
+once and splices the new records back in.
 
 Time is counted in retired instructions, "an architecture-independent proxy
 for execution time" (section IV-B): every operation, memory access, and
@@ -34,10 +35,9 @@ branch advances the clock.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.common.cct import SYSCALL_PREFIX, ContextNode, ContextTracker, ContextTree
 from repro.core.aggregate import CommMatrix, FnComm
@@ -179,8 +179,8 @@ class SigilProfiler(BaseObserver):
         self._layout = record_layout(
             reuse_mode=self.config.reuse_mode, event_mode=self.config.event_mode
         )
-        #: Page chunks the memory kernel split into runs, and the runs they
-        #: made (published by :meth:`record_telemetry`).
+        #: Page chunks the memory kernel handled, and the stored runs they
+        #: met (published by :meth:`record_telemetry`).
         self.shadow_chunks = 0
         self.shadow_runs = 0
 
@@ -241,43 +241,24 @@ class SigilProfiler(BaseObserver):
 
     # -- memory ------------------------------------------------------------------
 
-    def _runs(self, page: ShadowPage, lo: int, hi: int) -> List[int]:
-        """Cut ``[lo, hi)`` into runs of byte-identical shadow records.
-
-        Returns the run boundaries ``[lo, ..., hi]``.  One bytes comparison
-        of the chunk against itself shifted by one record settles the
-        common uniform case; otherwise NumPy finds the cut points.
-        """
-        isz = self._layout.struct.size
-        buf = page.buf
-        if buf[lo * isz + isz : hi * isz] == buf[lo * isz : hi * isz - isz]:
-            return [lo, hi]
-        recs = page.words[lo:hi]
-        cuts = np.flatnonzero((recs[1:] != recs[:-1]).any(axis=1))
-        cuts += lo + 1
-        return [lo, *cuts.tolist(), hi]
-
-    def _retire_range(self, page: ShadowPage, lo: int, hi: int) -> int:
-        """The values of units ``[lo, hi)`` die (overwrite, eviction or end
-        of run): close their re-use windows and retire their re-use counts,
-        one run of identical records at a time.  Returns the run count."""
+    def _retire_range(self, page: ShadowPage, i: int, j: int, lo: int, hi: int) -> None:
+        """The values of units ``[lo, hi)``, which runs ``[i, j)`` cover, die
+        (overwrite, eviction or end of run): close their re-use windows and
+        retire their re-use counts, one run at a time."""
         reuse = self.reuse
-        layout = self._layout
-        writer_i = layout.writer
-        reader_i = layout.reader
-        count_i = layout.reuse_count
-        first_i = layout.win_first
-        last_i = layout.win_last
-        isz = layout.struct.size
-        unpack = layout.struct.unpack_from
+        fmt, _, writer_i, reader_i, _, _, count_i, first_i, last_i = self._layout
+        isz = fmt.size
+        unpack = fmt.unpack_from
         bin_size = reuse.bin_size
-        buf = page.buf
-        bounds = self._runs(page, lo, hi)
+        starts = page.starts
+        recs = page.recs
         closed = []
-        for i in range(len(bounds) - 1):
-            a = bounds[i]
-            n = bounds[i + 1] - a
-            rec = unpack(buf, a * isz)
+        a = lo
+        for k in range(i, j):
+            b = starts[k + 1] if k + 1 < j else hi
+            n = b - a
+            a = b
+            rec = unpack(recs, k * isz)
             reader = rec[reader_i]
             if reader >= 0:
                 lifetime = rec[last_i] - rec[first_i]
@@ -290,7 +271,6 @@ class SigilProfiler(BaseObserver):
         closed.sort()
         for window in closed:
             reuse.add_windows(*window)
-        return len(bounds) - 1
 
     def on_mem_write(self, addr: int, size: int) -> None:
         self.time += 1
@@ -310,15 +290,17 @@ class SigilProfiler(BaseObserver):
         if layout.writer_seg is not None:
             rec[layout.writer_seg] = cur.segment.seg_id
         record = layout.struct.pack(*rec)
-        isz = layout.struct.size
         reuse = self.reuse
         lo_unit = addr >> self._unit_shift
         n_units = ((addr + size - 1) >> self._unit_shift) - lo_unit + 1
         for page, lo, hi in self.shadow.chunks(lo_unit, n_units):
+            i = bisect_right(page.starts, lo) - 1
+            j = bisect_left(page.starts, hi, i + 1)
             if reuse is not None:
                 self.shadow_chunks += 1
-                self.shadow_runs += self._retire_range(page, lo, hi)
-            page.buf[lo * isz : hi * isz] = record * (hi - lo)
+                self.shadow_runs += j - i
+                self._retire_range(page, i, j, lo, hi)
+            page.splice(i, j, lo, hi, [record])
 
     def on_mem_read(self, addr: int, size: int) -> None:
         self.time += 1
@@ -333,26 +315,22 @@ class SigilProfiler(BaseObserver):
         reuse = self.reuse
         events = self.events
         comm = self.comm
-        layout = self._layout
-        writer_i = layout.writer
-        reader_i = layout.reader
-        call_i = layout.reader_call
-        seg_i = layout.writer_seg
-        count_i = layout.reuse_count
-        first_i = layout.win_first
-        last_i = layout.win_last
-        if reuse is not None:
-            bin_size = reuse.bin_size
-        isz = layout.struct.size
-        unpack = layout.struct.unpack_from
-        pack = layout.struct.pack
+        fmt, _, writer_i, reader_i, call_i, seg_i, count_i, first_i, last_i = (
+            self._layout
+        )
+        bin_size = reuse.bin_size if reuse is not None else 0
+        isz = fmt.size
+        unpack = fmt.unpack_from
+        pack = fmt.pack
         lo_unit = addr >> self._unit_shift
         n_units = ((addr + size - 1) >> self._unit_shift) - lo_unit + 1
         for page, lo, hi in self.shadow.chunks(lo_unit, n_units):
-            buf = page.buf
-            bounds = self._runs(page, lo, hi)
+            starts = page.starts
+            recs = page.recs
+            i = bisect_right(starts, lo) - 1
+            j = bisect_left(starts, hi, i + 1)
             self.shadow_chunks += 1
-            self.shadow_runs += len(bounds) - 1
+            self.shadow_runs += j - i
             # Per-run contributions: (writer, units) of unique and
             # non-unique reads, (producer segment, units) of data edges,
             # (reader, bin, windows, lifetime sum) of closed windows.
@@ -360,11 +338,14 @@ class SigilProfiler(BaseObserver):
             nonunique = []
             data = []
             closed = []
+            new = []
             reused = 0
-            for i in range(len(bounds) - 1):
-                a = bounds[i]
-                n = bounds[i + 1] - a
-                rec = list(unpack(buf, a * isz))
+            a = lo
+            for k in range(i, j):
+                b = starts[k + 1] if k + 1 < j else hi
+                n = b - a
+                a = b
+                rec = list(unpack(recs, k * isz))
                 # Uniqueness compares the reading *function context* with
                 # the last reader; re-use windows compare the *call number*.
                 if rec[reader_i] == ctx:
@@ -391,8 +372,9 @@ class SigilProfiler(BaseObserver):
                     rec[last_i] = now
                 rec[reader_i] = ctx
                 rec[call_i] = call_id
-                buf[a * isz : (a + n) * isz] = pack(*rec) * n
-            if len(bounds) > 2:
+                new.append(pack(*rec))
+            page.splice(i, j, lo, hi, new)
+            if j - i > 1:
                 # Apply in ascending key order, so dict insertion order --
                 # and with it the event-log bytes -- does not depend on how
                 # the chunk split into runs.
@@ -435,24 +417,9 @@ class SigilProfiler(BaseObserver):
     # -- finalisation ------------------------------------------------------------------
 
     def _finalise_page(self, page: ShadowPage) -> None:
-        """The page's values die (eviction or end of run): close their
-        re-use windows and retire their re-use counts, a whole page at a
-        time.  This is :meth:`_retire_range` over the page, vectorised over
-        the field views: a whole page holds many runs, and on simlarge
-        ``_retire_range(page, 0, SHADOW_PAGE_SIZE)`` made ``on_run_end``
-        1.7x (facesim) to 3.5x (raytrace) slower."""
-        reuse = self.reuse
-        if reuse is None:
-            return
-        readers = page.reader
-        valid = readers >= 0
-        if valid.any():
-            reuse.close_windows(
-                readers[valid], page.win_first[valid], page.win_last[valid]
-            )
-        touched = (page.writer >= 0) | valid
-        if touched.any():
-            reuse.retire_bytes(page.reuse_count[touched])
+        """The page's values die (eviction or end of run)."""
+        if self.reuse is not None:
+            self._retire_range(page, 0, len(page.starts), 0, SHADOW_PAGE_SIZE)
 
     def on_run_end(self) -> None:
         if self._finalised:
@@ -474,6 +441,7 @@ class SigilProfiler(BaseObserver):
         shadow = self.shadow
         telemetry.gauge("sigil.shadow.live_pages").set(shadow.live_pages)
         telemetry.gauge("sigil.shadow.peak_pages").set(shadow.peak_pages)
+        telemetry.gauge("sigil.shadow.live_runs").set(shadow.live_runs)
         telemetry.gauge("sigil.shadow.live_entries").set(
             shadow.live_pages * SHADOW_PAGE_SIZE
         )

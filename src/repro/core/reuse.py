@@ -92,46 +92,7 @@ class ReuseStats:
             self.per_fn[ctx_id] = stats
         return stats
 
-    # -- window finalisation (vectorised) --------------------------------
-
-    def close_windows(
-        self,
-        readers: np.ndarray,
-        win_first: np.ndarray,
-        win_last: np.ndarray,
-    ) -> None:
-        """Close a batch of windows; only re-used ones (last > first) count.
-
-        ``readers`` are the contexts whose windows are closing; arrays are
-        parallel.  Callers pre-filter to valid windows (reader >= 0).
-        """
-        reused = win_last > win_first
-        if not reused.any():
-            return
-        ctxs = readers[reused].astype(np.int64)
-        lifetimes = (win_last[reused] - win_first[reused]).astype(np.int64)
-        bins = lifetimes // self.bin_size
-        # Group (ctx, bin) pairs to update per-function histograms in bulk.
-        # Lexsort keeps the two columns separate: packing them into one key
-        # would need an a-priori bound on the bin number, and a long run
-        # with a small bin_size overflows any fixed split.
-        order = np.lexsort((bins, ctxs))
-        sc = ctxs[order]
-        sb = bins[order]
-        slt = lifetimes[order]
-        n = len(sc)
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        np.logical_or(
-            sc[1:] != sc[:-1], sb[1:] != sb[:-1], out=boundary[1:]
-        )
-        starts = np.flatnonzero(boundary)
-        counts = np.diff(np.append(starts, n))
-        lifetime_sums = np.add.reduceat(slt, starts)
-        for i, count, lt_sum in zip(
-            starts.tolist(), counts.tolist(), lifetime_sums.tolist()
-        ):
-            self.add_windows(int(sc[i]), int(sb[i]), count, lt_sum)
+    # -- window finalisation ---------------------------------------------
 
     def add_windows(self, ctx: int, bin_no: int, count: int, lifetime_sum: int) -> None:
         """Count ``count`` closed re-used windows of ``ctx`` in one lifetime
@@ -141,16 +102,10 @@ class ReuseStats:
         stats.lifetime_sum += lifetime_sum
         stats.histogram[bin_no] = stats.histogram.get(bin_no, 0) + count
 
-    def retire_bytes(self, reuse_counts: np.ndarray) -> None:
-        """Fold dead data bytes' re-use counts into the global distribution.
-
-        Called when bytes are overwritten (the old value dies), evicted, or
-        at end of run.
-        """
-        self.byte_buckets += bucketise_counts(reuse_counts)
-
     def retire_run(self, reuse_count: int, n: int) -> None:
-        """Retire ``n`` dead data bytes that share one re-use count."""
+        """Fold ``n`` dead data bytes that share one re-use count into the
+        global distribution: their value was overwritten or evicted, or the
+        run ended."""
         self.byte_buckets[bisect_right(REUSE_BUCKET_BOUNDS, reuse_count)] += n
 
     # -- reporting -----------------------------------------------------------

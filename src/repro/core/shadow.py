@@ -9,32 +9,24 @@ structures are a chunk of shadow objects which are initialized to 'invalid'
 until the data byte corresponding to those addresses are used by the binary."
 (paper, section II-B)
 
-Each second-level chunk is one packed little-endian record buffer (a
-``bytearray``), one record per shadowed unit.  The fields of Table I are
-NumPy views into that buffer (``np.frombuffer`` with a record dtype), in
-this order:
+Each second-level chunk stores its maximal runs of identical shadow
+records: the runs' start units, ascending from 0, in an ``array('H')``, and
+one packed little-endian record per run, back to back in one ``bytearray``.
+A record holds Table I's fields in this order: ``writer`` and ``reader``
+(int32 context ids, -1 = invalid), ``reader_call`` (int64 global call
+number), in event mode ``writer_seg`` (int64, the segment of the last
+write), and in reuse mode ``reuse_count`` (int32, the non-unique accesses)
+and ``win_first``/``win_last`` (int64, the re-use lifetime window).  That is
+16 B, 24 B with event mode, 36 B with reuse mode and 44 B with both.
 
-======================  =======  ==============================================
-field                   dtype    meaning (Table I)
-======================  =======  ==============================================
-``writer``              int32    last writer (context id; -1 = invalid)
-``reader``              int32    last reader (context id; -1 = invalid)
-``reader_call``         int64    last reader call (global call number)
-``writer_seg``          int64    segment that performed the last write
-                                 (event mode only)
-``reuse_count``         int32    # of non-unique accesses (reuse mode)
-``win_first``           int64    re-use lifetime start (reuse mode)
-``win_last``            int64    re-use lifetime finish (reuse mode)
-======================  =======  ==============================================
-
-A record is 16 B, 24 B with event mode, 36 B with reuse mode and 44 B with
-both.  Packing the fields lets the profiler treat a run of units whose
-records are byte-identical as one value: it compares raw bytes to find the
-runs, decodes each run's record once with :mod:`struct`, and stores the
-result back as one repeated record.  The shadow state under an access is
-almost always uniform (the observation behind memcheck's distinguished
-secondary maps), so an access costs O(1) interpreter work, not per-unit
-array work.
+The shadow state under an access is almost always uniform (the observation
+behind memcheck's distinguished secondary maps, here generalised from pages
+to runs), so a page holds a handful of runs, not 4,096 records.  An access
+bisects to the runs it covers, decodes each once with :mod:`struct`, and
+splices the new records back in, merging equal neighbours: its work grows
+with the runs it meets, not the units it covers.  The footprint reported
+(:attr:`ShadowMemory.shadow_bytes`) stays the paper's per-byte model, 4,096
+records per live page; :attr:`ShadowMemory.live_runs` counts the runs held.
 
 The optional memory limit evicts the least recently touched shadow page
 (the paper's "simple FIFO mechanism", but every touch renews a page); before
@@ -46,10 +38,11 @@ so aggregate accuracy degrades gracefully (the paper reports the loss
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import OrderedDict
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple
-
-import numpy as np
+from itertools import groupby
+from operator import eq, itemgetter
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "ShadowPage",
@@ -67,18 +60,6 @@ SHADOW_PAGE_SIZE = 4096
 _BASE_FIELDS = (("writer", "i", -1), ("reader", "i", -1), ("reader_call", "q", -1))
 _EVENT_FIELDS = (("writer_seg", "q", -1),)
 _REUSE_FIELDS = (("reuse_count", "i", 0), ("win_first", "q", -1), ("win_last", "q", -1))
-_FIELD_NAMES = tuple(
-    name for name, _, _ in _BASE_FIELDS + _EVENT_FIELDS + _REUSE_FIELDS
-)
-
-
-def _record_fields(*, reuse_mode: bool, event_mode: bool):
-    """The record's (name, struct code, initial value) fields, in order."""
-    return (
-        _BASE_FIELDS
-        + (_EVENT_FIELDS if event_mode else ())
-        + (_REUSE_FIELDS if reuse_mode else ())
-    )
 
 
 class RecordLayout(NamedTuple):
@@ -99,44 +80,90 @@ class RecordLayout(NamedTuple):
 
 def record_layout(*, reuse_mode: bool, event_mode: bool) -> RecordLayout:
     """The packed little-endian layout of one shadow record."""
-    fields = _record_fields(reuse_mode=reuse_mode, event_mode=event_mode)
+    fields = (
+        _BASE_FIELDS
+        + (_EVENT_FIELDS if event_mode else ())
+        + (_REUSE_FIELDS if reuse_mode else ())
+    )
     names = [name for name, _, _ in fields]
     return RecordLayout(
         struct.Struct("<" + "".join(code for _, code, _ in fields)),
         tuple(init for _, _, init in fields),
-        **{n: names.index(n) if n in names else None for n in _FIELD_NAMES},
+        *(names.index(n) if n in names else None for n in RecordLayout._fields[2:]),
     )
 
 
 class ShadowPage:
     """Second-level chunk of shadow objects for one page of address space.
 
-    ``buf`` holds the packed records and ``words`` is its ``(units, record
-    size / 4)`` uint32 view (every record size is a multiple of 4), on which
-    the profiler finds where runs of identical records end.  Each Table I
-    field is a writable view into ``buf`` through the record dtype (``None``
-    when its mode is off).
+    Run ``k`` covers units ``[starts[k], starts[k + 1])`` (the last run ends
+    at the page end) and its packed record is ``recs[k * size:(k + 1) *
+    size]``.  Runs are maximal: no two neighbours hold equal records.
     """
 
-    __slots__ = ("page_no", "buf", "words") + _FIELD_NAMES
+    __slots__ = ("page_no", "size", "starts", "recs")
 
     def __init__(self, page_no: int, *, reuse_mode: bool, event_mode: bool):
-        self.page_no = page_no
-        fields = _record_fields(reuse_mode=reuse_mode, event_mode=event_mode)
         layout = record_layout(reuse_mode=reuse_mode, event_mode=event_mode)
-        self.buf = bytearray(layout.struct.pack(*layout.initial)) * SHADOW_PAGE_SIZE
-        dtype = np.dtype([(name, "<" + code) for name, code, _ in fields])
-        records = np.frombuffer(self.buf, dtype=dtype)
-        self.words = np.frombuffer(self.buf, dtype="<u4").reshape(
-            SHADOW_PAGE_SIZE, layout.struct.size // 4
-        )
-        for name in _FIELD_NAMES:
-            setattr(self, name, records[name] if name in dtype.names else None)
+        self.page_no = page_no
+        self.size = layout.struct.size
+        self.starts = array("H", (0,))
+        self.recs = bytearray(layout.struct.pack(*layout.initial))
 
     @property
     def nbytes(self) -> int:
-        """Footprint of this page's shadow records in bytes."""
-        return len(self.buf)
+        """This page's footprint in the per-byte model (a record per unit)."""
+        return self.size * SHADOW_PAGE_SIZE
+
+    def splice(self, i: int, j: int, lo: int, hi: int, new: List[bytes]) -> None:
+        """Replace the records of runs ``[i, j)``, the runs that units
+        ``[lo, hi)`` meet, within those units: ``new[k - i]`` is run ``k``'s
+        new record there, or ``new`` is one record for all of ``[lo, hi)``.
+        The parts of runs ``i`` and ``j - 1`` outside ``[lo, hi)`` keep
+        their records, and equal neighbours merge."""
+        starts = self.starts
+        recs = self.recs
+        size = self.size
+        end = starts[j] if j < len(starts) else SHADOW_PAGE_SIZE
+        if j == i + 1:
+            # A partly covered run that keeps its record does not change.
+            if (starts[i] < lo or end > hi) and recs.startswith(new[0], i * size):
+                return
+        elif len(new) == 1:
+            # One record over several runs: keep run i, and run j - 1 only
+            # for what of it lies past hi.
+            keep = j
+            if end > hi:
+                keep -= 1
+                starts[keep] = hi
+            del starts[i + 1 : keep]
+            del recs[(i + 1) * size : keep * size]
+            j = i + 1
+            end = hi
+        # Cut runs j - 1 at hi and i at lo (at most two inserts), so that
+        # runs [i, j) span [lo, hi) exactly.
+        if end > hi:
+            starts.insert(j, hi)
+            recs[j * size : j * size] = recs[(j - 1) * size : j * size]
+        if starts[i] < lo:
+            i += 1
+            j += 1
+            starts.insert(i, lo)
+            recs[i * size : i * size] = recs[(i - 1) * size : i * size]
+        recs[i * size : j * size] = b"".join(new)
+        # Merge equal neighbours: the last new run with run j, new runs with
+        # each other (rare), and the first new run with run i - 1.
+        if recs.startswith(new[-1], j * size):
+            del starts[j]
+            del recs[j * size : (j + 1) * size]
+        if j > i + 1 and any(map(eq, new, new[1:])):
+            runs = [(starts[k], recs[k * size : (k + 1) * size]) for k in range(i, j)]
+            kept = [next(group) for _, group in groupby(runs, itemgetter(1))]
+            starts[i:j] = array("H", [start for start, _ in kept])
+            recs[i * size : j * size] = b"".join([rec for _, rec in kept])
+        if i and recs.startswith(new[0], (i - 1) * size):
+            del starts[i]
+            del recs[i * size : (i + 1) * size]
 
 
 class ShadowMemory:
@@ -219,18 +246,23 @@ class ShadowMemory:
         return len(self._pages)
 
     @property
+    def live_runs(self) -> int:
+        """Runs of identical records the live shadow chunks hold."""
+        return sum(len(page.starts) for page in self._pages.values())
+
+    @property
     def shadow_bytes(self) -> int:
-        """Current footprint of all live shadow chunks."""
+        """Current footprint of all live shadow chunks (per-byte model)."""
         return len(self._pages) * self.page_bytes
 
     @property
     def peak_shadow_bytes(self) -> int:
-        """Upper-bound footprint estimate from the peak live page count."""
+        """Footprint at the peak live page count (per-byte model)."""
         return self.peak_pages * self.page_bytes
 
     @property
     def page_bytes(self) -> int:
-        """Footprint of one shadow chunk, from the record layout."""
+        """Footprint of one shadow chunk in the per-byte model."""
         layout = record_layout(
             reuse_mode=self._reuse_mode, event_mode=self._event_mode
         )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import SigilConfig, SigilProfiler
 from repro.core.reuse import REUSE_BUCKET_LABELS, ReuseStats, bucketise_counts
+from repro.trace.events import OpKind
 
 
 def _profiler() -> SigilProfiler:
@@ -15,6 +16,25 @@ def _profiler() -> SigilProfiler:
 
 def _ctx(profile, name):
     return profile.contexts_named(name)[0].id
+
+
+def _run_open_windows(windows, bin_size):
+    """A run that ends with one open re-use window per ``(function,
+    lifetime)``: the function writes its own byte, then reads it twice
+    ``lifetime`` instructions apart (once, for a zero lifetime)."""
+    p = SigilProfiler(SigilConfig(reuse_mode=True))
+    p.reuse = ReuseStats(histogram_bin_size=bin_size)
+    p.on_run_begin()
+    for addr, (name, lifetime) in enumerate(windows):
+        p.on_fn_enter(name)
+        p.on_mem_write(addr, 1)
+        p.on_mem_read(addr, 1)
+        if lifetime:
+            p.on_op(OpKind.INT, lifetime - 1)
+            p.on_mem_read(addr, 1)
+        p.on_fn_exit(name)
+    p.on_run_end()
+    return p.profile()
 
 
 class TestBucketise:
@@ -161,46 +181,39 @@ class TestLifetimeWindows:
 
 
 class TestReuseStatsUnit:
-    def test_close_windows_groups_by_context(self):
-        stats = ReuseStats()
-        readers = np.array([3, 3, 5], dtype=np.int32)
-        first = np.array([10, 10, 10], dtype=np.int64)
-        last = np.array([1500, 2500, 10], dtype=np.int64)
-        stats.close_windows(readers, first, last)
-        assert stats.per_fn[3].reused_windows == 2
-        assert stats.per_fn[3].lifetime_sum == (1490 + 2490)
-        assert 5 not in stats.per_fn  # lifetime 0 -> not reused
+    def test_end_of_run_groups_windows_by_context(self):
+        """Windows still open at the end of the run close into their own
+        reading context's statistics; a zero lifetime is no re-use."""
+        prof = _run_open_windows([("f", 1490), ("f", 2490), ("g", 0)], 1000)
+        stats = prof.reuse.per_fn[_ctx(prof, "f")]
+        assert stats.reused_windows == 2
+        assert stats.lifetime_sum == (1490 + 2490)
+        assert _ctx(prof, "g") not in prof.reuse.per_fn  # lifetime 0 -> not reused
 
-    def test_close_windows_bins_beyond_24_bits(self):
+    def test_end_of_run_bins_beyond_24_bits(self):
         """Regression: grouping once packed keys as (ctx << 24) | bin, so a
         lifetime bin >= 2**24 (a long run with a small bin_size) bled into
         the context part and corrupted a *different* function's histogram.
         Boundary bins must land in the right function at the right bin."""
-        stats = ReuseStats(histogram_bin_size=1)
         big = 1 << 24  # first colliding bin under the old packing
-        readers = np.array([1, 1, 2], dtype=np.int32)
-        first = np.array([0, 0, 0], dtype=np.int64)
-        last = np.array([big - 1, big + 1, big], dtype=np.int64)
-        stats.close_windows(readers, first, last)
-        assert stats.per_fn[1].reused_windows == 2
-        assert stats.per_fn[1].lifetime_sum == (big - 1) + (big + 1)
-        assert stats.per_fn[1].histogram == {big - 1: 1, big + 1: 1}
-        assert stats.per_fn[2].reused_windows == 1
-        assert stats.per_fn[2].histogram == {big: 1}
+        prof = _run_open_windows([("f", big - 1), ("f", big + 1), ("g", big)], 1)
+        f = prof.reuse.per_fn[_ctx(prof, "f")]
+        g = prof.reuse.per_fn[_ctx(prof, "g")]
+        assert f.reused_windows == 2
+        assert f.lifetime_sum == (big - 1) + (big + 1)
+        assert f.histogram == {big - 1: 1, big + 1: 1}
+        assert g.reused_windows == 1
+        assert g.histogram == {big: 1}
         # Under the old packing, ctx=1 with bin=2**24 aliased to ctx=2 bin=0.
-        assert 0 not in stats.per_fn[2].histogram
-        assert 3 not in stats.per_fn
+        assert 0 not in g.histogram
+        assert len(prof.reuse.per_fn) == 2
 
-    def test_close_windows_cross_context_no_collision(self):
+    def test_end_of_run_cross_context_no_collision(self):
         """(ctx=0, bin=2**24) and (ctx=1, bin=0) were one key under the old
         packing; they must stay distinct groups."""
-        stats = ReuseStats(histogram_bin_size=1)
-        readers = np.array([0, 1], dtype=np.int32)
-        first = np.array([0, 5], dtype=np.int64)
-        last = np.array([1 << 24, 5 + 3], dtype=np.int64)
-        stats.close_windows(readers, first, last)
-        assert stats.per_fn[0].histogram == {1 << 24: 1}
-        assert stats.per_fn[1].histogram == {3: 1}
+        prof = _run_open_windows([("f", 1 << 24), ("g", 3)], 1)
+        assert prof.reuse.per_fn[_ctx(prof, "f")].histogram == {1 << 24: 1}
+        assert prof.reuse.per_fn[_ctx(prof, "g")].histogram == {3: 1}
 
     def test_fifo_eviction_preserves_reuse_totals(self):
         """Evicting shadow pages must not lose already-observed re-use:

@@ -3,34 +3,63 @@
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 
-import numpy as np
 import pytest
 
-from repro.core.shadow import SHADOW_PAGE_SIZE, ShadowMemory, ShadowPage
+from repro.core.shadow import (
+    SHADOW_PAGE_SIZE,
+    ShadowMemory,
+    ShadowPage,
+    record_layout,
+)
+
+
+def _store(page, lo, hi, record):
+    """Set units ``[lo, hi)`` the way the write kernel does: bisect to the
+    runs they meet and splice one record over them."""
+    i = bisect_right(page.starts, lo) - 1
+    j = bisect_left(page.starts, hi, i + 1)
+    page.splice(i, j, lo, hi, [record])
+
+
+def _records(page, layout):
+    """Every unit's decoded record, from the page's runs."""
+    ends = page.starts[1:].tolist() + [SHADOW_PAGE_SIZE]
+    out = []
+    for k, (start, end) in enumerate(zip(page.starts, ends)):
+        rec = layout.struct.unpack_from(page.recs, k * layout.struct.size)
+        out += [rec] * (end - start)
+    return out
 
 
 class TestShadowPage:
     def test_initialised_invalid(self):
         """Shadow objects start 'invalid' until touched."""
         page = ShadowPage(0, reuse_mode=False, event_mode=False)
-        assert (page.writer == -1).all()
-        assert (page.reader == -1).all()
-        assert (page.reader_call == -1).all()
+        layout = record_layout(reuse_mode=False, event_mode=False)
+        records = _records(page, layout)
+        assert len(records) == SHADOW_PAGE_SIZE
+        assert all(rec[layout.writer] == -1 for rec in records)
+        assert all(rec[layout.reader] == -1 for rec in records)
+        assert all(rec[layout.reader_call] == -1 for rec in records)
 
     def test_baseline_has_no_reuse_fields(self):
         """Table I: the re-use variables are 'Additional variables for Reuse
         mode' only."""
         page = ShadowPage(0, reuse_mode=False, event_mode=False)
-        assert page.reuse_count is None
-        assert page.win_first is None
-        assert page.writer_seg is None
+        layout = record_layout(reuse_mode=False, event_mode=False)
+        assert layout.reuse_count is None
+        assert layout.win_first is None
+        assert layout.writer_seg is None
+        assert len(page.recs) == struct.calcsize("<iiq")
 
     def test_reuse_mode_extends_object(self):
         page = ShadowPage(0, reuse_mode=True, event_mode=True)
-        assert page.reuse_count is not None
-        assert (page.win_first == -1).all()
-        assert page.writer_seg is not None
+        layout = record_layout(reuse_mode=True, event_mode=True)
+        assert layout.reuse_count is not None
+        assert all(rec[layout.win_first] == -1 for rec in _records(page, layout))
+        assert layout.writer_seg is not None
 
     def test_reuse_mode_footprint_larger(self):
         """"With data-re-use monitoring enabled, Sigil's memory usage is up
@@ -52,19 +81,23 @@ class TestShadowPage:
         memory = ShadowMemory(reuse_mode=reuse_mode, event_mode=event_mode)
         assert memory.page_bytes == page.nbytes
 
-    def test_field_views_write_through_to_the_record(self):
-        """Fields are views into the packed little-endian record buffer, in
-        Table I order: writer, reader, reader_call, writer_seg, reuse_count,
-        win_first, win_last."""
+    def test_store_packs_fields_in_table_order(self):
+        """A stored record is packed little-endian in Table I order: writer,
+        reader, reader_call, writer_seg, reuse_count, win_first, win_last;
+        the units around it keep theirs, as runs of their own."""
         page = ShadowPage(0, reuse_mode=True, event_mode=True)
-        page.writer[3] = 5
-        page.writer_seg[3] = 9
-        page.reuse_count[3] = 2
-        page.win_last[3] = 7
-        assert page.words[3].tobytes() == struct.pack(
+        layout = record_layout(reuse_mode=True, event_mode=True)
+        _store(page, 3, 4, struct.pack("<iiqqiqq", 5, -1, -1, 9, 2, -1, 7))
+        assert page.starts.tolist() == [0, 3, 4]
+        records = _records(page, layout)
+        assert records[3][layout.writer] == 5
+        assert records[3][layout.writer_seg] == 9
+        assert records[3][layout.reuse_count] == 2
+        assert records[3][layout.win_last] == 7
+        assert layout.struct.pack(*records[3]) == struct.pack(
             "<iiqqiqq", 5, -1, -1, 9, 2, -1, 7
         )
-        assert page.words[2].tobytes() == struct.pack(
+        assert layout.struct.pack(*records[2]) == struct.pack(
             "<iiqqiqq", -1, -1, -1, -1, 0, -1, -1
         )
 
@@ -94,6 +127,16 @@ class TestTwoLevelTable:
         shadow = ShadowMemory()
         assert list(shadow.chunks(100, 0)) == []
         assert shadow.live_pages == 0
+
+    def test_live_runs_counts_held_runs(self):
+        """The model footprint counts 4,096 records a page; ``live_runs``
+        counts the runs the pages actually hold."""
+        shadow = ShadowMemory()
+        layout = record_layout(reuse_mode=False, event_mode=False)
+        _store(shadow.page(0), 10, 20, layout.struct.pack(1, -1, -1))
+        shadow.page(1)
+        assert shadow.live_runs == 3 + 1
+        assert shadow.shadow_bytes == 2 * SHADOW_PAGE_SIZE * layout.struct.size
 
     def test_footprint_accounting(self):
         shadow = ShadowMemory()
@@ -135,11 +178,13 @@ class TestFifoMemoryLimit:
         """Re-touching an evicted page sees invalid shadow objects again
         (the accuracy loss the paper calls negligible)."""
         shadow = ShadowMemory(max_pages=1)
+        layout = record_layout(reuse_mode=False, event_mode=False)
         page = shadow.page(5)
-        page.writer[:] = 42
+        _store(page, 0, SHADOW_PAGE_SIZE, layout.struct.pack(42, -1, -1))
+        assert all(rec[layout.writer] == 42 for rec in _records(page, layout))
         shadow.page(6)  # evicts 5
         page_again = shadow.page(5)  # evicts 6, fresh 5
-        assert (page_again.writer == -1).all()
+        assert all(rec[layout.writer] == -1 for rec in _records(page_again, layout))
 
 
 class TestLimitValidation:

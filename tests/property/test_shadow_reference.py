@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SigilConfig, SigilProfiler
+from repro.core import SHADOW_PAGE_SIZE, SigilConfig, SigilProfiler
 from repro.core.reference import ReferenceSigil
 from repro.core.reuse import ReuseStats
 from repro.io.profilefile import dumps_profile
@@ -632,3 +632,35 @@ def test_memory_limit_matches_reference(max_pages, strategy, data):
     ref = ReferenceSigil(bin_size=REUSE_BIN, max_pages=max_pages)
     _drive(steps, ref)
     assert_reuse_matches(profiler.profile(), ref)
+
+
+# -- the run-length page invariant ---------------------------------------------
+#
+# A shadow page stores its maximal runs of identical records: starts ascend
+# strictly from 0 and no two neighbouring runs hold equal records, so the
+# kernel's run counts equal those of the per-unit records they stand for.
+
+
+@pytest.mark.parametrize("modes", [False, True], ids=["baseline", "reuse-events"])
+@pytest.mark.parametrize("strategy", sorted(_LIMITED_TRACES))
+@pytest.mark.parametrize("max_pages", [None, 1, 2])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pages_hold_maximal_runs(max_pages, strategy, modes, data):
+    """Baseline records (writer, reader, call) are often equal, so their
+    runs merge on both sides; reuse and event records differ in more
+    fields, and the page limit drops pages."""
+    steps = data.draw(_LIMITED_TRACES[strategy])
+    profiler = SigilProfiler(SigilConfig(
+        reuse_mode=modes, event_mode=modes, max_shadow_pages=max_pages
+    ))
+    _drive(steps, profiler)
+    for page in profiler.shadow.pages():
+        starts = page.starts.tolist()
+        size = page.size
+        records = [page.recs[k * size : (k + 1) * size] for k in range(len(starts))]
+        assert len(page.recs) == len(starts) * size
+        assert starts[0] == 0
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        assert starts[-1] < SHADOW_PAGE_SIZE
+        assert all(a != b for a, b in zip(records, records[1:]))

@@ -34,6 +34,12 @@ class TestProfileManifest:
         assert m.phase_seconds("execute") > 0
         assert m.events_per_sec > 0
         assert m.metric("sigil.shadow.peak_shadow_bytes") > 0
+        # A live page holds at least one run and at most one per unit.
+        assert (
+            m.metric("sigil.shadow.live_pages")
+            <= m.metric("sigil.shadow.live_runs")
+            <= m.metric("sigil.shadow.live_entries")
+        )
         assert m.metric("sigil.bytes.unique") > 0
         assert m.metric("sigil.bytes.nonunique") > 0
 
