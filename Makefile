@@ -1,6 +1,6 @@
 # Convenience targets for the Sigil reproduction.
 
-.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-campaign bench-shadow bench-pipeline regen-golden clean
+.PHONY: install test property benches figures examples telemetry-smoke campaign-smoke serve-smoke timeline-smoke bench-throughput bench-event-io bench-windowed bench-campaign bench-shadow bench-startup bench-pipeline regen-golden clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -149,6 +149,15 @@ bench-campaign:
 # records.  Gates nothing.  About ten seconds.
 bench-shadow:
 	PYTHONPATH=src python benchmarks/bench_shadow.py
+
+# Publish `repro` process startup into the startup section of
+# BENCH_throughput.json: median child seconds of `import repro.cli`, `repro
+# critpath` and `repro timeline` on a fixed synthetic log, and `repro
+# profile blackscholes`, each with every module compiled from source and
+# with warm bytecode, and the `repro.*` modules each loads.  Gates nothing.
+# About a minute.
+bench-startup:
+	PYTHONPATH=src python benchmarks/bench_startup.py
 
 # Publish the paper pipe's cost into BENCH_pipeline.json: cold `repro
 # profile --reuse --events --callgrind-out` processes for streamcluster,

@@ -10,37 +10,25 @@ Quick start::
     run = profile_workload("blackscholes", "simsmall",
                            config=SigilConfig(reuse_mode=True, event_mode=True))
     print(run.sigil.total_time, len(run.sigil.tree))
+
+Every package re-exports its public names lazily (see :mod:`repro._lazy`):
+a name's defining module is imported when the name is first used.
 """
 
-from repro.core.config import SigilConfig
-from repro.core.profiler import SigilProfile, SigilProfiler
-from repro.harness import (
-    ProfiledRun,
-    line_reuse_run,
-    native_run,
-    native_seconds,
-    profile_workload,
-)
-from repro.telemetry import Manifest, NullTelemetry, Telemetry
-from repro.workloads import ALL_NAMES, PARSEC_NAMES, InputSize, get_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "SigilConfig",
-    "SigilProfile",
-    "SigilProfiler",
-    "ProfiledRun",
-    "line_reuse_run",
-    "native_run",
-    "native_seconds",
-    "profile_workload",
-    "Manifest",
-    "NullTelemetry",
-    "Telemetry",
-    "ALL_NAMES",
-    "PARSEC_NAMES",
-    "InputSize",
-    "get_workload",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("SigilConfig",),
+    "repro.core.profiler": ("SigilProfile", "SigilProfiler"),
+    "repro.harness": (
+        "ProfiledRun", "line_reuse_run", "native_run", "native_seconds",
+        "profile_workload",
+    ),
+    "repro.telemetry.manifest": ("Manifest",),
+    "repro.telemetry.session": ("NullTelemetry", "Telemetry"),
+    "repro.workloads.registry": ("ALL_NAMES", "PARSEC_NAMES", "get_workload"),
+    "repro.workloads.base": ("InputSize",),
+})
+__all__.append("__version__")

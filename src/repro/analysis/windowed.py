@@ -43,6 +43,7 @@ from repro.analysis.streaming import (
     as_chunk_source,
     stream_resolved,
 )
+from repro.core.config import DEFAULT_WINDOW_OPS
 
 __all__ = [
     "DEFAULT_WINDOW_OPS",
@@ -50,9 +51,6 @@ __all__ = [
     "WindowedCurves",
     "windowed_curves",
 ]
-
-#: Default window width, in operations.
-DEFAULT_WINDOW_OPS = 4096
 
 #: Schema tag of the JSON artifact (:meth:`WindowedCurves.to_dict`).
 WINDOWED_SCHEMA = "repro-windowed/1"

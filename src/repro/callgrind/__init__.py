@@ -1,23 +1,14 @@
 """Callgrind-equivalent: calltree costs, cache/branch simulation, cycles."""
 
-from repro.callgrind.branch import BimodalPredictor
-from repro.callgrind.cache import AccessResult, Cache, CacheConfig, CacheHierarchy
-from repro.callgrind.collector import (
-    CallgrindCollector,
-    CallgrindCosts,
-    CallgrindProfile,
-)
-from repro.callgrind.cycles import DEFAULT_CYCLE_MODEL, CycleModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BimodalPredictor",
-    "AccessResult",
-    "Cache",
-    "CacheConfig",
-    "CacheHierarchy",
-    "CallgrindCollector",
-    "CallgrindCosts",
-    "CallgrindProfile",
-    "DEFAULT_CYCLE_MODEL",
-    "CycleModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.callgrind.branch": ("BimodalPredictor",),
+    "repro.callgrind.cache": (
+        "AccessResult", "Cache", "CacheConfig", "CacheHierarchy",
+    ),
+    "repro.callgrind.collector": (
+        "CallgrindCollector", "CallgrindCosts", "CallgrindProfile",
+    ),
+    "repro.callgrind.cycles": ("DEFAULT_CYCLE_MODEL", "CycleModel"),
+})

@@ -28,50 +28,21 @@ Quick start::
     print(result.summary(spec.name))   # second call: 100% cached
 """
 
-from repro.campaign.executor import (
-    DEFAULT_JITTER,
-    RUNNERS,
-    CampaignResult,
-    register_runner,
-    retry_delay,
-    run_campaign,
-)
-from repro.campaign.report import (
-    CAMPAIGN_SCHEMA,
-    build_campaign_manifest,
-    render_status,
-    write_campaign_manifest,
-)
-from repro.campaign.spec import CampaignSpec, Job, canonical_config
-from repro.campaign.state import CampaignState, JobRecord, fold_events
-from repro.campaign.store import (
-    DEFAULT_STORE_ENV,
-    ResultStore,
-    StoredResult,
-    VerifyReport,
-    default_store_root,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_SCHEMA",
-    "CampaignResult",
-    "CampaignSpec",
-    "CampaignState",
-    "DEFAULT_JITTER",
-    "DEFAULT_STORE_ENV",
-    "Job",
-    "JobRecord",
-    "RUNNERS",
-    "ResultStore",
-    "StoredResult",
-    "VerifyReport",
-    "build_campaign_manifest",
-    "canonical_config",
-    "default_store_root",
-    "fold_events",
-    "register_runner",
-    "render_status",
-    "retry_delay",
-    "run_campaign",
-    "write_campaign_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaign.executor": (
+        "DEFAULT_JITTER", "RUNNERS", "CampaignResult", "register_runner",
+        "retry_delay", "run_campaign",
+    ),
+    "repro.campaign.report": (
+        "CAMPAIGN_SCHEMA", "build_campaign_manifest", "render_status",
+        "write_campaign_manifest",
+    ),
+    "repro.campaign.spec": ("CampaignSpec", "Job", "canonical_config"),
+    "repro.campaign.state": ("CampaignState", "JobRecord", "fold_events"),
+    "repro.campaign.store": (
+        "DEFAULT_STORE_ENV", "ResultStore", "StoredResult", "VerifyReport",
+        "default_store_root",
+    ),
+})

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+import repro
 from repro.analysis import render_table
 from repro.campaign.spec import Job
 from repro.campaign.state import CampaignState, JobRecord
@@ -75,8 +76,6 @@ def build_campaign_manifest(
     wall_seconds: float = 0.0,
 ) -> Dict[str, Any]:
     """Aggregate per-job manifests + journal state into one document."""
-    import repro
-
     entries = [_job_entry(job, records.get(job.key), store) for job in jobs]
     states = [e["state"] for e in entries]
     manifest: Dict[str, Any] = {

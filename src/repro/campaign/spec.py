@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
+import repro
 from repro.core.config import SigilConfig
 from repro.harness import TOOL_STACKS
 from repro.workloads import ALL_NAMES, InputSize
@@ -62,14 +63,6 @@ def _registered_runner_tools() -> frozenset:
     return frozenset(RUNNERS)
 
 
-def _package_version() -> str:
-    # Imported lazily: repro/__init__ imports harness, which must not pull
-    # the campaign package back in at import time.
-    import repro
-
-    return repro.__version__
-
-
 @dataclass
 class Job:
     """One cell of the campaign matrix: a single profiling run to perform."""
@@ -96,7 +89,7 @@ class Job:
             "size": self.size,
             "tool": self.tool,
             "config": self.config,
-            "version": _package_version(),
+            "version": repro.__version__,
         }
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.analysis import windowed
 from repro.campaign.spec import Job
 from repro.harness import ProfiledRun
 from repro.io.callgrindfile import dump_callgrind, load_callgrind
@@ -117,12 +118,10 @@ class StoredResult:
         via :func:`repro.analysis.windowed.windowed_curves` when the log
         was stored.
         """
-        from repro.analysis.windowed import WindowedCurves
-
         path = self.curves_path()
         if path is None:
             return None
-        return WindowedCurves.from_dict(json.loads(path.read_text()))
+        return windowed.WindowedCurves.from_dict(json.loads(path.read_text()))
 
     def profiled_run(self) -> ProfiledRun:
         """Rehydrate a :class:`ProfiledRun` equivalent to the original.
@@ -264,9 +263,7 @@ class ResultStore:
                     # Cache the time-resolved curves next to the log, so
                     # watchers (and `repro serve`) plot WS(t) without
                     # re-streaming the events per request.
-                    from repro.analysis.windowed import windowed_curves
-
-                    curves = windowed_curves(run.sigil.events)
+                    curves = windowed.windowed_curves(run.sigil.events)
                     (staging / _CURVES).write_text(
                         json.dumps(curves.to_dict(), separators=(",", ":"))
                         + "\n"

@@ -52,41 +52,17 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis import (
-    CDFG,
-    render_calltree,
-    analyze_critical_path,
-    events_to_dot,
-    byte_reuse_breakdown,
-    coverage_report,
-    lifetime_histogram,
-    render_barchart,
-    render_histogram,
-    render_table,
-    top_reuse_functions,
-    top_unique_contributors,
-    trim_calltree,
-)
-from repro.analysis.partition import BusModel, PartitionPolicy
-from repro.analysis.schedule import speedup_curve
-from repro.analysis.windowed import DEFAULT_WINDOW_OPS
-from repro.callgrind import CallgrindCollector
-from repro.core import ReuseDistanceProfiler, SigilConfig, SigilProfiler
-from repro.harness import _drive, _profile
-from repro.io import (
-    dump_callgrind,
-    dump_events,
-    dump_events_bin,
-    dump_profile,
-    load_callgrind,
-    load_event_arrays,
-    load_profile,
-)
+# Only what `build_parser` needs is imported here; each command imports what
+# it runs, so `repro timeline` never loads the profiler or the campaign
+# engine, and a bare `import repro.cli` stays cheap.
+from repro.core.config import DEFAULT_WINDOW_OPS
 from repro.io.tracefmt import COLLAPSED_WEIGHTS as _COLLAPSED_WEIGHTS
-from repro.telemetry import Manifest, Telemetry
-from repro.workloads import ALL_NAMES, WORKLOADS, InputSize
+from repro.workloads import InputSize
+
+if TYPE_CHECKING:
+    from repro.telemetry import Manifest, Telemetry
 
 __all__ = ["main", "build_parser"]
 
@@ -154,6 +130,8 @@ def _telemetry_from(args) -> Optional[Telemetry]:
     """
     if getattr(args, "no_telemetry", False):
         return None
+    from repro.telemetry import Telemetry
+
     return Telemetry(
         heartbeat_events=getattr(args, "heartbeat", None),
         heartbeat_seconds=getattr(args, "heartbeat_secs", None),
@@ -198,6 +176,9 @@ def _emit_manifest(args, manifest: Optional[Manifest], *, default_stem: str) -> 
 
 
 def cmd_list(args) -> int:
+    from repro.analysis import render_table
+    from repro.workloads import ALL_NAMES, WORKLOADS
+
     if getattr(args, "json", False):
         from repro.harness import TOOL_STACKS
 
@@ -234,6 +215,8 @@ def _write_events(args, events, path) -> None:
     docs/file-formats.md); ``--events-format text`` writes the line-oriented
     v1 for reading and diffing by eye.  Nothing reads v1 back.
     """
+    from repro.io import dump_events, dump_events_bin
+
     if getattr(args, "events_format", "bin") == "text":
         dump_events(events, path)
     else:
@@ -241,6 +224,9 @@ def _write_events(args, events, path) -> None:
 
 
 def _run(args, *, reuse: bool = False, events: bool = False, extra_tools=()):
+    from repro.core import SigilConfig
+    from repro.harness import _profile
+
     # Asking for an event-file or trace output implies collecting events.
     events = events or bool(
         getattr(args, "events_out", None) or getattr(args, "trace_out", None)
@@ -258,6 +244,8 @@ def _run(args, *, reuse: bool = False, events: bool = False, extra_tools=()):
 
 
 def cmd_profile(args) -> int:
+    from repro.io import dump_callgrind, dump_profile
+
     run = _run(args)
     profile = run.sigil
     print(
@@ -297,6 +285,8 @@ def cmd_profile(args) -> int:
 
 
 def _print_summary(profile, top: int) -> None:
+    from repro.analysis import CDFG, render_table
+
     cdfg = CDFG(profile)
     rows = []
     ranked = sorted(
@@ -321,6 +311,9 @@ def _print_summary(profile, top: int) -> None:
 
 
 def cmd_report(args) -> int:
+    from repro.analysis import CDFG, render_calltree, render_table
+    from repro.io import load_profile
+
     profile = load_profile(args.profile)
     _print_summary(profile, args.top)
     if args.tree:
@@ -353,6 +346,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from repro.analysis import (
+        BusModel,
+        PartitionPolicy,
+        coverage_report,
+        render_table,
+        trim_calltree,
+    )
+    from repro.io import load_callgrind, load_profile
+
     run = None
     if args.profile and args.callgrind:
         sigil = load_profile(args.profile)
@@ -385,6 +387,17 @@ def cmd_partition(args) -> int:
 
 
 def cmd_reuse(args) -> int:
+    from repro.analysis import (
+        byte_reuse_breakdown,
+        lifetime_histogram,
+        render_barchart,
+        render_histogram,
+        render_table,
+        top_reuse_functions,
+        top_unique_contributors,
+    )
+    from repro.core import ReuseDistanceProfiler
+
     # --mrc's stack distances ride in the same run as Sigil and Callgrind.
     distance = ReuseDistanceProfiler(64)
     run = _run(args, reuse=True, extra_tools=[distance] if args.mrc else [])
@@ -449,6 +462,11 @@ def cmd_reuse(args) -> int:
 
 def cmd_run(args) -> int:
     """Assemble and profile a user program (see repro.vm.asm for syntax)."""
+    from repro.analysis import render_table, trim_calltree
+    from repro.callgrind import CallgrindCollector
+    from repro.core import SigilConfig, SigilProfiler
+    from repro.harness import _drive
+    from repro.io import dump_profile
     from repro.vm import Machine
     from repro.vm.asm import assemble
 
@@ -524,7 +542,8 @@ def cmd_figures(args) -> int:
 
 def cmd_diff(args) -> int:
     """Compare two saved profiles (callgrind_diff analogue)."""
-    from repro.analysis import diff_profiles
+    from repro.analysis import diff_profiles, render_table
+    from repro.io import load_profile
 
     baseline = load_profile(args.baseline)
     subject = load_profile(args.subject)
@@ -558,18 +577,26 @@ def cmd_diff(args) -> int:
 
 
 def cmd_critpath(args) -> int:
+    from repro.analysis import (
+        ChunkSource,
+        analyze_critical_path,
+        events_to_dot,
+        render_table,
+        speedup_curve,
+    )
+    from repro.io import load_event_arrays
+
     tree = None
     run = None
     if Path(args.target).exists():
         name = Path(args.target).stem
         try:
-            if args.dot:
-                # Rendering needs every segment row anyway; load them once.
+            if args.dot or args.cores:
+                # Rendering and scheduling need every segment row anyway;
+                # load them once and hand the arrays to each analysis.
                 events = load_event_arrays(args.target)
             else:
-                # Out-of-core: the analyses stream the file chunk-at-a-time.
-                from repro.analysis.streaming import ChunkSource
-
+                # Out-of-core: the analysis streams the file chunk-at-a-time.
                 events = ChunkSource(args.target)
             result = analyze_critical_path(
                 events, telemetry=_telemetry_from(args)
@@ -578,6 +605,8 @@ def cmd_critpath(args) -> int:
             log.error("cannot analyse %s: %s", args.target, exc)
             return 2
     else:
+        from repro.workloads import WORKLOADS
+
         if args.target not in WORKLOADS:
             log.error(
                 "%r is neither an event file nor a workload name", args.target
@@ -636,6 +665,9 @@ def _fmt_metric_value(value) -> str:
 
 def cmd_stats(args) -> int:
     """Render and compare run manifests written by telemetry-enabled runs."""
+    from repro.analysis import render_table
+    from repro.telemetry import Manifest
+
     manifests = []
     for path in args.manifests:
         try:
@@ -730,10 +762,12 @@ def cmd_trace(args) -> int:
     from repro.io import (
         dumps_chrome,
         events_to_chrome,
+        load_event_arrays,
         manifest_to_chrome,
         profile_to_collapsed,
     )
     from repro.io.profilefile import loads_profile
+    from repro.telemetry import Manifest
 
     source = Path(args.input)
     try:
@@ -854,7 +888,7 @@ def _campaign_store(args):
 def _campaign_spec_from(args):
     """Build the campaign spec from ``--spec`` or the matrix flags."""
     from repro.campaign import CampaignSpec
-    from repro.workloads import ALL_NAMES as _ALL
+    from repro.workloads import ALL_NAMES
 
     if getattr(args, "spec", None):
         spec = CampaignSpec.load(args.spec)
@@ -865,7 +899,7 @@ def _campaign_spec_from(args):
     if not getattr(args, "workloads", None):
         raise ValueError("campaign run needs --spec FILE or --workloads LIST")
     workloads = (
-        list(_ALL) if args.workloads == "all" else args.workloads.split(",")
+        list(ALL_NAMES) if args.workloads == "all" else args.workloads.split(",")
     )
     configs = [json.loads(c) for c in (args.config or [])]
     return CampaignSpec.from_lists(

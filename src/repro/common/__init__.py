@@ -1,5 +1,9 @@
 """Structures shared by multiple tools (calling-context tree, ...)."""
 
-from repro.common.cct import INVALID_CTX, ROOT_NAME, ContextNode, ContextTree
+from repro._lazy import lazy_exports
 
-__all__ = ["INVALID_CTX", "ROOT_NAME", "ContextNode", "ContextTree"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.cct": (
+        "INVALID_CTX", "ROOT_NAME", "ContextNode", "ContextTree",
+    ),
+})

@@ -1,49 +1,19 @@
 """Sigil core: shadow-memory communication profiling."""
 
-from repro.core.aggregate import CommEdge, CommMatrix, FnComm
-from repro.core.config import SigilConfig
-from repro.core.distance import COLD, ReuseDistanceProfiler
-from repro.core.linegrain import LineRecord, LineReuseProfiler
-from repro.core.profiler import ShadowStats, SigilProfile, SigilProfiler
-from repro.core.reuse import (
-    REUSE_BUCKET_BOUNDS,
-    REUSE_BUCKET_LABELS,
-    FnReuse,
-    ReuseStats,
-    bucketise_counts,
-)
-from repro.core.segments import (
-    EDGE_CALL,
-    EDGE_DATA,
-    EDGE_ORDER,
-    EventArrays,
-    Segment,
-)
-from repro.core.shadow import SHADOW_PAGE_SIZE, ShadowMemory, ShadowPage
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommEdge",
-    "CommMatrix",
-    "FnComm",
-    "SigilConfig",
-    "COLD",
-    "ReuseDistanceProfiler",
-    "LineRecord",
-    "LineReuseProfiler",
-    "ShadowStats",
-    "SigilProfile",
-    "SigilProfiler",
-    "REUSE_BUCKET_BOUNDS",
-    "REUSE_BUCKET_LABELS",
-    "FnReuse",
-    "ReuseStats",
-    "bucketise_counts",
-    "EDGE_CALL",
-    "EDGE_DATA",
-    "EDGE_ORDER",
-    "EventArrays",
-    "Segment",
-    "SHADOW_PAGE_SIZE",
-    "ShadowMemory",
-    "ShadowPage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.aggregate": ("CommEdge", "CommMatrix", "FnComm"),
+    "repro.core.config": ("SigilConfig",),
+    "repro.core.distance": ("COLD", "ReuseDistanceProfiler"),
+    "repro.core.linegrain": ("LineRecord", "LineReuseProfiler"),
+    "repro.core.profiler": ("ShadowStats", "SigilProfile", "SigilProfiler"),
+    "repro.core.reuse": (
+        "REUSE_BUCKET_BOUNDS", "REUSE_BUCKET_LABELS", "FnReuse", "ReuseStats",
+        "bucketise_counts",
+    ),
+    "repro.core.segments": (
+        "EDGE_CALL", "EDGE_DATA", "EDGE_ORDER", "EventArrays", "Segment",
+    ),
+    "repro.core.shadow": ("SHADOW_PAGE_SIZE", "ShadowMemory", "ShadowPage"),
+})

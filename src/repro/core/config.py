@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["SigilConfig"]
+__all__ = ["DEFAULT_WINDOW_OPS", "SigilConfig"]
+
+#: Default window width, in operations, of the time-resolved curves
+#: (:mod:`repro.analysis.windowed`).  It lives here, with the other
+#: standard-library-only knobs, so the CLI's ``--window`` default costs no
+#: numpy import.
+DEFAULT_WINDOW_OPS = 4096
 
 
 @dataclass(frozen=True)

@@ -1,63 +1,26 @@
 """Profile and event-file persistence."""
 
-from repro.io.callgrindfile import (
-    dump_callgrind,
-    dumps_callgrind,
-    load_callgrind,
-    loads_callgrind,
-)
-from repro.io.eventbin import (
-    BinaryEventWriter,
-    dump_events_bin,
-    dumps_events_bin,
-    iter_event_chunks,
-    load_event_arrays,
-)
-from repro.io.eventfile import dump_events, dumps_events
-from repro.io.kcachegrind import export_callgrind, export_sigil
-from repro.io.profilefile import (
-    dump_profile,
-    dumps_profile,
-    load_profile,
-    loads_profile,
-)
-from repro.io.tracefmt import (
-    curves_to_chrome,
-    dump_chrome,
-    dump_collapsed,
-    dumps_chrome,
-    dumps_collapsed,
-    events_to_chrome,
-    manifest_to_chrome,
-    profile_to_collapsed,
-    spans_to_chrome,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "dump_callgrind",
-    "dumps_callgrind",
-    "load_callgrind",
-    "loads_callgrind",
-    "BinaryEventWriter",
-    "dump_events",
-    "dump_events_bin",
-    "dumps_events",
-    "dumps_events_bin",
-    "export_callgrind",
-    "export_sigil",
-    "iter_event_chunks",
-    "load_event_arrays",
-    "dump_profile",
-    "dumps_profile",
-    "load_profile",
-    "loads_profile",
-    "curves_to_chrome",
-    "dump_chrome",
-    "dump_collapsed",
-    "dumps_chrome",
-    "dumps_collapsed",
-    "events_to_chrome",
-    "manifest_to_chrome",
-    "profile_to_collapsed",
-    "spans_to_chrome",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.io.callgrindfile": (
+        "dump_callgrind", "dumps_callgrind", "load_callgrind",
+        "loads_callgrind",
+    ),
+    "repro.io.eventbin": (
+        "BinaryEventWriter", "dump_events_bin", "dumps_events_bin",
+        "iter_event_chunks", "load_event_arrays",
+    ),
+    "repro.io.eventfile": ("dump_events", "dumps_events"),
+    "repro.io.kcachegrind": ("export_callgrind", "export_sigil"),
+    "repro.io.profilefile": (
+        "dump_profile", "dumps_profile", "load_profile", "loads_profile",
+    ),
+    "repro.io.tracefmt.chrome": (
+        "curves_to_chrome", "dump_chrome", "dumps_chrome", "events_to_chrome",
+        "manifest_to_chrome", "spans_to_chrome",
+    ),
+    "repro.io.tracefmt.collapsed": (
+        "dump_collapsed", "dumps_collapsed", "profile_to_collapsed",
+    ),
+})

@@ -18,36 +18,16 @@ telemetry) in formats existing tools open unmodified:
   by ops or by the paper's communication byte classes.
 """
 
-from repro.io.tracefmt.chrome import (
-    PIPELINE_PID,
-    CounterTrack,
-    curves_to_chrome,
-    dump_chrome,
-    dumps_chrome,
-    events_to_chrome,
-    manifest_to_chrome,
-    spans_to_chrome,
-    synthesize_spans,
-)
-from repro.io.tracefmt.collapsed import (
-    COLLAPSED_WEIGHTS,
-    dump_collapsed,
-    dumps_collapsed,
-    profile_to_collapsed,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PIPELINE_PID",
-    "CounterTrack",
-    "curves_to_chrome",
-    "dump_chrome",
-    "dumps_chrome",
-    "events_to_chrome",
-    "manifest_to_chrome",
-    "spans_to_chrome",
-    "synthesize_spans",
-    "COLLAPSED_WEIGHTS",
-    "dump_collapsed",
-    "dumps_collapsed",
-    "profile_to_collapsed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.io.tracefmt.chrome": (
+        "PIPELINE_PID", "CounterTrack", "curves_to_chrome", "dump_chrome",
+        "dumps_chrome", "events_to_chrome", "manifest_to_chrome",
+        "spans_to_chrome", "synthesize_spans",
+    ),
+    "repro.io.tracefmt.collapsed": (
+        "COLLAPSED_WEIGHTS", "dump_collapsed", "dumps_collapsed",
+        "profile_to_collapsed",
+    ),
+})

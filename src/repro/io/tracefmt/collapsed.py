@@ -26,9 +26,10 @@ the profile's total unique input bytes.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Union
 
-from repro.core.profiler import SigilProfile
+if TYPE_CHECKING:  # the weights only read a profile; `--weight` needs no profiler
+    from repro.core.profiler import SigilProfile
 
 __all__ = ["COLLAPSED_WEIGHTS", "profile_to_collapsed", "dumps_collapsed", "dump_collapsed"]
 

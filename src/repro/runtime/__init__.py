@@ -1,7 +1,11 @@
 """Traced-Python runtime substrate used by the synthetic workload suite."""
 
-from repro.runtime.decorators import traced
-from repro.runtime.memory import Arena, Buffer
-from repro.runtime.runtime import RuntimeError_, TracedRuntime, run_interleaved
+from repro._lazy import lazy_exports
 
-__all__ = ["traced", "Arena", "Buffer", "RuntimeError_", "TracedRuntime", "run_interleaved"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.decorators": ("traced",),
+    "repro.runtime.memory": ("Arena", "Buffer"),
+    "repro.runtime.runtime": (
+        "RuntimeError_", "TracedRuntime", "run_interleaved",
+    ),
+})

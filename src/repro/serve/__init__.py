@@ -18,21 +18,11 @@ Everything is standard library: ``http.server`` threads, ``queue`` fan-out,
 and the lock-guarded JSONL appends the campaign engine already uses.
 """
 
-from repro.serve.app import ReproServer, create_server, serve_forever
-from repro.serve.jobs import JobManager, ServeJob, TERMINAL_EVENTS
-from repro.serve.promfmt import ServeMetrics, render_prometheus
-from repro.serve.sse import EventBroker, JobChannel, format_sse
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproServer",
-    "create_server",
-    "serve_forever",
-    "JobManager",
-    "ServeJob",
-    "TERMINAL_EVENTS",
-    "ServeMetrics",
-    "render_prometheus",
-    "EventBroker",
-    "JobChannel",
-    "format_sse",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.app": ("ReproServer", "create_server", "serve_forever"),
+    "repro.serve.jobs": ("JobManager", "ServeJob", "TERMINAL_EVENTS"),
+    "repro.serve.promfmt": ("ServeMetrics", "render_prometheus"),
+    "repro.serve.sse": ("EventBroker", "JobChannel", "format_sse"),
+})

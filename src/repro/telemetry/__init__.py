@@ -17,39 +17,22 @@ Quick start::
     run.manifest.write("vips.manifest.json")
 """
 
-from repro.telemetry.counting import EventCounter
-from repro.telemetry.heartbeat import CLOCK_CHECK_INTERVAL, HeartbeatObserver
-from repro.telemetry.jsonl import append_jsonl, read_jsonl
-from repro.telemetry.manifest import (
-    MANIFEST_SCHEMA,
-    Manifest,
-    build_manifest,
-    config_hash,
-    git_rev,
-)
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricRegistry
-from repro.telemetry.prometheus import render_prometheus
-from repro.telemetry.session import NULL_TELEMETRY, NullTelemetry, Telemetry
-from repro.telemetry.timers import PhaseTimer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventCounter",
-    "append_jsonl",
-    "read_jsonl",
-    "CLOCK_CHECK_INTERVAL",
-    "HeartbeatObserver",
-    "MANIFEST_SCHEMA",
-    "Manifest",
-    "build_manifest",
-    "config_hash",
-    "git_rev",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "render_prometheus",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "Telemetry",
-    "PhaseTimer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.counting": ("EventCounter",),
+    "repro.telemetry.heartbeat": ("CLOCK_CHECK_INTERVAL", "HeartbeatObserver"),
+    "repro.telemetry.jsonl": ("append_jsonl", "read_jsonl"),
+    "repro.telemetry.manifest": (
+        "MANIFEST_SCHEMA", "Manifest", "build_manifest", "config_hash",
+        "git_rev",
+    ),
+    "repro.telemetry.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricRegistry",
+    ),
+    "repro.telemetry.prometheus": ("render_prometheus",),
+    "repro.telemetry.session": (
+        "NULL_TELEMETRY", "NullTelemetry", "Telemetry",
+    ),
+    "repro.telemetry.timers": ("PhaseTimer",),
+})

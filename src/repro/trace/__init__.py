@@ -1,50 +1,15 @@
 """Trace primitives: the event stream substrates emit and tools consume."""
 
-from repro.trace.events import (
-    Branch,
-    FnEnter,
-    FnExit,
-    MemRead,
-    MemWrite,
-    Op,
-    OpKind,
-    SyscallEnter,
-    SyscallExit,
-    ThreadSwitch,
-    TraceEvent,
-)
-from repro.trace.batch import DEFAULT_BATCH_SIZE, BatchingTransport
-from repro.trace.observer import (
-    MEM_READ,
-    MEM_WRITE,
-    BaseObserver,
-    NullObserver,
-    ObserverPipe,
-    RecordingObserver,
-    TraceObserver,
-    replay,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "BatchingTransport",
-    "MEM_READ",
-    "MEM_WRITE",
-    "Branch",
-    "FnEnter",
-    "FnExit",
-    "MemRead",
-    "MemWrite",
-    "Op",
-    "OpKind",
-    "SyscallEnter",
-    "SyscallExit",
-    "ThreadSwitch",
-    "TraceEvent",
-    "BaseObserver",
-    "NullObserver",
-    "ObserverPipe",
-    "RecordingObserver",
-    "TraceObserver",
-    "replay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.events": (
+        "Branch", "FnEnter", "FnExit", "MemRead", "MemWrite", "Op", "OpKind",
+        "SyscallEnter", "SyscallExit", "ThreadSwitch", "TraceEvent",
+    ),
+    "repro.trace.batch": ("DEFAULT_BATCH_SIZE", "BatchingTransport"),
+    "repro.trace.observer": (
+        "MEM_READ", "MEM_WRITE", "BaseObserver", "NullObserver",
+        "ObserverPipe", "RecordingObserver", "TraceObserver", "replay",
+    ),
+})

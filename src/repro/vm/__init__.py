@@ -5,35 +5,15 @@ a deterministic source of function entries/exits, memory accesses, and
 operation counts that Sigil and the Callgrind-equivalent observe.
 """
 
-from repro.vm.builder import FunctionBuilder, Label, ProgramBuilder
-from repro.vm.errors import (
-    ExecutionLimitExceeded,
-    InvalidRegisterError,
-    MemoryFault,
-    ProgramError,
-    UnknownFunctionError,
-    UnknownLabelError,
-    VMError,
-)
-from repro.vm.machine import Machine, MachineResult
-from repro.vm.memory import PAGE_SIZE, FlatMemory
-from repro.vm.program import Function, Program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FunctionBuilder",
-    "Label",
-    "ProgramBuilder",
-    "ExecutionLimitExceeded",
-    "InvalidRegisterError",
-    "MemoryFault",
-    "ProgramError",
-    "UnknownFunctionError",
-    "UnknownLabelError",
-    "VMError",
-    "Machine",
-    "MachineResult",
-    "PAGE_SIZE",
-    "FlatMemory",
-    "Function",
-    "Program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.vm.builder": ("FunctionBuilder", "Label", "ProgramBuilder"),
+    "repro.vm.errors": (
+        "ExecutionLimitExceeded", "InvalidRegisterError", "MemoryFault",
+        "ProgramError", "UnknownFunctionError", "UnknownLabelError", "VMError",
+    ),
+    "repro.vm.machine": ("Machine", "MachineResult"),
+    "repro.vm.memory": ("PAGE_SIZE", "FlatMemory"),
+    "repro.vm.program": ("Function", "Program"),
+})

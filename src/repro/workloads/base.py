@@ -23,12 +23,13 @@ from __future__ import annotations
 import abc
 import enum
 import zlib
-from typing import Any, ClassVar, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.runtime.runtime import TracedRuntime
-from repro.trace.observer import TraceObserver
+if TYPE_CHECKING:
+    from repro.runtime.runtime import TracedRuntime
+    from repro.trace.observer import TraceObserver
 
 __all__ = ["InputSize", "Workload"]
 
@@ -77,6 +78,10 @@ class Workload(abc.ABC):
 
     def run(self, observer: Optional[TraceObserver] = None) -> TracedRuntime:
         """Execute the workload under ``observer`` and return the runtime."""
+        # Imported here so `InputSize` (the CLI's --size choices) loads
+        # without the runtime; every subclass module imports it anyway.
+        from repro.runtime.runtime import TracedRuntime
+
         rt = TracedRuntime(observer)
         with rt.run("main"):
             self.main(rt)
