@@ -13,10 +13,18 @@ from launch to exit, alternating two sides run by run:
 * ``transport`` -- the same command with every pipe behind a
   :class:`~repro.trace.batch.BatchingTransport`.  The bench builds that
   variant itself, in the child, by replacing ``repro.harness.transport_for``;
-  the package keeps no switch for it.
+  the package keeps no switch for it;
+* ``parent`` (with ``--parent DIR``) -- the shipped command run from
+  ``DIR/src``, another checkout of the package (say, a ``git archive`` of
+  the parent commit), so a change is timed against its parent under the
+  same host load.
 
-Both sides must write byte-identical profile, event and Callgrind files;
-the bench exits non-zero if they differ.  It writes, per program and side,
+Each repeat starts with the next side in turn.  The shipped and transport
+sides must write byte-identical profile, event and Callgrind files; the
+bench exits non-zero if they differ.  Against a parent it reports, per
+program, whether the parent wrote the same bytes and in how many repeats
+the shipped run beat the parent's (``change_wins``).  It writes, per
+program and side,
 the median and quartiles of the process wall seconds, the median of the
 child's peak resident set size (``ru_maxrss`` from :func:`os.wait4`) and
 the median of the manifest's setup/execute/aggregate seconds (plus the
@@ -27,7 +35,7 @@ trajectory.
 Run::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [-o PATH]
-        [--repeats N] [--size SIZE] [--programs a,b,c]
+        [--repeats N] [--size SIZE] [--programs a,b,c] [--parent DIR]
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ("streamcluster", "facesim", "raytrace")
@@ -61,16 +70,17 @@ def _profile_args(program: str, size: str, stem: Path) -> list:
 
 
 def _command(side: str, args: list) -> list:
-    if side == "shipped":
-        return [sys.executable, "-m", "repro", *args]
-    return [sys.executable, str(Path(__file__).resolve()), "--child", *args]
+    if side == "transport":
+        return [sys.executable, str(Path(__file__).resolve()), "--child", *args]
+    return [sys.executable, "-m", "repro", *args]
 
 
-def _run_once(side: str, program: str, size: str, stem: Path) -> dict:
-    """One cold process: wall seconds, manifest numbers, output digests."""
+def _run_once(side: str, program: str, size: str, stem: Path, src: Path) -> dict:
+    """One cold process importing ``repro`` from ``src``: wall seconds,
+    manifest numbers, output digests."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(src), env.get("PYTHONPATH")) if p
     )
     command = _command(side, _profile_args(program, size, stem))
     start = time.perf_counter()
@@ -119,33 +129,57 @@ def _summary(runs: list) -> dict:
     return row
 
 
-def measure(programs, size: str, repeats: int, workdir: Path) -> dict:
-    """Alternate the two sides run by run; fail on any output difference."""
-    runs = {p: {side: [] for side in SIDES} for p in programs}
+def side_order(sides: tuple, repeat: int) -> tuple:
+    """The sides in the order repeat ``repeat`` runs them: each repeat
+    starts with the next side in turn."""
+    k = repeat % len(sides)
+    return sides[k:] + sides[:k]
+
+
+def _digests(runs: list) -> set:
+    return {r["digests"][out] for r in runs for out in OUTPUTS}
+
+
+def measure(
+    programs, size: str, repeats: int, workdir: Path,
+    parent: Optional[Path] = None,
+) -> dict:
+    """Run the sides in turn, repeat by repeat; fail on any output
+    difference between the shipped and transport sides."""
+    sides = SIDES + (("parent",) if parent is not None else ())
+    srcs = {side: ROOT / "src" for side in SIDES}
+    if parent is not None:
+        srcs["parent"] = parent / "src"
+    runs = {p: {side: [] for side in sides} for p in programs}
     for repeat in range(repeats):
-        order = SIDES if repeat % 2 == 0 else SIDES[::-1]
         for program in programs:
-            for side in order:
+            for side in side_order(sides, repeat):
                 stem = workdir / f"{program}-{side}"
                 runs[program][side].append(
-                    _run_once(side, program, size, stem)
+                    _run_once(side, program, size, stem, srcs[side])
                 )
     report = {}
     for program in programs:
-        digests = {
-            r["digests"][out]
-            for side in SIDES for r in runs[program][side]
-            for out in OUTPUTS
-        }
-        if len(digests) != len(OUTPUTS):
+        mine = runs[program]["shipped"] + runs[program]["transport"]
+        if len(_digests(mine)) != len(OUTPUTS):
             raise SystemExit(
                 f"{program}: the shipped and transport runs wrote different "
                 "bytes"
             )
         report[program] = {
-            side: _summary(runs[program][side]) for side in SIDES
+            side: _summary(runs[program][side]) for side in sides
         }
         report[program]["identical_output"] = True
+        if parent is not None:
+            theirs = runs[program]["parent"]
+            report[program]["vs_parent"] = {
+                "change_wins": sum(
+                    a["wall_s"] < b["wall_s"]
+                    for a, b in zip(runs[program]["shipped"], theirs)
+                ),
+                "repeats": repeats,
+                "identical_output": _digests(theirs) == _digests(mine),
+            }
     return report
 
 
@@ -176,12 +210,22 @@ def main(argv=None) -> int:
     parser.add_argument("--size", default="simlarge")
     parser.add_argument("--programs", default=",".join(PROGRAMS),
                         help="comma-separated workload names")
+    parser.add_argument(
+        "--parent", metavar="DIR", type=Path,
+        help="also run the shipped command from DIR/src, another checkout "
+             "of the package, and count the repeats this tree wins",
+    )
     args = parser.parse_args(argv)
     programs = [p for p in args.programs.split(",") if p]
+    if args.parent is not None and not (args.parent / "src" / "repro").is_dir():
+        parser.error(f"--parent: no package at {args.parent / 'src' / 'repro'}")
+    sides = SIDES + (("parent",) if args.parent is not None else ())
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-pipeline-"))
     try:
-        report = measure(programs, args.size, args.repeats, workdir)
+        report = measure(
+            programs, args.size, args.repeats, workdir, args.parent
+        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     out = {
@@ -194,7 +238,7 @@ def main(argv=None) -> int:
         "total_median_wall_s": {
             side: round(sum(r[side]["wall_s"]["median"]
                             for r in report.values()), 3)
-            for side in SIDES
+            for side in sides
         },
     }
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
@@ -204,8 +248,12 @@ def main(argv=None) -> int:
             f"{side} {row[side]['wall_s']['median']:.2f}s "
             f"[{row[side]['wall_s']['q1']:.2f}-{row[side]['wall_s']['q3']:.2f}] "
             f"{row[side]['peak_rss_mb']:.0f} MB"
-            for side in SIDES
+            for side in sides
         )
+        if "vs_parent" in row:
+            paired = row["vs_parent"]
+            cells += (f"  wins {paired['change_wins']}/{paired['repeats']}"
+                      f"{'' if paired['identical_output'] else ' (bytes differ)'}")
         print(f"{program:<14} {cells}")
     print(f"wrote {args.out}")
     return 0

@@ -20,7 +20,8 @@ in-memory log, a v2 file path, raw bytes) is wrapped as one, so in-memory
 logs and files larger than RAM take the same code path.  The DP advances
 one segment chunk at a time, takes the edges into that chunk from one
 :class:`~repro.analysis.streaming.EdgeCursor` per edge table, and keeps 16
-bytes of persistent state per segment.
+bytes of persistent state per segment.  The path comes out in columnar form
+too: an array of segment ids and, on demand, their ``SEG_DTYPE`` rows.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from repro.core.segments import (
     EDGE_DATA,
     EDGE_ORDER,
     OC_KIND_CALL,
+    SEG_DTYPE,
     EventArrays,
-    Segment,
 )
 from repro.analysis.streaming import (
     ChunkSource,
@@ -58,56 +59,50 @@ class CriticalPathResult:
     ``serial_length`` is the sum of all segment self-costs (the program's
     serial length), ``critical_length`` the longest dependent chain in
     operations, ``inclusive`` the per-segment inclusive cost (longest chain
-    from the start to it, an int64 array), and ``path`` the segments on
-    the critical path in execution order.  ``path`` is built lazily: the
-    result holds only the best-predecessor array until ``path`` is first
-    touched, which backtracks and then replays the segment chunks to gather
-    the path's rows.  On a million-segment log whose critical path covers
-    most of the program, building one ``Segment`` object per path node
-    costs more than the DP itself, and callers that only want the lengths
-    (the parallelism limit, benchmark comparisons) never pay it.
+    from the start to it, an int64 array), ``path`` the ids of the segments
+    on the critical path in execution order (an int64 array) and
+    ``path_rows`` their ``SEG_DTYPE`` rows, in the same order.
+
+    Both are built lazily: the result holds only the best-predecessor array
+    until ``path`` is first read, which backtracks from the path's end, and
+    ``path_rows`` costs one more pass over the segment chunks.  Callers that
+    only want the lengths (the parallelism limit, benchmark comparisons)
+    pay for neither.
     """
 
     def __init__(
         self,
         serial_length: int,
         critical_length: int,
-        path: Optional[List[Segment]],
-        inclusive: np.ndarray,
-    ):
-        self.serial_length = serial_length
-        self.critical_length = critical_length
-        self.inclusive = inclusive
-        self._path = path
-        self._source: Optional[ChunkSource] = None
-        self._best_pred: Optional[np.ndarray] = None
-        self._end = -1
-
-    @classmethod
-    def _deferred(
-        cls,
-        serial_length: int,
-        critical_length: int,
         inclusive: np.ndarray,
         source: ChunkSource,
         best_pred: np.ndarray,
         end: int,
-    ) -> "CriticalPathResult":
-        result = cls(serial_length, critical_length, None, inclusive)
-        result._source = source
-        result._best_pred = best_pred
-        result._end = end
-        return result
+    ):
+        self.serial_length = serial_length
+        self.critical_length = critical_length
+        self.inclusive = inclusive
+        self._source = source
+        self._best_pred: Optional[np.ndarray] = best_pred
+        self._end = end
+        self._path: Optional[np.ndarray] = None
+        self._path_rows: Optional[np.ndarray] = None
 
     @property
-    def path(self) -> List[Segment]:
-        """Segments on the critical path, in execution order."""
+    def path(self) -> np.ndarray:
+        """Ids of the segments on the critical path, in execution order."""
         if self._path is None:
-            assert self._best_pred is not None and self._source is not None
-            path_ids = _backtrack(self._best_pred, self._end)
+            assert self._best_pred is not None
+            self._path = _backtrack(self._best_pred, self._end)
             self._best_pred = None
-            self._path = _materialise_path(self._source, path_ids)
         return self._path
+
+    @property
+    def path_rows(self) -> np.ndarray:
+        """The ``SEG_DTYPE`` rows of :attr:`path`'s segments."""
+        if self._path_rows is None:
+            self._path_rows = _gather_rows(self._source, self.path)
+        return self._path_rows
 
     @property
     def max_parallelism(self) -> float:
@@ -121,8 +116,8 @@ class CriticalPathResult:
         (the presentation used for streamcluster and fluidanimate in IV-C)."""
         names: List[str] = []
         seen = set()
-        for seg in reversed(self.path):
-            name = tree.node(seg.ctx_id).name
+        for ctx in reversed(self.path_rows["ctx"].tolist()):
+            name = tree.node(ctx).name
             if name != "<root>" and name not in seen:
                 seen.add(name)
                 names.append(name)
@@ -155,7 +150,7 @@ def events_to_dot(
     ``max_segments`` highest-cost segments plus everything on the path.
     """
     result = result if result is not None else analyze_critical_path(events)
-    on_path = {seg.seg_id for seg in result.path}
+    on_path = set(result.path.tolist())
     keep = set(on_path)
     ctx = events.segs["ctx"].tolist()
     ops = events.segs["ops"].tolist()
@@ -327,21 +322,18 @@ def _longest_paths(
     oced.require_empty(done)
     data.require_empty(done)
 
-    inc = inclusive.view()
-    if not done:
-        return CriticalPathResult(0, 0, [], np.empty(0, dtype=np.int64))
-    end = int(np.argmax(inc))  # the first maximum
-    return CriticalPathResult._deferred(
+    inc = inclusive.view().copy()
+    return CriticalPathResult(
         serial_length=serial,
-        critical_length=int(inc[end]),
-        inclusive=inc.copy(),
+        critical_length=int(inc.max(initial=0)),
+        inclusive=inc,
         source=source,
         best_pred=best_pred.view().copy(),
-        end=end,
+        end=int(np.argmax(inc)) if done else -1,  # the first maximum
     )
 
 
-def _backtrack(best_pred: np.ndarray, end: int) -> List[int]:
+def _backtrack(best_pred: np.ndarray, end: int) -> np.ndarray:
     """Walk best-predecessor links from ``end`` back to a root."""
     path_ids: List[int] = []
     cursor = end
@@ -349,44 +341,27 @@ def _backtrack(best_pred: np.ndarray, end: int) -> List[int]:
         path_ids.append(cursor)
         cursor = int(best_pred[cursor])
     path_ids.reverse()
-    return path_ids
+    return np.array(path_ids, dtype=np.int64)
 
 
-def _materialise_path(
-    source: ChunkSource, path_ids: List[int]
-) -> List[Segment]:
+def _gather_rows(source: ChunkSource, path: np.ndarray) -> np.ndarray:
     """Gather the path's segment rows in one more pass over the chunks.
 
-    ``path_ids`` ascends (every best-predecessor link points backwards), so
-    each segment chunk contributes one contiguous slice of the path,
-    located with two binary searches -- the pass stays O(chunks) plus
-    O(path) gathered rows, and only path nodes are ever built as objects.
+    ``path`` ascends (every best-predecessor link points backwards), so
+    each segment chunk contributes one contiguous slice of it, located with
+    two binary searches: the pass stays O(chunks) plus O(path) rows.
     """
-    if not path_ids:
-        return []
-    wanted = np.asarray(path_ids, dtype=np.int64)
-    segments: List[Segment] = []
+    if not len(path):
+        return np.empty(0, dtype=SEG_DTYPE)
+    parts = []
     done = 0
     for _table, segs in source.chunks(tables=("segs",)):
         m = len(segs)
-        if not m:
-            continue
-        lo = int(np.searchsorted(wanted, done, side="left"))
-        hi = int(np.searchsorted(wanted, done + m, side="left"))
+        lo, hi = np.searchsorted(path, (done, done + m)).tolist()
         if hi > lo:
-            sel = wanted[lo:hi] - done
-            segments.extend(
-                map(
-                    Segment,
-                    wanted[lo:hi].tolist(),
-                    segs["ctx"][sel].tolist(),
-                    segs["call"][sel].tolist(),
-                    segs["start"][sel].tolist(),
-                    segs["ops"][sel].tolist(),
-                    segs["thread"][sel].tolist(),
-                )
-            )
+            parts.append(segs[path[lo:hi] - done])
         done += m
-    if len(segments) != len(path_ids):
+    rows = np.concatenate(parts) if parts else np.empty(0, dtype=SEG_DTYPE)
+    if len(rows) != len(path):
         raise ValueError("critical path refers to segments past the log end")
-    return segments
+    return rows

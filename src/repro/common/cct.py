@@ -163,7 +163,7 @@ class ContextCosts:
 
 class Frame:
     """One active call: its context, its call id, its cost record and, in
-    Sigil's event mode, the segment it is running in."""
+    Sigil's event mode, the id of the segment it is running in."""
 
     __slots__ = ("node", "call_id", "costs", "segment")
 
@@ -171,7 +171,7 @@ class Frame:
         self.node = node
         self.call_id = call_id
         self.costs = costs
-        self.segment = None
+        self.segment: Optional[int] = None
 
 
 class ContextTracker:

@@ -13,7 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "bucketise_counts",
     ),
     "repro.core.segments": (
-        "EDGE_CALL", "EDGE_DATA", "EDGE_ORDER", "EventArrays", "Segment",
+        "EDGE_CALL", "EDGE_DATA", "EDGE_ORDER", "EventArrays",
     ),
     "repro.core.shadow": ("SHADOW_PAGE_SIZE", "ShadowMemory", "ShadowPage"),
 })

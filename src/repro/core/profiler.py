@@ -31,19 +31,35 @@ once and splices the new records back in.
 Time is counted in retired instructions, "an architecture-independent proxy
 for execution time" (section IV-B): every operation, memory access, and
 branch advances the clock.
+
+In event mode the profiler also records the run as segments joined by
+order, call and data edges (see :mod:`repro.core.segments`).  It writes the
+log straight into columns: one list per segment field, a segment's id being
+its row, order/call edges as ``(kind, src, dst)`` rows, and data bytes
+summed per ``(src, dst)`` pair.  :meth:`SigilProfiler.profile` turns them
+into :class:`~repro.core.segments.EventArrays` once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.cct import SYSCALL_PREFIX, ContextNode, ContextTracker, ContextTree
 from repro.core.aggregate import CommMatrix, FnComm
 from repro.core.config import SigilConfig
 from repro.core.reuse import ReuseStats
-from repro.core.segments import EventArrays, EventLog
+from repro.core.segments import (
+    DATA_EDGE_DTYPE,
+    OC_EDGE_DTYPE,
+    OC_KIND_CALL,
+    OC_KIND_ORDER,
+    SEG_DTYPE,
+    EventArrays,
+)
 from repro.core.shadow import (
     SHADOW_PAGE_SIZE,
     ShadowMemory,
@@ -167,7 +183,19 @@ class SigilProfiler(BaseObserver):
         self.reuse: Optional[ReuseStats] = (
             ReuseStats() if self.config.reuse_mode else None
         )
-        self.events: Optional[EventLog] = EventLog() if self.config.event_mode else None
+        self.event_mode = self.config.event_mode
+        # The event log's columns (see the module docstring).  Data edges
+        # are a dict because one segment usually consumes many bytes from
+        # the same producer.
+        self._seg_ctx: List[int] = []
+        self._seg_call: List[int] = []
+        self._seg_start: List[int] = []
+        self._seg_ops: List[int] = []
+        self._seg_thread: List[int] = []
+        self._ordercall: List[Tuple[int, int, int]] = []
+        self._data: Optional[Dict[Tuple[int, int], int]] = (
+            {} if self.event_mode else None
+        )
         self.shadow = ShadowMemory(
             reuse_mode=self.config.reuse_mode,
             event_mode=self.config.event_mode,
@@ -195,37 +223,42 @@ class SigilProfiler(BaseObserver):
         # thread's root frame starts a segment.
         self.contexts.on_thread_switch(tid)
         frame = self.contexts.frame
-        if self.events is not None and frame.segment is None:
-            frame.segment = self.events.new_segment(
-                0, frame.call_id, self.time, thread=tid
-            )
+        if self.event_mode and frame.segment is None:
+            frame.segment = self._open_segment(0, frame.call_id)
 
     # -- function structure --------------------------------------------------
+
+    def _open_segment(self, ctx: int, call: int) -> int:
+        """Append a segment of ``call`` starting now on the current thread;
+        return its id."""
+        seg = len(self._seg_ops)
+        self._seg_ctx.append(ctx)
+        self._seg_call.append(call)
+        self._seg_start.append(self.time)
+        self._seg_ops.append(0)
+        self._seg_thread.append(self.contexts.tid)
+        return seg
 
     def on_fn_enter(self, name: str) -> None:
         # In event mode every frame is running in a segment.
         contexts = self.contexts
-        caller = contexts.frame
+        caller = contexts.frame.segment
         contexts.on_fn_enter(name)
-        if self.events is not None:
+        if self.event_mode:
             frame = contexts.frame
-            frame.segment = self.events.new_segment(
-                frame.node.id, frame.call_id, self.time, thread=contexts.tid
-            )
-            self.events.add_call_edge(caller.segment.seg_id, frame.segment.seg_id)
+            frame.segment = self._open_segment(frame.node.id, frame.call_id)
+            self._ordercall.append((OC_KIND_CALL, caller, frame.segment))
 
     def on_fn_exit(self, name: str) -> None:
         contexts = self.contexts
         contexts.on_fn_exit(name)
-        if self.events is not None:
+        if self.event_mode:
             # The resumed caller continues in a fresh segment, conservatively
             # ordered after its previous fragment (Figure 3).
             resumed = contexts.frame
             prev = resumed.segment
-            resumed.segment = self.events.new_segment(
-                resumed.node.id, resumed.call_id, self.time, thread=contexts.tid
-            )
-            self.events.add_order_edge(prev.seg_id, resumed.segment.seg_id)
+            resumed.segment = self._open_segment(resumed.node.id, resumed.call_id)
+            self._ordercall.append((OC_KIND_ORDER, prev, resumed.segment))
 
     # -- computation -----------------------------------------------------------
 
@@ -234,7 +267,7 @@ class SigilProfiler(BaseObserver):
         self.contexts.on_op(kind, count)
         seg = self.contexts.frame.segment
         if seg is not None:
-            seg.ops += count
+            self._seg_ops[seg] += count
 
     def on_branch(self, site: int, taken: bool) -> None:
         self.time += 1
@@ -288,7 +321,7 @@ class SigilProfiler(BaseObserver):
         rec = list(layout.initial)
         rec[layout.writer] = cur.node.id
         if layout.writer_seg is not None:
-            rec[layout.writer_seg] = cur.segment.seg_id
+            rec[layout.writer_seg] = cur.segment
         record = layout.struct.pack(*rec)
         reuse = self.reuse
         lo_unit = addr >> self._unit_shift
@@ -313,7 +346,7 @@ class SigilProfiler(BaseObserver):
         scale = self._unit_size
         now = self.time
         reuse = self.reuse
-        events = self.events
+        edges = self._data
         comm = self.comm
         fmt, _, writer_i, reader_i, call_i, seg_i, count_i, first_i, last_i = (
             self._layout
@@ -355,7 +388,7 @@ class SigilProfiler(BaseObserver):
                         reused += n
                 else:
                     unique.append((rec[writer_i], n))
-                    if events is not None and rec[seg_i] >= 0:
+                    if edges is not None and rec[seg_i] >= 0:
                         data.append((rec[seg_i], n))
                 if reuse is not None:
                     if rec[call_i] != call_id:
@@ -384,8 +417,10 @@ class SigilProfiler(BaseObserver):
                 closed.sort()
             for writer, n in unique:
                 comm.add(writer, ctx, unique=n * scale)
-            for src_seg, n in data:
-                events.add_data_bytes(src_seg, cur.segment.seg_id, n * scale)
+            dst = cur.segment
+            for src, n in data:
+                if src != dst:  # a segment reading its own writes: no edge
+                    edges[src, dst] = edges.get((src, dst), 0) + n * scale
             for writer, n in nonunique:
                 comm.add(writer, ctx, nonunique=n * scale)
             for window in closed:
@@ -483,7 +518,26 @@ class SigilProfiler(BaseObserver):
             self.functions,
             self.comm,
             self.reuse,
-            self.events.to_arrays() if self.events is not None else None,
+            self._event_arrays() if self.event_mode else None,
             stats,
             self.time,
+        )
+
+    def _event_arrays(self) -> EventArrays:
+        """The event log so far as :class:`EventArrays`."""
+        segs = np.empty(len(self._seg_ops), dtype=SEG_DTYPE)
+        segs["ctx"] = self._seg_ctx
+        segs["call"] = self._seg_call
+        segs["start"] = self._seg_start
+        segs["ops"] = self._seg_ops
+        segs["thread"] = self._seg_thread
+        data = self._data
+        return EventArrays(
+            segs=segs,
+            ordercall=np.array(self._ordercall, dtype=OC_EDGE_DTYPE),
+            data=np.fromiter(
+                ((src, dst, n) for (src, dst), n in data.items()),
+                dtype=DATA_EDGE_DTYPE,
+                count=len(data),
+            ),
         )

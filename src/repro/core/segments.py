@@ -5,8 +5,8 @@ transfers that occur.  In the latter representation, a program's essence can
 be reconstructed as a sequence of dependent 'events'.  These events are
 fragments of computation separated by data transfer edges." (section II-B)
 
-A :class:`Segment` is one such fragment: a maximal interval during which a
-single function call executes without an intervening call or return.  Every
+A segment is one such fragment: a maximal interval during which a single
+function call executes without an intervening call or return.  Every
 function entry or resumption opens a new segment, implementing Figure 3's
 "we add the second occurrence of A as a separate node although it belongs to
 the same call".
@@ -24,22 +24,21 @@ Order and call edges point forward in time.  Data edges of a serial run do
 too, but a threaded run can carry backward ones: a long-lived segment on one
 thread consumes bytes that a younger segment on another thread produced.
 
-The log leaves the profiler as :class:`EventArrays`, one NumPy table per
-record kind; :class:`EventLog` is only the append-only builder the profiler
-fills during a run.  :func:`check_rows` is the structural rule every reader
+:class:`EventArrays` is the one in-memory form of the log, one NumPy table
+per record kind: the profiler appends to plain columns during a run and
+hands them over as :class:`EventArrays`; readers, writers and analyses take
+nothing else.  :func:`check_rows` is the structural rule every reader
 enforces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Segment",
-    "EventLog",
     "EventArrays",
     "as_event_arrays",
     "check_rows",
@@ -59,6 +58,10 @@ EDGE_CALL = "call"
 EDGE_DATA = "data"
 
 #: Columnar segment record; the segment id is the row index (ids are dense).
+#: ``ctx`` and ``call`` name the function context and call the fragment
+#: belongs to, ``start`` is the clock when it opened, ``ops`` its self cost
+#: (Figure 3's "number of operations performed within the call") and
+#: ``thread`` the virtual thread it ran on (0 for serial programs).
 SEG_DTYPE = np.dtype(
     [
         ("ctx", "<i8"),
@@ -76,75 +79,6 @@ OC_KIND_ORDER = 0
 OC_KIND_CALL = 1
 
 DATA_EDGE_DTYPE = np.dtype([("src", "<i8"), ("dst", "<i8"), ("bytes", "<i8")])
-
-
-@dataclass
-class Segment:
-    """One fragment of a function call's computation."""
-
-    seg_id: int
-    ctx_id: int
-    call_id: int
-    start_time: int
-    #: Self cost: operations retired within the fragment (Figure 3's
-    #: "number of operations performed within the call").
-    ops: int = 0
-    #: Virtual thread the fragment ran on (0 for serial programs).
-    thread: int = 0
-
-
-class EventLog:
-    """Append-only builder of an event log during a run.
-
-    The profiler grows the current segment's ``ops`` in place, so segments
-    are objects here; :meth:`to_arrays` hands the finished log on as
-    :class:`EventArrays`, the only form readers, writers and analyses take.
-    """
-
-    def __init__(self) -> None:
-        self.segments: List[Segment] = []
-        self._order_call: List[Tuple[int, int, int]] = []
-        # (src, dst) -> bytes for data edges; aggregated because one segment
-        # usually consumes many bytes from the same producer.
-        self._data: Dict[Tuple[int, int], int] = {}
-
-    def new_segment(
-        self, ctx_id: int, call_id: int, time: int, thread: int = 0
-    ) -> Segment:
-        seg = Segment(len(self.segments), ctx_id, call_id, time, thread=thread)
-        self.segments.append(seg)
-        return seg
-
-    def add_order_edge(self, src: int, dst: int) -> None:
-        self._order_call.append((OC_KIND_ORDER, src, dst))
-
-    def add_call_edge(self, src: int, dst: int) -> None:
-        self._order_call.append((OC_KIND_CALL, src, dst))
-
-    def add_data_bytes(self, src: int, dst: int, count: int) -> None:
-        if src == dst or count <= 0:
-            return
-        key = (src, dst)
-        self._data[key] = self._data.get(key, 0) + count
-
-    def to_arrays(self) -> "EventArrays":
-        """The log so far as :class:`EventArrays`."""
-        return EventArrays(
-            segs=np.fromiter(
-                (
-                    (s.ctx_id, s.call_id, s.start_time, s.ops, s.thread)
-                    for s in self.segments
-                ),
-                dtype=SEG_DTYPE,
-                count=len(self.segments),
-            ),
-            ordercall=np.array(self._order_call, dtype=OC_EDGE_DTYPE),
-            data=np.fromiter(
-                ((src, dst, n) for (src, dst), n in self._data.items()),
-                dtype=DATA_EDGE_DTYPE,
-                count=len(self._data),
-            ),
-        )
 
 
 @dataclass
@@ -253,8 +187,11 @@ def check_rows(
         raise ValueError(bad[1])
 
 
-def as_event_arrays(events: Union[EventLog, EventArrays]) -> EventArrays:
-    """Coerce a builder or an :class:`EventArrays` to the columnar form."""
-    if isinstance(events, EventLog):
-        return events.to_arrays()
+def as_event_arrays(events: EventArrays) -> EventArrays:
+    """Return ``events`` unchanged.
+
+    An identity kept only for the two benchmark scripts that still import
+    it (``perfbench/calibrate.py`` and ``perfbench/make_reference.py``);
+    it goes once they drop the import.
+    """
     return events

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import Dict, Optional, TextIO
+from typing import TYPE_CHECKING, Dict, Optional, TextIO
 
-from repro.telemetry.heartbeat import HeartbeatObserver
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.telemetry.timers import PhaseTimer
+
+if TYPE_CHECKING:
+    from repro.telemetry.heartbeat import HeartbeatObserver
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
 
@@ -73,6 +75,8 @@ class Telemetry:
         """A heartbeat observer for this run, or None when not configured."""
         if self.heartbeat_events is None and self.heartbeat_seconds is None:
             return None
+        from repro.telemetry.heartbeat import HeartbeatObserver
+
         return HeartbeatObserver(
             label,
             every_events=self.heartbeat_events,

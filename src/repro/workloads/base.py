@@ -25,9 +25,9 @@ import enum
 import zlib
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, Mapping, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.runtime.runtime import TracedRuntime
     from repro.trace.observer import TraceObserver
 
@@ -73,6 +73,8 @@ class Workload(abc.ABC):
 
     def rng(self) -> np.random.Generator:
         """Deterministic per-workload, per-size random source."""
+        import numpy as np
+
         seed = zlib.crc32(f"{self.name}/{self.size.value}".encode())
         return np.random.default_rng(seed)
 

@@ -6,8 +6,9 @@ import pytest
 
 from repro.analysis import analyze_critical_path
 from repro.core import SigilConfig, SigilProfiler
-from repro.core.segments import EventLog
 from repro.trace.events import OpKind
+
+from tests.eventlog import event_arrays
 
 
 def profiler():
@@ -16,9 +17,10 @@ def profiler():
 
 class TestLongestPath:
     def test_empty_log(self):
-        result = analyze_critical_path(EventLog().to_arrays())
+        result = analyze_critical_path(event_arrays())
         assert result.max_parallelism == 1.0
-        assert result.path == []
+        assert result.path.tolist() == []
+        assert len(result.path_rows) == 0
 
     def test_serial_program_has_no_parallelism(self):
         p = profiler()
@@ -110,12 +112,9 @@ class TestLongestPath:
         assert result.max_parallelism >= 1.0
 
     def test_malformed_backward_edge_rejected(self):
-        log = EventLog()
-        log.new_segment(0, 0, 0)
-        log.new_segment(1, 1, 1)
-        log.add_order_edge(1, 1)
+        log = event_arrays([(0, 0, 0, 0), (1, 1, 1, 0)], [("order", 1, 1)])
         with pytest.raises(ValueError):
-            analyze_critical_path(log.to_arrays())
+            analyze_critical_path(log)
 
 
 class TestPaperChains:
@@ -179,8 +178,8 @@ class TestEventsToDot:
         prof = profiler.profile()
         result = analyze_critical_path(prof.events)
         dot = events_to_dot(prof.events, prof.tree, result, max_segments=20)
-        for seg in result.path:
-            assert f"s{seg.seg_id} [" in dot
+        for seg_id in result.path.tolist():
+            assert f"s{seg_id} [" in dot
 
     def test_data_edge_weights_labelled(self, toy_profiles):
         from repro.analysis import events_to_dot

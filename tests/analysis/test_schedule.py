@@ -13,58 +13,53 @@ from repro.core.segments import (
     OC_EDGE_DTYPE,
     SEG_DTYPE,
     EventArrays,
-    EventLog,
 )
 
-
-def chain_log(n: int, ops: int = 10) -> EventLog:
-    """A builder of n segments in one serial dependency chain."""
-    log = EventLog()
-    for i in range(n):
-        seg = log.new_segment(0, i, i)
-        seg.ops = ops
-        if i:
-            log.add_order_edge(i - 1, i)
-    return log
+from tests.eventlog import event_arrays
 
 
-def fan_log(n: int, ops: int = 10) -> EventLog:
-    """A builder of a zero-cost root fanning out to n independent
-    segments."""
-    log = EventLog()
-    log.new_segment(0, 0, 0)
-    for i in range(1, n + 1):
-        seg = log.new_segment(i, i, i)
-        seg.ops = ops
-        log.add_call_edge(0, i)
-    return log
+def chain_log(n: int, ops: int = 10, data=()) -> EventArrays:
+    """n segments in one serial dependency chain, plus ``data`` rows."""
+    return event_arrays(
+        [(0, i, i, ops) for i in range(n)],
+        [("order", i - 1, i) for i in range(1, n)],
+        data,
+    )
+
+
+def fan_log(n: int, ops: int = 10) -> EventArrays:
+    """A zero-cost root fanning out to n independent segments."""
+    return event_arrays(
+        [(0, 0, 0, 0)] + [(i, i, i, ops) for i in range(1, n + 1)],
+        [("call", 0, i) for i in range(1, n + 1)],
+    )
 
 
 class TestScheduleBasics:
     def test_empty_log(self):
-        result = schedule_events(EventLog().to_arrays(), 4)
+        result = schedule_events(event_arrays(), 4)
         assert result.makespan == 0
         assert result.speedup == 1.0
 
     def test_serial_chain_gains_nothing(self):
-        result = schedule_events(chain_log(10).to_arrays(), 8)
+        result = schedule_events(chain_log(10), 8)
         assert result.makespan == 100
         assert result.speedup == pytest.approx(1.0)
 
     def test_fan_out_scales_with_cores(self):
-        log = fan_log(8).to_arrays()
+        log = fan_log(8)
         assert schedule_events(log, 1).makespan == 80
         assert schedule_events(log, 2).makespan == 40
         assert schedule_events(log, 8).makespan == 10
 
     def test_one_core_equals_serial_length(self):
-        log = fan_log(5).to_arrays()
+        log = fan_log(5)
         result = schedule_events(log, 1)
         assert result.makespan == result.serial_length
 
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):
-            schedule_events(fan_log(2).to_arrays(), 0)
+            schedule_events(fan_log(2), 0)
 
     def test_bad_core_count_named_before_the_log_is_read(self, tmp_path):
         """A log that cannot be read shows that the check comes first."""
@@ -78,7 +73,7 @@ class TestScheduleBasics:
             speedup_curve(missing, [2, 0])
 
     def test_placement_respects_dependencies(self):
-        log = chain_log(6).to_arrays()
+        log = chain_log(6)
         result = schedule_events(log, 4)
         for i in range(1, 6):
             prev_core, prev_start = result.placement[i - 1]
@@ -86,7 +81,7 @@ class TestScheduleBasics:
             assert start >= prev_start + 10
 
     def test_no_core_overlap(self):
-        log = fan_log(16, ops=7).to_arrays()
+        log = fan_log(16, ops=7)
         result = schedule_events(log, 3)
         busy = {}
         for seg_id, (core, start) in result.placement.items():
@@ -98,23 +93,18 @@ class TestScheduleBasics:
 
 class TestCrossCoreCommunication:
     def test_single_core_has_no_cross_traffic(self):
-        log = chain_log(4)
-        log.add_data_bytes(0, 3, 64)
-        assert schedule_events(log.to_arrays(), 1).cross_core_bytes == 0
+        log = chain_log(4, data=[(0, 3, 64)])
+        assert schedule_events(log, 1).cross_core_bytes == 0
 
     def test_split_producer_consumer_counts(self):
-        log = fan_log(2, ops=50)
-        log.add_data_bytes(1, 2, 0)  # ignored (zero bytes)
-        # Two independent heavy segments with a light data edge between two
-        # NEW segments placed apart.
-        a = log.new_segment(3, 3, 3)
-        a.ops = 50
-        b = log.new_segment(4, 4, 4)
-        b.ops = 50
-        log.add_call_edge(0, 3)
-        log.add_call_edge(0, 4)
-        log.add_data_bytes(3, 4, 128)
-        result = schedule_events(log.to_arrays(), 4)
+        # Four independent heavy segments under a zero-cost root, with a
+        # light data edge between the last two.
+        log = event_arrays(
+            [(0, 0, 0, 0)] + [(i, i, i, 50) for i in range(1, 5)],
+            [("call", 0, i) for i in range(1, 5)],
+            [(3, 4, 128)],
+        )
+        result = schedule_events(log, 4)
         src_core = result.placement[3][0]
         dst_core = result.placement[4][0]
         expected = 128 if src_core != dst_core else 0
@@ -147,7 +137,7 @@ class TestAgainstTheoreticalLimit:
         assert speeds[0] == pytest.approx(1.0)
 
     def test_efficiency_decreases(self):
-        log = fan_log(8).to_arrays()
+        log = fan_log(8)
         r2 = schedule_events(log, 2)
         r16 = schedule_events(log, 16)
         assert r2.efficiency > r16.efficiency
@@ -157,9 +147,7 @@ class TestMalformedLogs:
     def test_dependency_cycle_rejected_by_the_priority_pass(self):
         """A backward data edge may close a cycle (0 -> 1 -> 2 -> 0); no
         segment on it can ever be ranked or become ready."""
-        log = chain_log(3)
-        log.add_data_bytes(2, 0, 8)
-        arrays = log.to_arrays()
+        arrays = chain_log(3, data=[(2, 0, 8)])
         with pytest.raises(ValueError, match="dependency cycle"):
             schedule_events(arrays, 2)
         with pytest.raises(ValueError, match="dependency cycle"):

@@ -21,26 +21,25 @@ from repro.core.segments import (
     DATA_EDGE_DTYPE,
     SEG_DTYPE,
     EventArrays,
-    EventLog,
 )
 from repro.io import dumps_events_bin
 
+from tests.eventlog import event_arrays
 from tests.property.oracles import assert_matches_oracle, naive_critical_path
 
 
 def make_log(n: int = 12) -> EventArrays:
     """A serial chain with a few data edges at varied distances."""
-    log = EventLog()
+    segs = []
     t = 0
     for i in range(n):
-        seg = log.new_segment(i % 3, i, t)
-        seg.ops = 2 + i % 5
-        t += seg.ops
-        if i:
-            log.add_order_edge(i - 1, i)
-    for src, dst, nbytes in ((1, 2, 8), (0, 3, 16), (2, n - 1, 64)):
-        log.add_data_bytes(src, dst, nbytes)
-    return log.to_arrays()
+        segs.append((i % 3, i, t, 2 + i % 5))
+        t += 2 + i % 5
+    return event_arrays(
+        segs,
+        [("order", i - 1, i) for i in range(1, n)],
+        [(1, 2, 8), (0, 3, 16), (2, n - 1, 64)],
+    )
 
 
 def seg_rows(*rows) -> np.ndarray:

@@ -12,8 +12,10 @@ from repro.analysis.windowed import (
     WindowedCurves,
     windowed_curves,
 )
-from repro.core.segments import EventArrays, EventLog
+from repro.core.segments import EventArrays
 from repro.io import dumps_events_bin
+
+from tests.eventlog import event_arrays
 
 
 def chain_log() -> EventArrays:
@@ -24,15 +26,11 @@ def chain_log() -> EventArrays:
     live through windows 1..2.  Edge B: produced at op 20, consumed at
     op 30: lifetime 10, live through windows 2..3.
     """
-    log = EventLog()
-    for i in range(4):
-        seg = log.new_segment(i, i, 10 * i)
-        seg.ops = 10
-        if i:
-            log.add_order_edge(i - 1, i)
-    log.add_data_bytes(0, 2, 64)
-    log.add_data_bytes(1, 3, 16)
-    return log.to_arrays()
+    return event_arrays(
+        [(i, i, 10 * i, 10) for i in range(4)],
+        [("order", i - 1, i) for i in range(1, 4)],
+        [(0, 2, 64), (1, 3, 16)],
+    )
 
 
 class TestHandComputed:
@@ -54,13 +52,8 @@ class TestHandComputed:
         assert c.total_edges == 2
 
     def test_zero_lifetime_edge_lands_in_bin_zero(self):
-        log = EventLog()
-        a = log.new_segment(0, 0, 0)
-        a.ops = 5
-        b = log.new_segment(1, 1, 5)
-        b.ops = 5
-        log.add_data_bytes(0, 1, 8)
-        c = windowed_curves(log.to_arrays(), window=100)
+        log = event_arrays([(0, 0, 0, 5), (1, 1, 5, 5)], data=[(0, 1, 8)])
+        c = windowed_curves(log, window=100)
         assert c.lifetime_hist.tolist() == [1]
         assert c.mean_lifetime.tolist() == [0.0]
 
@@ -68,12 +61,11 @@ class TestHandComputed:
         """A consumer older than its producer (threaded logs) contributes a
         zero lifetime and a working-set interval anchored at the earlier
         endpoint."""
-        log = EventLog()
-        for i in range(3):
-            seg = log.new_segment(i, i, 10 * i)
-            seg.ops = 10
-        log.add_data_bytes(2, 0, 32)  # producer is the youngest segment
-        c = windowed_curves(log.to_arrays(), window=10)
+        log = event_arrays(
+            [(i, i, 10 * i, 10) for i in range(3)],
+            data=[(2, 0, 32)],  # producer is the youngest segment
+        )
+        c = windowed_curves(log, window=10)
         assert c.lifetime_sum.tolist() == [0, 0, 0]
         assert c.comm_bytes.tolist() == [32, 0, 0]
         assert c.lifetime_hist.tolist() == [1]
@@ -81,24 +73,21 @@ class TestHandComputed:
 
 class TestEdgeCases:
     def test_empty_log(self):
-        c = windowed_curves(EventLog().to_arrays())
+        c = windowed_curves(event_arrays())
         assert c.n_windows == 0
         assert c.peak_ws_bytes == 0
         assert c.total_comm_bytes == 0
         assert c.window == DEFAULT_WINDOW_OPS
 
     def test_one_segment_log(self):
-        log = EventLog()
-        seg = log.new_segment(0, 0, 0)
-        seg.ops = 5
-        c = windowed_curves(log.to_arrays(), window=10)
+        c = windowed_curves(event_arrays([(0, 0, 0, 5)]), window=10)
         assert c.n_windows == 1
         assert c.ops.tolist() == [5]
         assert c.ws_bytes.tolist() == [0]
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="window"):
-            windowed_curves(EventLog().to_arrays(), window=0)
+            windowed_curves(event_arrays(), window=0)
 
 
 class TestChunkInvariance:
@@ -133,7 +122,7 @@ class TestSerialisation:
         assert back.window == 10
 
     def test_schema_tagged(self):
-        assert windowed_curves(EventLog().to_arrays()).to_dict()["schema"] == (
+        assert windowed_curves(event_arrays()).to_dict()["schema"] == (
             WINDOWED_SCHEMA
         )
 

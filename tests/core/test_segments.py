@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import SigilConfig, SigilProfiler
-from repro.core.segments import OC_KIND_CALL, OC_KIND_ORDER, EventLog
+from repro.core.segments import OC_KIND_CALL, OC_KIND_ORDER
 from repro.trace.events import OpKind
 
 
@@ -123,23 +123,44 @@ class TestDataEdges:
 
 class TestEventLogUnit:
     def test_data_bytes_aggregate_per_pair(self):
-        log = EventLog()
-        log.new_segment(0, 0, 0)
-        log.new_segment(1, 1, 1)
-        log.add_data_bytes(0, 1, 8)
-        log.add_data_bytes(0, 1, 16)
-        assert log.to_arrays().data.tolist() == [(0, 1, 24)]
+        """Two reads from one producing segment make one edge carrying
+        both reads' bytes."""
+        p = _profiler()
+        p.on_run_begin()
+        p.on_fn_enter("A")
+        p.on_mem_write(0x100, 8)
+        p.on_mem_write(0x200, 16)
+        p.on_fn_exit("A")
+        p.on_fn_enter("D")
+        p.on_mem_read(0x100, 8)
+        p.on_mem_read(0x200, 16)
+        p.on_fn_exit("D")
+        p.on_run_end()
+        events = p.profile().events
+        ctx = events.segs["ctx"].tolist()
+        a = ctx.index(p.tree.by_name("A")[0].id)
+        d = ctx.index(p.tree.by_name("D")[0].id)
+        assert events.data.tolist() == [(a, d, 24)]
 
     def test_self_edges_ignored(self):
-        log = EventLog()
-        log.new_segment(0, 0, 0)
-        log.add_data_bytes(0, 0, 8)
-        assert len(log.to_arrays().data) == 0
+        """A segment reading its own writes is no data edge."""
+        p = _profiler()
+        p.on_run_begin()
+        p.on_fn_enter("A")
+        p.on_mem_write(0x100, 8)
+        p.on_mem_read(0x100, 8)
+        p.on_fn_exit("A")
+        p.on_run_end()
+        assert len(p.profile().events.data) == 0
 
     def test_total_ops(self):
-        log = EventLog()
-        s1 = log.new_segment(0, 0, 0)
-        s2 = log.new_segment(1, 1, 0)
-        s1.ops = 7
-        s2.ops = 5
-        assert log.to_arrays().total_ops() == 12
+        p = _profiler()
+        p.on_run_begin()
+        p.on_fn_enter("A")
+        p.on_op(OpKind.INT, 7)
+        p.on_fn_enter("B")
+        p.on_op(OpKind.INT, 5)
+        p.on_fn_exit("B")
+        p.on_fn_exit("A")
+        p.on_run_end()
+        assert p.profile().events.total_ops() == 12

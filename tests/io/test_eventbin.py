@@ -16,7 +16,6 @@ from repro.core.segments import (
     OC_KIND_ORDER,
     SEG_DTYPE,
     EventArrays,
-    EventLog,
 )
 from repro.io import (
     BinaryEventWriter,
@@ -29,17 +28,15 @@ from repro.io import (
 )
 from repro.io.eventbin import MAGIC_V2, zstd_available
 
+from tests.eventlog import event_arrays
+
 
 def make_log() -> EventArrays:
-    log = EventLog()
-    s0 = log.new_segment(0, 0, 0)
-    s1 = log.new_segment(1, 1, 5, thread=1)
-    s2 = log.new_segment(2, 2, 9)
-    s0.ops, s1.ops, s2.ops = 3, 10, 7
-    log.add_call_edge(0, 1)
-    log.add_order_edge(0, 2)
-    log.add_data_bytes(1, 2, 64)
-    return log.to_arrays()
+    return event_arrays(
+        [(0, 0, 0, 3), (1, 1, 5, 10, 1), (2, 2, 9, 7)],
+        [("call", 0, 1), ("order", 0, 2)],
+        [(1, 2, 64)],
+    )
 
 
 def one_seg(ctx=0, call=0, start=0, ops=1, thread=0) -> np.ndarray:
@@ -72,19 +69,17 @@ class TestRoundTrip:
         assert load_event_arrays(io.BytesIO(blob)) == log
 
     def test_empty_log(self):
-        blob = dumps_events_bin(EventLog().to_arrays())
+        blob = dumps_events_bin(event_arrays())
         loaded = load_event_arrays(io.BytesIO(blob))
         assert loaded.n_segments == 0
         assert len(loaded.ordercall) == 0 and len(loaded.data) == 0
 
     def test_order_call_interleaving_preserved(self):
-        log = EventLog()
-        for i in range(4):
-            log.new_segment(i, i, i)
-        log.add_order_edge(0, 1)
-        log.add_call_edge(1, 2)
-        log.add_order_edge(2, 3)
-        blob = dumps_events_bin(log.to_arrays())
+        log = event_arrays(
+            [(i, i, i, 0) for i in range(4)],
+            [("order", 0, 1), ("call", 1, 2), ("order", 2, 3)],
+        )
+        blob = dumps_events_bin(log)
         loaded = load_event_arrays(io.BytesIO(blob))
         assert loaded.ordercall["kind"].tolist() == [
             OC_KIND_ORDER, OC_KIND_CALL, OC_KIND_ORDER

@@ -21,21 +21,18 @@ from repro.core.segments import (
     OC_EDGE_DTYPE,
     SEG_DTYPE,
     EventArrays,
-    EventLog,
 )
 from repro.io import dump_events, dumps_events, dumps_events_bin, load_event_arrays
 
+from tests.eventlog import event_arrays
+
 
 def make_log() -> EventArrays:
-    log = EventLog()
-    s0 = log.new_segment(0, 0, 0)
-    s1 = log.new_segment(1, 1, 5)
-    s2 = log.new_segment(2, 2, 9)
-    s0.ops, s1.ops, s2.ops = 3, 10, 7
-    log.add_call_edge(0, 1)
-    log.add_order_edge(0, 2)
-    log.add_data_bytes(1, 2, 64)
-    return log.to_arrays()
+    return event_arrays(
+        [(0, 0, 0, 3), (1, 1, 5, 10), (2, 2, 9, 7)],
+        [("call", 0, 1), ("order", 0, 2)],
+        [(1, 2, 64)],
+    )
 
 
 def via_v2(events: EventArrays, **dump_kwargs) -> EventArrays:
@@ -155,12 +152,10 @@ class TestValidation:
 
 class TestThreadField:
     def test_six_field_seg_roundtrips_thread(self):
-        log = EventLog()
-        s0 = log.new_segment(0, 0, 0, thread=2)
-        s0.ops = 4
-        text = dumps_events(log.to_arrays())
+        log = event_arrays([(0, 0, 0, 4, 2)])
+        text = dumps_events(log)
         assert "seg 0 0 0 0 4 2" in text
-        loaded = via_v2(log.to_arrays())
+        loaded = via_v2(log)
         assert loaded.segs["thread"][0] == 2
         assert dumps_events(loaded) == text
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.windowed import windowed_curves
 from repro.common.cct import ContextTree
-from repro.core.segments import EventLog
 from repro.io import (
     curves_to_chrome,
     dumps_chrome,
@@ -28,6 +27,8 @@ from repro.io import (
 )
 from repro.io.tracefmt import PIPELINE_PID, CounterTrack, synthesize_spans
 from repro.telemetry import Manifest
+
+from tests.eventlog import event_arrays
 
 VALID_PHASES = {"X", "M", "s", "f", "C", "B", "E", "b", "e", "i"}
 
@@ -128,10 +129,8 @@ class TestEventTimeline:
         assert all(name.startswith("ctx") for name in names)
 
     def test_threads_map_to_processes(self):
-        log = EventLog()
-        log.new_segment(1, 1, 0, thread=0).ops = 4
-        log.new_segment(2, 2, 4, thread=3).ops = 2
-        trace = rendered(events_to_chrome(log.to_arrays()))
+        log = event_arrays([(1, 1, 0, 4, 0), (2, 2, 4, 2, 3)])
+        trace = rendered(events_to_chrome(log))
         pids = {e["pid"] for e in slices(trace)}
         assert pids == {1, 4}  # pid_base + thread
 
@@ -140,19 +139,17 @@ class TestEmptyLog:
     def test_empty_log_renders_as_empty_trace(self):
         """``[]`` is valid Chrome trace JSON; an empty log must not emit
         orphan counter samples or process metadata."""
-        trace = events_to_chrome(EventLog().to_arrays())
+        trace = events_to_chrome(event_arrays())
         assert trace == []
         assert json.loads(dumps_chrome(trace)) == []
 
 
 class TestCurveTracks:
     def _curves(self, window=10):
-        log = EventLog()
-        for i in range(4):
-            log.new_segment(i, i, 10 * i).ops = 10
-        log.add_data_bytes(0, 2, 64)
-        log.add_data_bytes(1, 3, 16)
-        return windowed_curves(log.to_arrays(), window=window)
+        log = event_arrays(
+            [(i, i, 10 * i, 10) for i in range(4)], data=[(0, 2, 64), (1, 3, 16)]
+        )
+        return windowed_curves(log, window=window)
 
     def test_one_sample_per_window_per_track(self):
         curves = self._curves()
@@ -195,7 +192,7 @@ class TestCurveTracks:
         assert not [e for e in anonymous if e["ph"] == "M"]
 
     def test_empty_curves_render_as_empty_trace(self):
-        assert curves_to_chrome(windowed_curves(EventLog().to_arrays())) == []
+        assert curves_to_chrome(windowed_curves(event_arrays())) == []
 
     def test_combined_harness_trace_is_schema_valid(self, toy_profiles):
         """ProfiledRun.chrome_trace keeps every event in the valid-phase
@@ -264,18 +261,22 @@ def _seeded_log(seed=2013, n_segments=80):
     """Three threads, eight contexts, zero-ops segments, data edges in both
     directions and byte counts past 2**32."""
     rng = random.Random(seed)
-    log = EventLog()
+    segs = []
     clocks = [0, 5, 11]  # one op clock per thread, so segments overlap
     for call in range(n_segments):
         thread = rng.randrange(3)
-        seg = log.new_segment(rng.randrange(1, 9), call, clocks[thread],
-                              thread=thread)
-        seg.ops = rng.choice((0, 1, 3, 17, 40, 129))
-        clocks[thread] += seg.ops
+        ctx = rng.randrange(1, 9)
+        ops = rng.choice((0, 1, 3, 17, 40, 129))
+        segs.append((ctx, call, clocks[thread], ops, thread))
+        clocks[thread] += ops
+    # Summed per pair and without self edges, as the profiler records them.
+    data = {}
     for _ in range(3 * n_segments):
         src, dst = rng.randrange(n_segments), rng.randrange(n_segments)
-        log.add_data_bytes(src, dst, rng.choice((1, 8, 64, 4096, 2**40)))
-    return log.to_arrays()
+        nbytes = rng.choice((1, 8, 64, 4096, 2**40))
+        if src != dst:
+            data[src, dst] = data.get((src, dst), 0) + nbytes
+    return event_arrays(segs, data=[(*pair, n) for pair, n in data.items()])
 
 
 def _seeded_tree():

@@ -29,7 +29,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Set, Tuple
 
-from repro.core.segments import EventArrays
+import numpy as np
+
+from repro.core.segments import SEG_DTYPE, EventArrays
 
 
 class NaivePath(NamedTuple):
@@ -37,6 +39,8 @@ class NaivePath(NamedTuple):
     critical_length: int
     inclusive: List[int]
     path: List[int]
+    #: The path's segment rows, indexed straight out of the log.
+    path_rows: np.ndarray
 
 
 def naive_critical_path(arrays: EventArrays) -> NaivePath:
@@ -70,15 +74,17 @@ def naive_critical_path(arrays: EventArrays) -> NaivePath:
             best_pred[v] = chosen
 
     if not n:
-        return NaivePath(0, 0, [], [])
+        return NaivePath(0, 0, [], [], np.empty(0, dtype=SEG_DTYPE))
     top = max(inclusive.values())
     end = min(v for v in range(n) if inclusive[v] == top)
     path = []
     while end != -1:
         path.append(end)
         end = best_pred[end]
+    path.reverse()
     return NaivePath(
-        sum(ops), top, [inclusive[v] for v in range(n)], path[::-1]
+        sum(ops), top, [inclusive[v] for v in range(n)], path,
+        arrays.segs[path],
     )
 
 
@@ -86,7 +92,12 @@ def assert_matches_oracle(result, expected: NaivePath) -> None:
     assert result.serial_length == expected.serial_length
     assert result.critical_length == expected.critical_length
     assert [int(x) for x in result.inclusive] == expected.inclusive
-    assert [s.seg_id for s in result.path] == expected.path
+    assert result.path.dtype == np.int64
+    assert result.path.tolist() == expected.path
+    rows = result.path_rows
+    assert rows.dtype == SEG_DTYPE
+    assert np.array_equal(rows, expected.path_rows)
+    assert int(rows["ops"].sum()) == result.critical_length
 
 
 # -- section IV-C list scheduling --------------------------------------------

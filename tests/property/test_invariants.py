@@ -13,7 +13,9 @@ from repro.callgrind import Cache, CacheConfig, CacheHierarchy
 from repro.analysis import analyze_critical_path
 from repro.common.cct import ContextTree
 from repro.core.reuse import bucketise_counts
-from repro.core.segments import EventLog
+from repro.core.segments import OC_EDGE_DTYPE, OC_KIND_ORDER, EventArrays
+
+from tests.eventlog import event_arrays
 
 
 # -- cache ------------------------------------------------------------------
@@ -155,10 +157,11 @@ def test_hierarchy_matches_reference_lru(accesses, d1, ll, chunk):
 @st.composite
 def event_logs(draw):
     n = draw(st.integers(min_value=1, max_value=30))
-    log = EventLog()
-    for i in range(n):
-        seg = log.new_segment(ctx_id=i % 4, call_id=i, time=i)
-        seg.ops = draw(st.integers(min_value=0, max_value=50))
+    segs = [
+        (i % 4, i, i, draw(st.integers(min_value=0, max_value=50)))
+        for i in range(n)
+    ]
+    edges, data = [], []
     n_edges = draw(st.integers(min_value=0, max_value=40))
     for _ in range(n_edges):
         if n < 2:
@@ -166,38 +169,41 @@ def event_logs(draw):
         src = draw(st.integers(min_value=0, max_value=n - 2))
         dst = draw(st.integers(min_value=src + 1, max_value=n - 1))
         kind = draw(st.sampled_from(["order", "call", "data"]))
-        if kind == "order":
-            log.add_order_edge(src, dst)
-        elif kind == "call":
-            log.add_call_edge(src, dst)
+        if kind == "data":
+            data.append(
+                (src, dst, draw(st.integers(min_value=1, max_value=64)))
+            )
         else:
-            log.add_data_bytes(src, dst, draw(st.integers(min_value=1, max_value=64)))
-    return log
+            edges.append((kind, src, dst))
+    return event_arrays(segs, edges, data)
 
 
 @given(event_logs())
 @settings(max_examples=150, deadline=None)
 def test_critical_path_bounded(log):
-    result = analyze_critical_path(log.to_arrays())
+    result = analyze_critical_path(log)
     assert 0 <= result.critical_length <= result.serial_length
     assert result.max_parallelism >= 1.0 or result.serial_length == 0
     # The reported path is a chain with nonincreasing ids backwards.
-    ids = [seg.seg_id for seg in result.path]
+    ids = result.path.tolist()
     assert ids == sorted(ids)
     # Path self-costs sum to the critical length.
-    assert sum(seg.ops for seg in result.path) == result.critical_length
+    assert int(result.path_rows["ops"].sum()) == result.critical_length
 
 
 @given(event_logs(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_adding_edge_never_shortens_critical_path(log, data):
-    before = analyze_critical_path(log.to_arrays()).critical_length
-    n = len(log.segments)
+    before = analyze_critical_path(log).critical_length
+    n = log.n_segments
     if n >= 2:
         src = data.draw(st.integers(min_value=0, max_value=n - 2))
         dst = data.draw(st.integers(min_value=src + 1, max_value=n - 1))
-        log.add_order_edge(src, dst)
-    after = analyze_critical_path(log.to_arrays()).critical_length
+        edge = np.array([(OC_KIND_ORDER, src, dst)], dtype=OC_EDGE_DTYPE)
+        log = EventArrays(
+            log.segs, np.concatenate((log.ordercall, edge)), log.data
+        )
+    after = analyze_critical_path(log).critical_length
     assert after >= before
 
 

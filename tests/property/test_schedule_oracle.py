@@ -12,9 +12,9 @@ from repro.analysis import (
     speedup_curve,
 )
 from repro.analysis.streaming import ChunkSource
-from repro.core.segments import EventLog
 from repro.io import dumps_events_bin
 
+from tests.eventlog import event_arrays
 from tests.property.oracles import naive_schedule
 from tests.property.test_roundtrips import run_profiler, trace_steps, via_v2
 
@@ -68,11 +68,11 @@ def backward_edge_logs(draw):
     order, and order/call edges also point forward in id."""
     n = draw(st.integers(min_value=1, max_value=25))
     rank = draw(st.permutations(range(n)))
-    log = EventLog()
-    for i in range(n):
-        log.new_segment(i % 3, i, i).ops = draw(
-            st.integers(min_value=0, max_value=40)
-        )
+    segs = [
+        (i % 3, i, i, draw(st.integers(min_value=0, max_value=40)))
+        for i in range(n)
+    ]
+    edges, data = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
         if n < 2:
             break
@@ -80,10 +80,10 @@ def backward_edge_logs(draw):
         b = draw(st.integers(min_value=a + 1, max_value=n - 1))
         src, dst = (a, b) if rank[a] < rank[b] else (b, a)
         if draw(st.booleans()):
-            log.add_data_bytes(src, dst, draw(st.integers(1, 64)))
+            data.append((src, dst, draw(st.integers(1, 64))))
         elif src < dst:
-            log.add_order_edge(src, dst)
-    return log.to_arrays()
+            edges.append(("order", src, dst))
+    return event_arrays(segs, edges, data)
 
 
 @given(backward_edge_logs(), st.integers(min_value=1, max_value=16))
@@ -114,16 +114,15 @@ def test_threaded_fluidanimate_matches_oracle():
 def test_oracle_pins_the_documented_tie_breaks():
     """Equal levels dispatch the lower segment id first; equal free times
     pick the lower core index."""
-    log = EventLog()
-    log.new_segment(0, 0, 0)
-    for i in (1, 2, 3):
-        log.new_segment(i, i, i).ops = 5
-        log.add_call_edge(0, i)
-    log.add_data_bytes(1, 3, 16)
-    expected = naive_schedule(log.to_arrays(), 2)
+    log = event_arrays(
+        [(0, 0, 0, 0)] + [(i, i, i, 5) for i in (1, 2, 3)],
+        [("call", 0, i) for i in (1, 2, 3)],
+        [(1, 3, 16)],
+    )
+    expected = naive_schedule(log, 2)
     assert expected.placement == {
         0: (0, 0), 1: (0, 0), 2: (1, 0), 3: (0, 5),
     }
     assert expected.makespan == 10
     assert expected.cross_core_bytes == 0
-    assert_matches_schedule(schedule_events(log.to_arrays(), 2), expected)
+    assert_matches_schedule(schedule_events(log, 2), expected)

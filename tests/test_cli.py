@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.eventlog import event_arrays
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -452,11 +454,10 @@ class TestTrace:
 
     def test_empty_event_log_renders_empty_trace(self, capsys, tmp_path):
         """An empty log exports as ``[]`` -- valid Chrome trace JSON."""
-        from repro.core.segments import EventLog
         from repro.io import dump_events_bin
 
         events = tmp_path / "empty.bin"
-        dump_events_bin(EventLog().to_arrays(), events)
+        dump_events_bin(event_arrays(), events)
         target = tmp_path / "empty.trace.json"
         code, _, _ = run_cli(
             capsys, "trace", str(events), "-o", str(target)
@@ -468,18 +469,15 @@ class TestTrace:
 class TestTimeline:
     @pytest.fixture()
     def event_file(self, tmp_path):
-        from repro.core.segments import EventLog
         from repro.io import dump_events_bin
 
-        log = EventLog()
-        for i in range(6):
-            log.new_segment(i % 2, i, 10 * i).ops = 10
-            if i:
-                log.add_order_edge(i - 1, i)
-        log.add_data_bytes(0, 2, 64)
-        log.add_data_bytes(1, 5, 16)
+        log = event_arrays(
+            [(i % 2, i, 10 * i, 10) for i in range(6)],
+            [("order", i - 1, i) for i in range(1, 6)],
+            [(0, 2, 64), (1, 5, 16)],
+        )
         path = tmp_path / "ev.bin"
-        dump_events_bin(log.to_arrays(), path)
+        dump_events_bin(log, path)
         return path
 
     def test_writes_counter_tracks(self, capsys, event_file):
@@ -527,11 +525,10 @@ class TestTimeline:
         assert curves.total_comm_bytes == 80
 
     def test_empty_log(self, capsys, tmp_path):
-        from repro.core.segments import EventLog
         from repro.io import dump_events_bin
 
         events = tmp_path / "empty.bin"
-        dump_events_bin(EventLog().to_arrays(), events)
+        dump_events_bin(event_arrays(), events)
         code, out, _ = run_cli(capsys, "timeline", str(events), "-o", "-")
         assert code == 0
         assert json.loads(out) == []

@@ -28,6 +28,9 @@ NOT_FOR_ANALYSES = (
     "repro.callgrind",
     "repro.workloads.registry",
     "repro.trace.batch",
+    "repro.trace.observer",
+    "repro.telemetry.heartbeat",
+    "repro.telemetry.counting",
     "repro.analysis.cdfg",
     "repro.analysis.partition",
     "repro.analysis.bbcurve",
@@ -124,6 +127,19 @@ def test_bare_cli_import_loads_no_tool(tmp_path):
     code, modules = _child(_CLI_CHILD, cwd=tmp_path)
     assert code == 0
     assert [m for m in modules if _within(m, NOT_FOR_ANALYSES)] == []
+
+
+def test_bare_cli_import_loads_no_numpy(tmp_path):
+    """``cli.py`` needs ``InputSize`` for ``--size``; that must not cost a
+    numpy import in commands that never touch an array."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_campaign_job_imports_nothing_its_coordinator_lacks(tmp_path):

@@ -202,19 +202,32 @@ class TestRepoHygiene:
 
 
 def test_event_log_builder_stays_inside_the_profiler():
-    """``EventArrays`` is the one in-memory event log outside the profiler.
+    """``EventArrays`` is the one in-memory event log.
 
-    The object-form ``EventLog`` is only the builder the profiler fills;
-    any other module naming it is a second in-memory form creeping back in.
+    The profiler appends to plain columns; an ``EventLog`` builder or a
+    ``Segment`` object class, defined, imported or exported anywhere in the
+    package, is a second in-memory form creeping back in.  (The plain word
+    "Segment" in prose stays allowed.)
     """
     src = REPO / "src" / "repro"
-    allowed = {"core/segments.py", "core/profiler.py"}
-    naming = sorted(
-        path.relative_to(src).as_posix()
-        for path in src.rglob("*.py")
-        if re.search(r"\bEventLog\b", path.read_text())
-    )
-    assert set(naming) <= allowed, f"modules naming EventLog: {naming}"
+    forms = {"EventLog", "Segment"}
+    offenders = []
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {
+                    (alias.name.rsplit(".", 1)[-1]) for alias in node.names
+                }
+            elif isinstance(node, ast.Constant):
+                # A name in a package's lazy export table.
+                names = {node.value} if isinstance(node.value, str) else set()
+            else:
+                continue
+            for name in sorted(names & forms):
+                offenders.append(f"{path.relative_to(src).as_posix()}: {name}")
+    assert offenders == [], f"event-log object forms: {offenders}"
 
 
 def test_only_the_harness_builds_the_transport():
